@@ -36,7 +36,6 @@ from .analytic import (
     nonlinear_cdf,
     poisson_cdf_exp_exact,
     poisson_cdf_normal,
-    poisson_mean_tau,
     renewal_cdf_clt,
     renewal_mean_tau,
     renewal_var_tau,
@@ -139,8 +138,8 @@ def parse_config(text: str) -> ParsedConfig:
         raise ConfigError("workers must be >= 1")
     for u in thresholds:
         cap = battery.capacity
-        if not 0.0 < u <= cap:
-            raise ConfigError(f"u = {u} outside (0, {cap}]")
+        if not 0.0 < u < cap:
+            raise ConfigError(f"u = {u} outside (0, {cap})")
     return ParsedConfig(
         arrivals=arrivals,
         packets=packets,

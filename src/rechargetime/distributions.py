@@ -1,5 +1,9 @@
 """Packet-size and inter-arrival laws with exact sampling, CDFs and raw moments.
 
+Inter-arrival laws other than the exponential also sample their length-biased
+law, density x f(x) / mean, which the renewal layer needs for the equilibrium
+first wait.
+
 Parameter conventions (important, the literature is ambiguous):
 
 * ``Gamma(shape, scale)`` -- shape/scale, so mean = shape * scale.
@@ -67,15 +71,6 @@ class Exponential:
         x = _as_array(x)
         return np.where(x < 0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))[()]
 
-    def ppf(self, q):
-        return -np.log1p(-_as_array(q))[()] / self.rate
-
-    def partial_expectation(self, t):
-        # E[A ; A <= t]
-        t = _as_array(t)
-        lt = self.rate * np.maximum(t, 0.0)
-        return (self.mean * (-np.expm1(-lt)) - np.maximum(t, 0.0) * np.exp(-lt))[()]
-
     def config_str(self) -> str:
         return f"exponential rate={self.rate:g}"
 
@@ -108,16 +103,13 @@ class Gamma:
         # numpy's gamma generator is valid for shape < 1 as well as >= 1
         return rng.gamma(self.shape, self.scale, size=size)
 
+    def length_biased_sample(self, rng: np.random.Generator, size=None):
+        # x f(x) / mean is the Gamma(shape + 1, scale) density
+        return rng.gamma(self.shape + 1.0, self.scale, size=size)
+
     def cdf(self, x):
         x = _as_array(x)
         return np.where(x < 0, 0.0, special.gammainc(self.shape, np.maximum(x, 0.0) / self.scale))[()]
-
-    def ppf(self, q):
-        return self.scale * special.gammaincinv(self.shape, _as_array(q))[()]
-
-    def partial_expectation(self, t):
-        t = _as_array(t)
-        return (self.mean * special.gammainc(self.shape + 1.0, np.maximum(t, 0.0) / self.scale))[()]
 
     def config_str(self) -> str:
         return f"gamma shape={self.shape:g} scale={self.scale:g}"
@@ -152,6 +144,12 @@ class InverseGaussian:
         # Michael-Schucany-Haas transform with rejection
         return rng.wald(self.mean_, self.shape, size=size)
 
+    def length_biased_sample(self, rng: np.random.Generator, size=None):
+        # x f(x) / mean is the law of IG(mean, shape) + (mean^2/shape) chi^2_1
+        # (Jorgensen, Seshadri & Whitmore, Scand. J. Statist. 18, 1991)
+        ig = rng.wald(self.mean_, self.shape, size=size)
+        return ig + self.mean_**2 / self.shape * rng.standard_normal(size) ** 2
+
     def _phi_args(self, x):
         s = np.sqrt(self.shape / x)
         return s * (x / self.mean_ - 1.0), -s * (x / self.mean_ + 1.0)
@@ -162,19 +160,6 @@ class InverseGaussian:
         a, b = self._phi_args(pos)
         val = special.ndtr(a) + np.exp(2.0 * self.shape / self.mean_ + special.log_ndtr(b))
         return np.where(x <= 0, 0.0, val)[()]
-
-    def ppf(self, q):
-        from scipy import stats
-
-        mu = self.mean_ / self.shape
-        return (stats.invgauss.ppf(_as_array(q), mu, scale=self.shape))[()]
-
-    def partial_expectation(self, t):
-        t = _as_array(t)
-        pos = np.maximum(t, 1e-300)
-        a, b = self._phi_args(pos)
-        val = self.mean_ * (special.ndtr(a) - np.exp(2.0 * self.shape / self.mean_ + special.log_ndtr(b)))
-        return np.where(t <= 0, 0.0, val)[()]
 
     def config_str(self) -> str:
         return f"invgauss mean={self.mean_:g} shape={self.shape:g}"
@@ -206,16 +191,13 @@ class Uniform:
     def sample(self, rng: np.random.Generator, size=None):
         return self.lo + (self.hi - self.lo) * rng.random(size)
 
+    def length_biased_sample(self, rng: np.random.Generator, size=None):
+        # density 2x / (hi^2 - lo^2) on [lo, hi], inverted analytically
+        return (self.lo**2 + (self.hi**2 - self.lo**2) * rng.random(size)) ** 0.5
+
     def cdf(self, x):
         x = _as_array(x)
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)[()]
-
-    def ppf(self, q):
-        return (self.lo + (self.hi - self.lo) * _as_array(q))[()]
-
-    def partial_expectation(self, t):
-        t = np.clip(_as_array(t), self.lo, self.hi)
-        return ((t**2 - self.lo**2) / (2.0 * (self.hi - self.lo)))[()]
 
     def config_str(self) -> str:
         return f"uniform lo={self.lo:g} hi={self.hi:g}"
@@ -248,16 +230,12 @@ class Deterministic:
             return self.value
         return np.full(size, self.value)
 
+    # a point mass is its own length-biased law
+    length_biased_sample = sample
+
     def cdf(self, x):
         x = _as_array(x)
         return np.where(x >= self.value, 1.0, 0.0)[()]
-
-    def ppf(self, q):
-        return np.full_like(_as_array(q), self.value)[()]
-
-    def partial_expectation(self, t):
-        t = _as_array(t)
-        return np.where(t >= self.value, self.value, 0.0)[()]
 
     def config_str(self) -> str:
         return f"deterministic value={self.value:g}"

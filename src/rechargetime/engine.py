@@ -55,8 +55,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         cap = self.battery.capacity
-        if not 0.0 < self.threshold <= cap:
-            raise ValueError(f"threshold {self.threshold} outside (0, {cap}]")
+        # the level is capped at capacity, so it can never exceed u = capacity
+        if not 0.0 < self.threshold < cap:
+            raise ValueError(f"threshold {self.threshold} outside (0, {cap})")
         if isinstance(self.battery, NonLinearBattery):
             sat = self.battery.a + self.battery.b
             if self.threshold >= sat:

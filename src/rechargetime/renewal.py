@@ -4,6 +4,15 @@ An arrival stream is a residual first wait followed by i.i.d. inter-arrivals.
 In equilibrium mode the first wait follows the residual density
 (1 - F_A(t)) / mu_A, modeling observation long after the process started;
 in pure mode an arrival sits at the origin.
+
+The equilibrium first wait is sampled exactly, with no numerical inversion:
+it equals V * A_hat, where V ~ U(0, 1) is independent of A_hat and A_hat
+has the length-biased density x f_A(x) / mu_A (the interval that covers a
+random observation point is length-biased, and the point sits uniformly
+inside it). For the inverse Gaussian IG(mu, lam), A_hat is
+IG(mu, lam) + (mu^2 / lam) Z^2 with Z standard normal (Jorgensen, Seshadri
+& Whitmore, Scand. J. Statist. 18, 1991); for Gamma(k, theta) it is
+Gamma(k + 1, theta).
 """
 
 from __future__ import annotations
@@ -14,12 +23,9 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .distributions import Deterministic, DistributionSpec, Exponential, Uniform
+from .distributions import DistributionSpec, Exponential
 
 __all__ = ["Mode", "ArrivalProcess"]
-
-_BISECT_TOL = 1e-10  # on the probability scale
-_BRACKET_Q = 1.0 - 1e-12
 
 
 class Mode(Enum):
@@ -47,52 +53,24 @@ class ArrivalProcess:
         var0 = m3 / (3.0 * mu) - mean0**2
         return mean0, var0
 
-    def _residual_cdf(self, t):
-        """CDF of the equilibrium residual wait, H(t) = int_0^t (1-F_A) / mu_A."""
-        d = self.interarrival
-        t = np.asarray(t, dtype=float)
-        # int_0^t (1 - F(s)) ds = t (1 - F(t)) + E[A; A <= t]
-        integral = t * (1.0 - d.cdf(t)) + d.partial_expectation(t)
-        return np.clip(integral / d.mean, 0.0, 1.0)
-
-    def _residual_ppf(self, q):
-        """Invert the residual CDF by bisection (vectorized over q)."""
-        d = self.interarrival
-        q = np.asarray(q, dtype=float)
-        lo = np.zeros_like(q)
-        hi = np.full_like(q, float(d.ppf(_BRACKET_Q)))
-        # monotone CDF: plain bisection converges unconditionally
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            below = self._residual_cdf(mid) < q
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            gap = self._residual_cdf(hi) - self._residual_cdf(lo)
-            if np.all(gap <= _BISECT_TOL):
-                break
-        return 0.5 * (lo + hi)
-
     def residual_sample(self, rng: np.random.Generator, size=None):
         """Draw the first wait; 0 in pure mode.
 
-        Closed forms: exponential inter-arrivals are memoryless, a point mass
-        at c gives Uniform(0, c), and Uniform(0, h) has the triangular-decay
-        density (1 - t/h) / (h/2), inverted analytically. Everything else
-        goes through numerical inversion of the residual CDF.
+        Exponential inter-arrivals are memoryless, so the first wait is one
+        more inter-arrival. Every other law uses the identity R = V * A_hat:
+        A_hat is the length-biased inter-arrival, density x f_A(x) / mu_A
+        (for the inverse Gaussian, IG + (mu^2/lam) Z^2 by Jorgensen, Seshadri
+        & Whitmore, Scand. J. Statist. 18, 1991), and V ~ U(0, 1) is
+        independent of it. A_hat is drawn first, then V. A scalar draw
+        (size None) is a Python float equal to the first value of a size-1
+        draw from the same stream.
         """
         if self.mode is Mode.PURE:
             return 0.0 if size is None else np.zeros(size)
         d = self.interarrival
         if isinstance(d, Exponential):
             return d.sample(rng, size)
-        if isinstance(d, Deterministic):
-            return d.value * rng.random(size)
-        if isinstance(d, Uniform) and d.lo == 0.0:
-            # H(t) = 2t/h - (t/h)^2, so H^{-1}(q) = h (1 - sqrt(1-q))
-            return d.hi * (1.0 - np.sqrt(1.0 - rng.random(size)))
-        q = rng.random(1 if size is None else size)
-        out = self._residual_ppf(q)
-        return float(out[0]) if size is None else out
+        return d.length_biased_sample(rng, size) * rng.random(size)
 
     def arrival_stream(self, rng: np.random.Generator) -> Iterator[float]:
         """Lazy strictly increasing epochs t1 < t2 < ...; t1 is the first wait."""

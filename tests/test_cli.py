@@ -46,6 +46,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="outside"):
             parse_config("battery = nonlinear umax=25 beta=1.1\nu = 30")
 
+    def test_threshold_at_capacity_rejected(self):
+        with pytest.raises(ConfigError, match="outside"):
+            parse_config("battery = linear umax=25\nu = 25")
+
     def test_beta_one_rejected(self):
         with pytest.raises(ValueError, match="beta"):
             parse_config("battery = nonlinear umax=25 beta=1.0\nu = 20")

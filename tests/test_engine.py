@@ -146,6 +146,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             cfg(battery=LinearBattery(umax=25.0), threshold=30.0)
 
+    def test_threshold_at_capacity(self):
+        # the level is capped at capacity and never exceeds u = capacity,
+        # so a replication would run on to the packet limit
+        with pytest.raises(ValueError, match="outside"):
+            cfg(battery=LinearBattery(umax=25.0), threshold=25.0)
+
     def test_bad_replications(self):
         with pytest.raises(ValueError):
             cfg(replications=0)

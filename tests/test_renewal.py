@@ -70,7 +70,14 @@ class TestResidualSampling:
 
     @pytest.mark.parametrize(
         "spec",
-        [Gamma(1.5, 2.0), InverseGaussian(1.0, 2.0), Uniform(0.5, 2.0), Uniform(0.0, 1.0)],
+        [
+            Gamma(1.5, 2.0),
+            InverseGaussian(1.0, 2.0),
+            Uniform(0.5, 2.0),
+            Uniform(0.0, 1.0),
+            Gamma(0.5, 2.0),
+            InverseGaussian(2.0, 0.8),
+        ],
         ids=lambda s: s.config_str(),
     )
     def test_numeric_path_matches_quadrature_cdf(self, spec):
@@ -96,6 +103,20 @@ class TestResidualSampling:
         mean, var = proc.residual_moments()
         assert abs(draws.mean() - mean) < 4.0 * np.sqrt(var / n)
         assert mean == pytest.approx((spec.mean**2 + spec.variance) / (2.0 * spec.mean))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Exponential(0.5), Gamma(1.5, 2.0), InverseGaussian(1.0, 2.0), Uniform(0.5, 2.0), Deterministic(1.0)],
+        ids=lambda s: s.config_str(),
+    )
+    def test_scalar_draw_is_first_array_draw(self, spec):
+        # the engine draws one scalar per replication; the DKW checks above
+        # draw arrays, so both paths must consume the stream the same way
+        proc = ArrivalProcess(spec)
+        for seed in range(5):
+            one = proc.residual_sample(np.random.default_rng(seed))
+            assert type(one) is float
+            assert one == proc.residual_sample(np.random.default_rng(seed), 1)[0]
 
 
 class TestArrivalStream:
