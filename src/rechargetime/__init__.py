@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .analytic import (
     AsymptoticMoments,
-    TruncationWarning,
     nonlinear_cdf,
     packet_count_pmf,
     per_packet_cdf,
@@ -27,7 +26,6 @@ from .distributions import (
     Gamma,
     InverseGaussian,
     Uniform,
-    WptPacket,
     parse_distribution,
 )
 from .engine import ExperimentConfig, PassageSamples, run, simulate_once, summarize
@@ -37,7 +35,6 @@ from .stats import CdfCurve, dkw_band, ecdf, ks_distance
 __all__ = [
     "__version__",
     "AsymptoticMoments",
-    "TruncationWarning",
     "nonlinear_cdf",
     "packet_count_pmf",
     "per_packet_cdf",
@@ -55,7 +52,6 @@ __all__ = [
     "Gamma",
     "InverseGaussian",
     "Uniform",
-    "WptPacket",
     "parse_distribution",
     "ExperimentConfig",
     "PassageSamples",

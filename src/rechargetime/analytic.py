@@ -2,12 +2,16 @@
 
 Poisson-arrival results condition on the number of arrivals by time t, which
 turns the level-crossing probability into a Poisson-weighted series over
-n-fold packet-sum distributions. The packet sum is handled three ways:
+F_n(u) = P(S_n <= u), the CDF of the n-packet sum:
+P(tau <= t) = 1 - sum_n w_n(lam t) F_n(u) and E[tau] = (1/lam) sum_n F_n(u).
+F_n(u) is the normal approximation of the n-fold convolution (general packet
+law) or the exact Erlang/incomplete-gamma form (exponential packets). It does
+not depend on t and falls with n, so one cut serves every t: the series stops
+before the first n with F_n(u) < 1e-12, which bounds the dropped mass by
+1e-12. General inter-arrival laws use renewal-theoretic asymptotics plus a
+CLT approximation (large threshold).
 
-* normal approximation of the n-fold convolution (general packet law),
-* exact Erlang/incomplete-gamma form (exponential packets),
-* renewal-theoretic asymptotics plus a CLT approximation (general
-  inter-arrival law, large threshold).
+The three linear CDFs accept a scalar t (float result) or an array of t.
 
 The non-linear battery has two formulas. ``nonlinear_cdf`` maps the threshold
 through the tanh transform, which is exact for the continuous charging rule.
@@ -23,18 +27,16 @@ overflows for lambda*t beyond a few hundred.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .battery import BatteryModel
-from .distributions import Exponential, PacketSpec
+from .distributions import DistributionSpec, Exponential
 from .renewal import ArrivalProcess, Mode
 
 __all__ = [
-    "TruncationWarning",
     "AsymptoticMoments",
     "poisson_cdf_normal",
     "poisson_cdf_exp_exact",
@@ -47,17 +49,13 @@ __all__ = [
     "per_packet_cdf",
 ]
 
-DEFAULT_N_MAX = 100
-
+# The Poisson series stops where the packet-sum CDF falls below this.
+_SERIES_TOL = 1e-12
 # Level-grid step of the per-packet transfer operator. At 0.02 the CDF of N
 # stays within about 1e-3 of a ten times finer grid.
 _LEVEL_STEP = 0.02
 _TRANSIENT_TOL = 1e-12
 _MAX_PACKETS = 10_000
-
-
-class TruncationWarning(RuntimeWarning):
-    """Truncating the Poisson series dropped more than 1e-9 of its mass."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,7 @@ class AsymptoticMoments:
         return self.sigmaX2 / self.lam**2 + self.sigmaA2 * self.Xbar**2
 
     @classmethod
-    def from_specs(cls, arrival: ArrivalProcess, packet: PacketSpec) -> "AsymptoticMoments":
+    def from_specs(cls, arrival: ArrivalProcess, packet: DistributionSpec) -> "AsymptoticMoments":
         a = arrival.interarrival
         ea0, va0 = arrival.residual_moments()
         return cls(
@@ -93,131 +91,76 @@ class AsymptoticMoments:
         )
 
 
-def _log_poisson_weights(lam_t: float, n: np.ndarray) -> np.ndarray:
-    """log of e^{-lam t} (lam t)^n / n!, with the n=0, lam_t=0 corner exact."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -lam_t + n * np.log(lam_t) - special.gammaln(n + 1.0)
-    if lam_t == 0.0:
-        out = np.where(n == 0, 0.0, -np.inf)
-    return out
+def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None) -> np.ndarray:
+    """F_n(u) = P(S_n <= u) for n = 0, 1, ..., N - 1, with S_n a sum of n packets.
 
-
-def _normal_sum_cdf(u: float, n: np.ndarray, Xbar: float, sigmaX: float) -> np.ndarray:
-    """Normal-approximated CDF at u of a sum of n i.i.d. packets.
-
-    n = 0 is the unit step at the origin (1 for u > 0). sigmaX = 0 degenerates
-    to the indicator n*Xbar <= u.
+    sigmaX = None gives the exact Erlang law of exponential packets of mean
+    Xbar, gammainc(n, u / Xbar). A number gives the normal approximation
+    Phi((u - n Xbar) / (sigmaX sqrt(n))), which is the indicator
+    n Xbar <= u at sigmaX = 0. F_0 = 1 because u > 0. F_n does not depend on
+    t and does not increase with n, so the vector ends before the first
+    n with F_n < 1e-12 and every term it drops weighs less than that.
     """
-    n = np.asarray(n, dtype=float)
-    if sigmaX == 0.0:
-        vals = np.where(n * Xbar <= u, 1.0, 0.0)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = special.ndtr((u - n * Xbar) / (sigmaX * np.sqrt(n)))
-        vals = np.where(n == 0, 1.0, vals)
-    return np.where(n == 0, (u > 0) * 1.0, vals)
+    if u <= 0:
+        raise ValueError("threshold must be > 0")
+    size = int(u / Xbar) + 64
+    while True:
+        n = np.arange(size, dtype=float)
+        if sigmaX is None:
+            F = special.gammainc(n, u / Xbar)  # gammainc(0, x > 0) = 1
+        elif sigmaX == 0.0:
+            F = (n * Xbar <= u) * 1.0
+        else:
+            with np.errstate(divide="ignore", over="ignore"):
+                F = special.ndtr((u - n * Xbar) / (sigmaX * np.sqrt(n)))
+        (small,) = np.nonzero(F < _SERIES_TOL)
+        if small.size:
+            return F[: small[0]]
+        size *= 2
 
 
-def _check_truncation(lam_t: float, n_max: int) -> None:
-    # mass beyond n_max: survival of Poisson(lam_t) at n_max
-    tail = special.gammainc(n_max + 1.0, lam_t)  # P(N > n_max) = P(n_max+1, lam_t)
-    if tail > 1e-9:
-        warnings.warn(
-            f"Poisson series truncated at n={n_max} covers only {1 - tail:.6g} "
-            f"of the mass at lambda*t = {lam_t:g}",
-            TruncationWarning,
-            stacklevel=3,
-        )
+def _poisson_mixture(F: np.ndarray, lam: float, t) -> np.ndarray | float:
+    """1 - sum_n w_n(lam t) F_n, with w_n the Poisson(lam t) weights: P(tau <= t).
+
+    Evaluated one t at a time, so memory stays at one copy of F however long
+    the grid. A scalar t gives a float.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("time must be >= 0")
+    n = np.arange(F.size)
+    log_fact = special.gammaln(n + 1.0)
+    # xlogy makes the lam t = 0 corner exact: weight 1 at n = 0, 0 elsewhere
+    kept = [np.exp(special.xlogy(n, x) - x - log_fact) @ F for x in lam * t.ravel()]
+    return np.clip(1.0 - np.reshape(kept, t.shape), 0.0, 1.0)[()]
 
 
-def poisson_cdf_normal(
-    u: float,
-    t: float,
-    lam: float,
-    Xbar: float,
-    sigmaX: float,
-    n_max: int = DEFAULT_N_MAX,
-) -> float:
+def poisson_cdf_normal(u: float, t, lam: float, Xbar: float, sigmaX: float):
     """P(tau(u) <= t) for Poisson arrivals via the normal-approximated series.
 
-    P = 1 - e^{-lam t} sum_{n=0}^{n_max} (lam t)^n / n! * Phi((u - n Xbar) / (sigmaX sqrt(n)))
+    P = 1 - e^{-lam t} sum_n (lam t)^n / n! * Phi((u - n Xbar) / (sigmaX sqrt(n)))
+
+    t is a scalar (float result) or an array.
     """
-    if u <= 0:
-        raise ValueError("threshold must be > 0")
-    if t < 0:
-        raise ValueError("time must be >= 0")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    lam_t = lam * t
-    _check_truncation(lam_t, n_max)
-    n = np.arange(n_max + 1)
-    logw = _log_poisson_weights(lam_t, n)
-    terms = _normal_sum_cdf(u, n, Xbar, sigmaX)
-    surv = float(np.sum(np.exp(logw) * terms))
-    return float(np.clip(1.0 - surv, 0.0, 1.0))
+    return _poisson_mixture(_packet_sum_cdf(u, Xbar, sigmaX), lam, t)
 
 
-def _adaptive_n(lam_t: float, tail: float = 1e-12) -> int:
-    # smallest n with P(Poisson(lam_t) > n) < tail; bracket then refine
-    hi = int(lam_t + 10.0 * np.sqrt(lam_t + 1.0) + 30.0)
-    while special.gammainc(hi + 1.0, lam_t) >= tail:
-        hi *= 2
-    return hi
-
-
-def poisson_cdf_exp_exact(
-    u: float,
-    t: float,
-    lam: float,
-    Xbar: float,
-    n_max: int | None = None,
-) -> float:
+def poisson_cdf_exp_exact(u: float, t, lam: float, Xbar: float):
     """Exact P(tau(u) <= t) for Poisson arrivals and exponential packets.
 
-    P = e^{-lam t} sum_{n>=1} (lam t)^n / n! * Q(n, u/Xbar), with Q the
-    regularized upper incomplete gamma function (the Erlang tail of the
-    n-packet sum). Truncation is adaptive: the series stops once the
-    remaining Poisson tail mass is below 1e-12.
+    P = 1 - e^{-lam t} sum_n (lam t)^n / n! * P(n, u/Xbar), with P the
+    regularized lower incomplete gamma function (the Erlang CDF of the
+    n-packet sum). t is a scalar (float result) or an array.
     """
-    if u <= 0:
-        raise ValueError("threshold must be > 0")
-    if t < 0:
-        raise ValueError("time must be >= 0")
-    lam_t = lam * t
-    if lam_t == 0.0:
-        return 0.0
-    stop = _adaptive_n(lam_t) if n_max is None else n_max
-    n = np.arange(1, stop + 1)
-    logw = _log_poisson_weights(lam_t, n)
-    q = special.gammaincc(n.astype(float), u / Xbar)
-    return float(np.clip(np.sum(np.exp(logw) * q), 0.0, 1.0))
+    return _poisson_mixture(_packet_sum_cdf(u, Xbar, None), lam, t)
 
 
-def poisson_mean_tau(
-    u: float,
-    lam: float,
-    Xbar: float,
-    sigmaX: float,
-    n_max: int | None = None,
-) -> float:
+def poisson_mean_tau(u: float, lam: float, Xbar: float, sigmaX: float) -> float:
     """E[tau(u)] for Poisson arrivals: (1/lam) * sum_n Phi((u - n Xbar)/(sigmaX sqrt(n))).
 
-    The n = 0 term contributes 1 (unit-step convention). When n_max is None
-    the sum stops adaptively once terms fall below 1e-12 past n = u/Xbar.
+    The n = 0 term contributes 1 (unit-step convention).
     """
-    if u <= 0:
-        raise ValueError("threshold must be > 0")
-    total = 1.0  # n = 0
-    n = 0
-    while True:
-        n += 1
-        term = float(_normal_sum_cdf(u, np.array([n]), Xbar, sigmaX)[0])
-        total += term
-        if n_max is not None and n >= n_max:
-            break
-        if n_max is None and n > u / Xbar and term < 1e-12:
-            break
-    return total / lam
+    return float(_packet_sum_cdf(u, Xbar, sigmaX).sum()) / lam
 
 
 def renewal_mean_tau(u: float, moments: AsymptoticMoments) -> float:
@@ -236,50 +179,39 @@ def renewal_var_tau(u: float, moments: AsymptoticMoments) -> float:
     return m.VA0 + m.gamma2 * u / m.Xbar**3
 
 
-def renewal_cdf_clt(
-    u: float,
-    t: float,
-    moments: AsymptoticMoments,
-    refined: bool = True,
-) -> float:
+def renewal_cdf_clt(u: float, t, moments: AsymptoticMoments):
     """CLT approximation P(tau(u) <= t) = Phi((t - mean) / sd).
 
-    Plain mode uses the leading-order mean u/(lam Xbar) and variance
-    gamma2 u / Xbar^3; refined mode (default) keeps the constant terms of
-    the mean and variance asymptotics, which noticeably improves moderate-u
-    accuracy. gamma2 = 0 degenerates to a step at the mean.
+    The mean and variance are ``renewal_mean_tau`` and ``renewal_var_tau``,
+    whose constant terms noticeably improve moderate-u accuracy over the
+    leading order. A zero variance degenerates to a step at the mean. t is a
+    scalar (float result) or an array.
     """
-    if u <= 0:
-        raise ValueError("threshold must be > 0")
-    m = moments
-    if refined:
-        mean = renewal_mean_tau(u, m)
-        var = renewal_var_tau(u, m)
-    else:
-        mean = u / (m.lam * m.Xbar)
-        var = m.gamma2 * u / m.Xbar**3
-    if var <= 0.0:
-        return 1.0 if t >= mean else 0.0
-    return float(special.ndtr((t - mean) / np.sqrt(var)))
+    mean = renewal_mean_tau(u, moments)
+    var = renewal_var_tau(u, moments)
+    t = np.asarray(t, dtype=float)
+    if var > 0.0:
+        return special.ndtr((t - mean) / np.sqrt(var))[()]
+    return np.where(t >= mean, 1.0, 0.0)[()]
 
 
-def nonlinear_cdf(u: float, t: float, model: BatteryModel, linear_cdf) -> float:
+def nonlinear_cdf(u: float, t, model: BatteryModel, linear_cdf):
     """Recharge-time CDF at stored level u via the threshold transform.
 
     Maps the stored-energy threshold to the equivalent raw-input threshold
     u' and evaluates the supplied linear formula there:
-    ``linear_cdf(u_prime, t)``. For a linear model u' = u and this is the
-    identity wrapper. The result is exact (as exact as ``linear_cdf``) for
-    the linear battery and for the continuous non-linear rule. For the
-    per-packet rule U <- min(U + eta(U) X, umax) it is only the small-packet
-    limit; use ``per_packet_cdf`` for that rule.
+    ``linear_cdf(u_prime, t)``, with t a scalar or an array. For a linear
+    model u' = u and this is the identity wrapper. The result is exact (as
+    exact as ``linear_cdf``) for the linear battery and for the continuous
+    non-linear rule. For the per-packet rule U <- min(U + eta(U) X, umax) it
+    is only the small-packet limit; use ``per_packet_cdf`` for that rule.
     """
     u_prime = model.input_for_level(u)
     return linear_cdf(u_prime, t)
 
 
 @functools.lru_cache(maxsize=32)
-def packet_count_pmf(u: float, packet: PacketSpec, battery: BatteryModel) -> np.ndarray:
+def packet_count_pmf(u: float, packet: DistributionSpec, battery: BatteryModel) -> np.ndarray:
     """Law of N, the packets the per-packet rule needs to lift the level above u.
 
     Entry n - 1 is P(N = n) for U <- min(U + eta(U) X, umax) started at
@@ -322,7 +254,7 @@ def per_packet_cdf(
     u: float,
     t: float,
     arrival: ArrivalProcess,
-    packet: PacketSpec,
+    packet: DistributionSpec,
     battery: BatteryModel,
 ) -> float:
     """P(tau(u) <= t) for the per-packet rule U <- min(U + eta(U) X, umax).

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .distributions import split_spec
+
 __all__ = ["LinearBattery", "NonLinearBattery", "BatteryModel", "parse_battery"]
 
 
@@ -101,8 +103,6 @@ class NonLinearBattery:
         """Raw input total needed to reach stored level u (the shifted threshold)."""
         if not 0.0 < u <= self.umax:
             raise ValueError(f"level {u} outside (0, {self.umax}]")
-        if u >= self.a + self.b:
-            raise ValueError(f"level {u} unreachable: saturation at {self.a + self.b}")
         return self.input_offset + self.b * math.atanh((u - self.a) / self.b)
 
     def step_update(self, U: float, x_packet: float) -> float:
@@ -119,16 +119,7 @@ BatteryModel = LinearBattery | NonLinearBattery
 
 def parse_battery(text: str) -> BatteryModel:
     """Parse ``linear`` / ``linear umax=25`` / ``nonlinear umax=25 beta=1.1``."""
-    parts = text.split()
-    if not parts:
-        raise ValueError("empty battery spec")
-    name = parts[0].lower()
-    kwargs = {}
-    for tok in parts[1:]:
-        if "=" not in tok:
-            raise ValueError(f"malformed parameter {tok!r} in {text!r}")
-        key, _, val = tok.partition("=")
-        kwargs[key.strip()] = float(val)
+    name, kwargs = split_spec(text, "battery")
     if name == "linear":
         extra = set(kwargs) - {"umax"}
         if extra:

@@ -32,8 +32,7 @@ __all__ = [
     "Uniform",
     "Deterministic",
     "DistributionSpec",
-    "WptPacket",
-    "PacketSpec",
+    "split_spec",
     "parse_distribution",
 ]
 
@@ -244,74 +243,24 @@ class Deterministic:
 DistributionSpec = Union[Exponential, Gamma, InverseGaussian, Uniform, Deterministic]
 
 
-@dataclass(frozen=True)
-class WptPacket:
-    """Energy packet from a wireless power transfer impulse.
-
-    The packet equals channel_gain * distance**(-pathloss) * tx_power * duration;
-    only the channel gain is random.
-    """
-
-    channel_gain: DistributionSpec
-    distance: float
-    pathloss: float
-    tx_power: float
-    duration: float
-
-    def __post_init__(self):
-        if not self.distance > 0:
-            raise ValueError("distance must be > 0")
-        if not self.pathloss >= 0:
-            raise ValueError("pathloss exponent must be >= 0")
-        if not (self.tx_power > 0 and self.duration > 0):
-            raise ValueError("tx_power and duration must be > 0")
-        if not self.scale_factor * self.channel_gain.mean > 0:
-            raise ValueError("packet mean must be > 0 (degenerate channel gain)")
-
-    @property
-    def scale_factor(self) -> float:
-        return self.distance ** (-self.pathloss) * self.tx_power * self.duration
-
-    @property
-    def mean(self) -> float:
-        return self.scale_factor * self.channel_gain.mean
-
-    @property
-    def variance(self) -> float:
-        return self.scale_factor**2 * self.channel_gain.variance
-
-    @property
-    def third_raw_moment(self) -> float:
-        return self.scale_factor**3 * self.channel_gain.third_raw_moment
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.scale_factor * self.channel_gain.sample(rng, size)
-
-    def cdf(self, x):
-        return self.channel_gain.cdf(_as_array(x) / self.scale_factor)
-
-    def config_str(self) -> str:
-        return (
-            f"wpt gain=({self.channel_gain.config_str()}) d={self.distance:g} "
-            f"alpha={self.pathloss:g} power={self.tx_power:g} duration={self.duration:g}"
-        )
-
-
-PacketSpec = Union[Exponential, Gamma, InverseGaussian, Uniform, Deterministic, WptPacket]
+def split_spec(text: str, what: str) -> tuple[str, dict[str, float]]:
+    """Split a config fragment ``name key=value ...`` into its lower-cased name
+    and float parameters; ``what`` names the spec in errors."""
+    parts = text.split()
+    if not parts:
+        raise ValueError(f"empty {what} spec")
+    kwargs = {}
+    for tok in parts[1:]:
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise ValueError(f"malformed parameter {tok!r} in {text!r}")
+        kwargs[key] = float(val)
+    return parts[0].lower(), kwargs
 
 
 def parse_distribution(text: str) -> DistributionSpec:
     """Parse a config fragment like ``exponential rate=1.0`` into a spec."""
-    parts = text.split()
-    if not parts:
-        raise ValueError("empty distribution spec")
-    name = parts[0].lower()
-    kwargs = {}
-    for tok in parts[1:]:
-        if "=" not in tok:
-            raise ValueError(f"malformed parameter {tok!r} in {text!r}")
-        key, _, val = tok.partition("=")
-        kwargs[key.strip()] = float(val)
+    name, kwargs = split_spec(text, "distribution")
     required = {
         "exponential": (Exponential, {"rate": "rate"}),
         "exp": (Exponential, {"rate": "rate"}),

@@ -15,8 +15,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .battery import BatteryModel, LinearBattery, NonLinearBattery
-from .distributions import PacketSpec
+from .battery import BatteryModel, LinearBattery
+from .distributions import DistributionSpec
 from .renewal import ArrivalProcess, Mode
 from .stats import CdfCurve, ecdf
 
@@ -45,7 +45,7 @@ class UnreachableThresholdError(RuntimeError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     arrival: ArrivalProcess
-    packet: PacketSpec
+    packet: DistributionSpec
     battery: BatteryModel
     threshold: float
     replications: int = 2000
@@ -58,10 +58,6 @@ class ExperimentConfig:
         # the level is capped at capacity, so it can never exceed u = capacity
         if not 0.0 < self.threshold < cap:
             raise ValueError(f"threshold {self.threshold} outside (0, {cap})")
-        if isinstance(self.battery, NonLinearBattery):
-            sat = self.battery.a + self.battery.b
-            if self.threshold >= sat:
-                raise ValueError(f"threshold {self.threshold} >= saturation level {sat}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.time_grid is not None:

@@ -13,7 +13,6 @@ from scipy import special
 
 from rechargetime.analytic import (
     AsymptoticMoments,
-    TruncationWarning,
     nonlinear_cdf,
     per_packet_cdf,
     poisson_cdf_exp_exact,
@@ -32,10 +31,6 @@ from rechargetime.distributions import (
 from rechargetime.engine import ExperimentConfig, run, simulate_once
 from rechargetime.renewal import ArrivalProcess
 from rechargetime.stats import CdfCurve, dkw_band, ecdf, ks_distance
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::rechargetime.analytic.TruncationWarning"
-)
 
 POISSON = ArrivalProcess(Exponential(1.0))
 FIGURE_LAWS = [Uniform(0.0, 1.0), Deterministic(3.0), InverseGaussian(1.0, 2.0), Gamma(1.0, 2.0)]
@@ -80,7 +75,7 @@ def test_criterion_2_linear_poisson_panel(packet):
         threshold=20.0, replications=2000, seed=102,
     )
     sigma = float(np.sqrt(packet.variance))
-    ks = mc_vs_curve(config, lambda t: poisson_cdf_normal(20.0, t, 1.0, packet.mean, sigma, 100))
+    ks = mc_vs_curve(config, lambda t: poisson_cdf_normal(20.0, t, 1.0, packet.mean, sigma))
     report(2, f"poisson arrivals, packets {packet.config_str()}", ks, 0.05, ks <= 0.05)
     assert ks <= 0.05
 
@@ -101,7 +96,7 @@ def test_criterion_3_linear_renewal_panel(law):
 def _nonlinear_panel_cases():
     for packet in FIGURE_LAWS:
         sigma = float(np.sqrt(packet.variance))
-        fn = (lambda p, s: lambda u, t: poisson_cdf_normal(u, t, 1.0, p.mean, s, 100))(packet, sigma)
+        fn = (lambda p, s: lambda u, t: poisson_cdf_normal(u, t, 1.0, p.mean, s))(packet, sigma)
         yield pytest.param(POISSON, packet, fn, id=f"poisson-{packet.config_str()}")
     for law in FIGURE_LAWS:
         arrival = ArrivalProcess(law)

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 from scipy.integrate import quad
 
 from rechargetime.analytic import (
     AsymptoticMoments,
-    TruncationWarning,
     nonlinear_cdf,
     packet_count_pmf,
     per_packet_cdf,
@@ -28,15 +29,15 @@ def exp_exp_moments():
     return AsymptoticMoments.from_specs(ArrivalProcess(Exponential(1.0)), Exponential(1.0))
 
 
-def erlang_double_sum_cdf(u, t, lam, xbar, n_max):
+def erlang_double_sum_cdf(u, t, lam, xbar, terms):
     """Independent re-derivation via the raw double sum (no gamma functions):
 
     P = e^{-(lam t + u/xbar)} sum_{n>=1} (lam t)^n / n! * sum_{i<n} (u/xbar)^i / i!
 
-    Plain floating arithmetic, so valid for small n_max only.
+    Plain floating arithmetic, so valid for a small number of terms only.
     """
     total = 0.0
-    for n in range(1, n_max + 1):
+    for n in range(1, terms + 1):
         w = (lam * t) ** n / math.factorial(n)
         inner = sum((u / xbar) ** i / math.factorial(i) for i in range(n))
         total += w * inner
@@ -48,12 +49,12 @@ class TestPoissonNormalSeries:
         assert poisson_cdf_normal(20.0, 0.0, 1.0, 1.0, 1.0) == 0.0
 
     def test_large_time_limit(self):
-        assert poisson_cdf_normal(20.0, 100.0, 1.0, 1.0, 1.0, n_max=300) == pytest.approx(1.0, abs=1e-6)
+        assert poisson_cdf_normal(20.0, 100.0, 1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_exact_for_exponential_packets(self):
         # the normal approximation should track the exact formula
         for t in (5.0, 15.0, 20.0, 30.0):
-            approx = poisson_cdf_normal(20.0, t, 1.0, 1.0, 1.0, n_max=200)
+            approx = poisson_cdf_normal(20.0, t, 1.0, 1.0, 1.0)
             exact = poisson_cdf_exp_exact(20.0, t, 1.0, 1.0)
             assert abs(approx - exact) < 0.015
 
@@ -65,15 +66,20 @@ class TestPoissonNormalSeries:
         assert poisson_cdf_normal(u, t, 1.0, c, 0.0) == pytest.approx(expected, abs=1e-12)
 
     def test_log_space_survives_large_lambda_t(self):
-        val = poisson_cdf_normal(20.0, 500.0, 1.0, 1.0, 1.0, n_max=700)
+        val = poisson_cdf_normal(20.0, 500.0, 1.0, 1.0, 1.0)
         assert val == pytest.approx(1.0, abs=1e-9)
 
-    def test_truncation_warning(self):
-        with pytest.warns(TruncationWarning):
-            poisson_cdf_normal(20.0, 300.0, 1.0, 1.0, 1.0, n_max=100)
+    @pytest.mark.parametrize("u,expected", [(90.0, 0.519724), (150.0, 0.515309)])
+    def test_large_threshold_keeps_every_term(self, u, expected):
+        # a fixed cut at n = 100 read 0.532 at u = 90 and 1.0 at u = 150
+        n = np.arange(3000)
+        oracle = 1.0 - np.sum(stats.poisson.pmf(n, u + 1.0) * stats.norm.cdf((u - n) / np.sqrt(np.maximum(n, 1))))
+        val = poisson_cdf_normal(u, u + 1.0, 1.0, 1.0, 1.0)
+        assert val == pytest.approx(oracle, abs=1e-9)
+        assert val == pytest.approx(expected, abs=1e-6)
 
     def test_monotone_in_time(self):
-        vals = [poisson_cdf_normal(20.0, t, 1.0, 0.5, 0.3, 200) for t in np.linspace(0, 80, 200)]
+        vals = [poisson_cdf_normal(20.0, t, 1.0, 0.5, 0.3) for t in np.linspace(0, 80, 200)]
         assert np.all(np.diff(vals) >= -1e-12)
 
 
@@ -91,11 +97,12 @@ class TestPoissonExactSeries:
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, lhs)
 
     def test_against_independent_erlang_series(self):
-        # dual-route check of the same algebra, small n so naive floats are fine
+        # dual-route check of the same algebra, small n so naive floats are fine;
+        # 60 terms leave under 1e-15 of Poisson(8) mass out of the oracle
         for u in (2.0, 5.0):
             for t in (1.0, 4.0, 8.0):
-                exact = poisson_cdf_exp_exact(u, t, 1.0, 1.0, n_max=30)
-                oracle = erlang_double_sum_cdf(u, t, 1.0, 1.0, 30)
+                exact = poisson_cdf_exp_exact(u, t, 1.0, 1.0)
+                oracle = erlang_double_sum_cdf(u, t, 1.0, 1.0, 60)
                 assert exact == pytest.approx(oracle, abs=1e-10)
 
     def test_zero_time(self):
@@ -160,10 +167,6 @@ class TestRenewalAsymptotics:
 
 
 class TestRenewalClt:
-    def test_plain_mode_centered(self):
-        m = exp_exp_moments()
-        assert renewal_cdf_clt(20.0, 20.0, m, refined=False) == pytest.approx(0.5)
-
     def test_monotone_in_time(self):
         m = AsymptoticMoments.from_specs(ArrivalProcess(Gamma(1.0, 2.0)), Exponential(1.0))
         vals = [renewal_cdf_clt(20.0, t, m) for t in np.linspace(0, 150, 300)]
@@ -272,11 +275,47 @@ class TestPerPacketCdf:
 
 
 class TestCdfRangeProperties:
+    @pytest.mark.parametrize("formula", ["normal", "exact", "clt"])
+    def test_array_time_matches_scalar_calls(self, formula):
+        fn = {
+            "normal": lambda t: poisson_cdf_normal(30.0, t, 1.5, 0.7, 0.4),
+            "exact": lambda t: poisson_cdf_exp_exact(30.0, t, 1.5, 0.7),
+            "clt": lambda t: renewal_cdf_clt(30.0, t, exp_exp_moments()),
+        }[formula]
+        grid = np.linspace(0.0, 80.0, 161)
+        curve = fn(grid)
+        assert curve.shape == grid.shape
+        np.testing.assert_array_equal(curve, [fn(float(t)) for t in grid])
+        np.testing.assert_array_equal(fn(grid.reshape(7, 23)), curve.reshape(7, 23))
+        assert isinstance(fn(3.0), float)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        u=st.floats(0.1, 200.0),
+        lam=st.floats(0.1, 5.0),
+        Xbar=st.floats(0.2, 5.0),
+        # zero spreads often, for the step forms of both packet and CLT laws
+        sigmaX=st.just(0.0) | st.floats(0.0, 3.0),
+        sigmaA2=st.just(0.0) | st.floats(0.0, 4.0),
+        times=st.lists(st.floats(0.0, 500.0), min_size=2, max_size=40),
+    )
+    def test_monotone_in_time_and_in_unit_interval(self, u, lam, Xbar, sigmaX, sigmaA2, times):
+        t = np.sort(times)
+        m = AsymptoticMoments(lam=lam, Xbar=Xbar, sigmaX2=sigmaX**2, sigmaA2=sigmaA2, EA0=1.0 / lam, VA0=sigmaA2)
+        for vals in (
+            poisson_cdf_normal(u, t, lam, Xbar, sigmaX),
+            poisson_cdf_exp_exact(u, t, lam, Xbar),
+            renewal_cdf_clt(u, t, m),
+        ):
+            assert np.all((vals >= 0.0) & (vals <= 1.0))
+            # the series' own error bound is 1e-12
+            assert np.all(np.diff(vals) >= -1e-12)
+
     def test_all_formulas_in_unit_interval(self):
         m = exp_exp_moments()
         for t in np.linspace(0.0, 100.0, 101):
             for v in (
-                poisson_cdf_normal(20.0, t, 1.0, 1.0, 1.0, 200),
+                poisson_cdf_normal(20.0, t, 1.0, 1.0, 1.0),
                 poisson_cdf_exp_exact(20.0, t, 1.0, 1.0),
                 renewal_cdf_clt(20.0, t, m),
             ):

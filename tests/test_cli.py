@@ -39,7 +39,6 @@ class TestParseConfig:
     def test_defaults(self):
         p = parse_config("u = 20")
         assert p.replications == 2000
-        assert p.n_max == 100
         assert p.mode is Mode.EQUILIBRIUM
 
     def test_threshold_above_capacity_rejected(self):
@@ -57,6 +56,12 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("threshold = 20")
+
+    def test_series_cutoff_key_rejected(self):
+        # the old fixed cut-off of the Poisson series (keys are case-insensitive);
+        # the series now stop where the packet-sum CDF falls below 1e-12
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config("u = 20\nN_MAX = 100")
 
     def test_multiple_laws(self):
         p = parse_config("packets = deterministic value=3; gamma shape=1 scale=2\nu = 20")
@@ -111,7 +116,7 @@ class TestRunExperiment:
 
 class TestCompareFormulas:
     def test_gap_shrinks_with_threshold(self):
-        p = parse_config("arrivals = exponential rate=1\npackets = exponential rate=1\nu = 5,20,50\nn_max = 300")
+        p = parse_config("arrivals = exponential rate=1\npackets = exponential rate=1\nu = 5,20,50")
         report = compare_formulas(p)
         gaps = [r["max_abs_gap"] for r in report["rows"]]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -158,7 +163,7 @@ class TestMain:
 
     def test_compare_command(self, tmp_path, capsys):
         cfg = tmp_path / "cmp.cfg"
-        cfg.write_text("arrivals = exponential rate=1\npackets = exponential rate=1\nu = 5,20\ngrid = 0:1:60\nn_max = 300")
+        cfg.write_text("arrivals = exponential rate=1\npackets = exponential rate=1\nu = 5,20\ngrid = 0:1:60")
         assert main(["compare", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "max |normal - exact|" in out

@@ -9,7 +9,6 @@ from rechargetime.distributions import (
     Gamma,
     InverseGaussian,
     Uniform,
-    WptPacket,
     parse_distribution,
 )
 from rechargetime.stats import dkw_band, ecdf, ks_distance, CdfCurve
@@ -148,31 +147,6 @@ def test_validation_rejects_bad_parameters():
         Gamma(0.0, 1.0)
     with pytest.raises(ValueError):
         InverseGaussian(1.0, 0.0)
-
-
-class TestWptPacket:
-    def test_deterministic_gain_direct_product(self):
-        p = WptPacket(Deterministic(1.0), distance=1.0, pathloss=2.0, tx_power=2.0, duration=0.5)
-        assert p.sample(np.random.default_rng(0)) == 1.0
-        assert p.mean == 1.0
-
-    def test_exponential_gain_mean(self):
-        p = WptPacket(Exponential(1.0), distance=2.0, pathloss=2.0, tx_power=4.0, duration=1.0)
-        assert p.mean == pytest.approx(1.0)
-        rng = np.random.default_rng(4)
-        draws = p.sample(rng, 10**6)
-        assert abs(draws.mean() - 1.0) < 3e-3  # 3 sigma, sd = 1e-3
-        assert np.all(draws >= 0)
-
-    def test_degenerate_gain_rejected(self):
-        with pytest.raises(ValueError):
-            WptPacket(Deterministic(0.0), distance=1.0, pathloss=2.0, tx_power=1.0, duration=1.0)
-
-    def test_scaled_moments_and_cdf(self):
-        p = WptPacket(Exponential(2.0), distance=2.0, pathloss=1.0, tx_power=3.0, duration=2.0)
-        s = p.scale_factor
-        assert p.variance == pytest.approx(s**2 * 0.25)
-        assert p.cdf(s * 0.5) == pytest.approx(Exponential(2.0).cdf(0.5))
 
 
 def test_parse_distribution():
