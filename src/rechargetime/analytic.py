@@ -230,7 +230,7 @@ def packet_count_pmf(u: float, packet: DistributionSpec, battery: BatteryModel) 
     n_cells = int(np.ceil(u / _LEVEL_STEP))
     edges = np.linspace(0.0, u, n_cells + 1)
     levels = np.concatenate(([0.0], 0.5 * (edges[:-1] + edges[1:])))
-    eta = np.array([battery.efficiency(float(y)) for y in levels])
+    eta = battery.efficiency(levels)
     below = packet.cdf((edges[None, :] - levels[:, None]) / eta[:, None])
     move = np.diff(below, axis=1)
     absorb = 1.0 - below[:, -1]

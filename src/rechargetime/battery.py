@@ -17,9 +17,27 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .distributions import split_spec
 
 __all__ = ["LinearBattery", "NonLinearBattery", "BatteryModel", "parse_battery"]
+
+
+def _check_state(U, cap: float) -> np.ndarray:
+    """U as an array, or ValueError if any state is outside [0, cap]."""
+    U = np.asarray(U, dtype=float)
+    ok = (U >= 0.0) & (U <= cap)
+    if not ok.all():
+        raise ValueError(f"state {U[~ok].flat[0]} outside [0, {cap}]")
+    return U
+
+
+def _check_packets(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if (x < 0).any():
+        raise ValueError("packet energy must be >= 0")
+    return x
 
 
 @dataclass(frozen=True)
@@ -36,10 +54,9 @@ class LinearBattery:
     def capacity(self) -> float:
         return math.inf if self.umax is None else self.umax
 
-    def efficiency(self, U: float) -> float:
-        if not 0.0 <= U <= self.capacity:
-            raise ValueError(f"state {U} outside [0, {self.capacity}]")
-        return 1.0
+    def efficiency(self, U):
+        """1 for each state in U (a scalar or an array)."""
+        return np.ones_like(_check_state(U, self.capacity))[()]
 
     def stored_from_input(self, x_total: float) -> float:
         if x_total < 0:
@@ -51,10 +68,9 @@ class LinearBattery:
             raise ValueError(f"level {u} outside (0, {self.capacity}]")
         return u
 
-    def step_update(self, U: float, x_packet: float) -> float:
-        if x_packet < 0:
-            raise ValueError("packet energy must be >= 0")
-        return min(U + x_packet, self.capacity)
+    def step_update(self, U, x_packet):
+        """Level after one packet, elementwise over arrays U and x_packet."""
+        return np.minimum(U + _check_packets(x_packet), self.capacity)[()]
 
     def config_str(self) -> str:
         return "linear" if self.umax is None else f"linear umax={self.umax:g}"
@@ -88,10 +104,10 @@ class NonLinearBattery:
     def capacity(self) -> float:
         return self.umax
 
-    def efficiency(self, U: float) -> float:
-        if not 0.0 <= U <= self.umax:
-            raise ValueError(f"state {U} outside [0, {self.umax}]")
-        return 1.0 - ((U - self.a) / self.b) ** 2
+    def efficiency(self, U):
+        """eta(U) for a scalar or an array of states in [0, umax]."""
+        U = _check_state(U, self.umax)
+        return (1.0 - ((U - self.a) / self.b) ** 2)[()]
 
     def stored_from_input(self, x_total: float) -> float:
         if x_total < 0:
@@ -105,10 +121,9 @@ class NonLinearBattery:
             raise ValueError(f"level {u} outside (0, {self.umax}]")
         return self.input_offset + self.b * math.atanh((u - self.a) / self.b)
 
-    def step_update(self, U: float, x_packet: float) -> float:
-        if x_packet < 0:
-            raise ValueError("packet energy must be >= 0")
-        return min(U + self.efficiency(U) * x_packet, self.umax)
+    def step_update(self, U, x_packet):
+        """Per-packet rule U <- min(U + eta(U) X, umax), elementwise over arrays."""
+        return np.minimum(U + self.efficiency(U) * _check_packets(x_packet), self.umax)[()]
 
     def config_str(self) -> str:
         return f"nonlinear umax={self.umax:g} beta={self.beta:g}"

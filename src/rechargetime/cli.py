@@ -21,6 +21,7 @@ setting: they stop where the packet-sum CDF falls below 1e-12. Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -42,7 +43,7 @@ from .analytic import (
 )
 from .battery import BatteryModel, LinearBattery, NonLinearBattery, parse_battery
 from .distributions import DistributionSpec, Exponential, parse_distribution
-from .engine import ExperimentConfig, run, summarize
+from .engine import ExperimentConfig, run, summarize, worker_pool
 from .renewal import ArrivalProcess, Mode
 from .stats import CdfCurve, dkw_band, ks_distance
 
@@ -130,15 +131,11 @@ def parse_config(text: str) -> ParsedConfig:
     if formula not in _FORMULAS:
         raise ConfigError(f"formula must be one of {sorted(_FORMULAS)}, got {formula!r}")
     ks_tol = float(values["ks_tolerance"]) if "ks_tolerance" in values else None
-    if replications < 1:
-        raise ConfigError("replications must be >= 1")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
     for u in thresholds:
         cap = battery.capacity
         if not 0.0 < u < cap:
             raise ConfigError(f"u = {u} outside (0, {cap})")
-    return ParsedConfig(
+    parsed = ParsedConfig(
         arrivals=arrivals,
         packets=packets,
         battery=battery,
@@ -152,6 +149,18 @@ def parse_config(text: str) -> ParsedConfig:
         workers=workers,
         raw_text=text,
     )
+    _check_counts(parsed)
+    return parsed
+
+
+def _check_counts(parsed: ParsedConfig) -> None:
+    """Reject counts and seeds no run can use; ``main`` checks its overrides here too."""
+    if parsed.replications < 1:
+        raise ConfigError("replications must be >= 1")
+    if parsed.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {parsed.seed}")
+    if parsed.workers < 1:
+        raise ConfigError("workers must be >= 1")
 
 
 def _pick_formula(formula: str, arrival: DistributionSpec, packet: DistributionSpec) -> str:
@@ -210,55 +219,55 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = []
     breached = False
-    for u in parsed.thresholds:
-        for arrival in parsed.arrivals:
-            for packet in parsed.packets:
-                formula = _pick_formula(parsed.formula, arrival, packet)
-                linear_cdf = _linear_cdf_fn(formula, arrival, packet, parsed.mode)
-                config = ExperimentConfig(
-                    arrival=ArrivalProcess(arrival, parsed.mode),
-                    packet=packet,
-                    battery=parsed.battery,
-                    threshold=u,
-                    replications=parsed.replications,
-                    seed=parsed.seed,
-                )
-                u_prime = parsed.battery.input_for_level(u)
-                grid = (
-                    parsed.grid
-                    if parsed.grid is not None
-                    else _default_grid(arrival, packet, parsed.mode, u_prime)
-                )
-                samples = run(config, workers=parsed.workers)
-                summary, emp = summarize(samples, grid)
-                ana_vals = nonlinear_cdf(u, grid, parsed.battery, linear_cdf)
-                ana = CdfCurve(tuple(grid), tuple(np.clip(np.maximum.accumulate(ana_vals), 0, 1)), formula)
-                ks = ks_distance(emp, ana)
-                band = dkw_band(parsed.replications, 0.01)
-                moments = AsymptoticMoments.from_specs(config.arrival, packet)
-                name = f"curve_u{u:g}__{_slug(arrival)}__{_slug(packet)}.csv"
-                path = out_dir / name
-                _write_csv(path, np.asarray(grid), emp.values, ana.values)
-                tol = parsed.ks_tolerance
-                curve_breach = tol is not None and ks > tol
-                breached = breached or curve_breach
-                curves.append(
-                    {
-                        "path": name,
-                        "arrivals": arrival.config_str(),
-                        "packets": packet.config_str(),
-                        "battery": parsed.battery.config_str(),
-                        "u": u,
-                        "formula": formula,
-                        "ks_distance": ks,
-                        "dkw_band_99": band,
-                        "breach": curve_breach,
-                        "mc_mean": summary.mean,
-                        "mc_variance": summary.variance,
-                        "analytic_mean": renewal_mean_tau(u_prime, moments),
-                        "analytic_variance": renewal_var_tau(u_prime, moments),
-                    }
-                )
+    combos = itertools.product(parsed.thresholds, parsed.arrivals, parsed.packets)
+    with worker_pool(parsed.workers, parsed.replications) as pool:
+        for u, arrival, packet in combos:
+            formula = _pick_formula(parsed.formula, arrival, packet)
+            linear_cdf = _linear_cdf_fn(formula, arrival, packet, parsed.mode)
+            config = ExperimentConfig(
+                arrival=ArrivalProcess(arrival, parsed.mode),
+                packet=packet,
+                battery=parsed.battery,
+                threshold=u,
+                replications=parsed.replications,
+                seed=parsed.seed,
+            )
+            u_prime = parsed.battery.input_for_level(u)
+            grid = (
+                parsed.grid
+                if parsed.grid is not None
+                else _default_grid(arrival, packet, parsed.mode, u_prime)
+            )
+            samples = run(config, workers=parsed.workers, pool=pool)
+            summary, emp = summarize(samples, grid)
+            ana_vals = nonlinear_cdf(u, grid, parsed.battery, linear_cdf)
+            ana = CdfCurve(tuple(grid), tuple(np.clip(np.maximum.accumulate(ana_vals), 0, 1)), formula)
+            ks = ks_distance(emp, ana)
+            band = dkw_band(parsed.replications, 0.01)
+            moments = AsymptoticMoments.from_specs(config.arrival, packet)
+            name = f"curve_u{u:g}__{_slug(arrival)}__{_slug(packet)}.csv"
+            path = out_dir / name
+            _write_csv(path, np.asarray(grid), emp.values, ana.values)
+            tol = parsed.ks_tolerance
+            curve_breach = tol is not None and ks > tol
+            breached = breached or curve_breach
+            curves.append(
+                {
+                    "path": name,
+                    "arrivals": arrival.config_str(),
+                    "packets": packet.config_str(),
+                    "battery": parsed.battery.config_str(),
+                    "u": u,
+                    "formula": formula,
+                    "ks_distance": ks,
+                    "dkw_band_99": band,
+                    "breach": curve_breach,
+                    "mc_mean": summary.mean,
+                    "mc_variance": summary.variance,
+                    "analytic_mean": renewal_mean_tau(u_prime, moments),
+                    "analytic_variance": renewal_var_tau(u_prime, moments),
+                }
+            )
     manifest = {
         "tool_version": __version__,
         "seed": parsed.seed,
@@ -321,6 +330,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parsed.seed = args.seed
         if args.replications is not None:
             parsed.replications = args.replications
+        _check_counts(parsed)
         if args.command == "compare":
             report = compare_formulas(parsed)
             for row in report["rows"]:

@@ -254,6 +254,8 @@ def split_spec(text: str, what: str) -> tuple[str, dict[str, float]]:
         key, eq, val = tok.partition("=")
         if not eq:
             raise ValueError(f"malformed parameter {tok!r} in {text!r}")
+        if key in kwargs:
+            raise ValueError(f"repeated parameter {key!r} in {text!r}")
         kwargs[key] = float(val)
     return parts[0].lower(), kwargs
 

@@ -2,22 +2,31 @@
 
 Each replication replays an arrival stream against a battery model and
 records the first epoch at which the stored energy strictly exceeds the
-threshold. Replications use counter-derived random substreams
-(SeedSequence(seed).spawn), so results are bitwise reproducible for a given
-seed regardless of how many workers run them.
+threshold. One kernel advances a chunk of ``CHUNK`` replications as arrays.
+Chunk c draws from its own stream, child c of SeedSequence(seed): the
+residual first wait of every row, then [CHUNK, 64] blocks of inter-arrivals
+and packets, drawn whole until every row has crossed. A replication's draws
+thus depend only on the seed, its chunk and the block index, not on the
+threshold, the battery, the worker count or the number of replications. So
+results are bitwise reproducible for a given seed across worker counts,
+configs that share a seed see common random numbers, and a longer run starts
+with the taus of a shorter one.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from itertools import repeat
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from .battery import BatteryModel, LinearBattery
 from .distributions import DistributionSpec
-from .renewal import ArrivalProcess, Mode
+from .renewal import ArrivalProcess
 from .stats import CdfCurve, ecdf
 
 __all__ = [
@@ -26,6 +35,8 @@ __all__ = [
     "SummaryStats",
     "UnreachableThresholdError",
     "simulate_once",
+    "pool_size",
+    "worker_pool",
     "run",
     "summarize",
 ]
@@ -93,84 +104,146 @@ class SummaryStats:
     stderr: float
 
 
+# Replications per chunk. Fixed, so that a replication's draws depend only on
+# the seed, its chunk and the block index, never on the worker count.
+CHUNK = 256
+
 # Fixed draw-block size. It must not depend on the threshold or the battery:
 # paired runs that share a seed (e.g. tau(u1) vs tau(u2), linear vs non-linear)
 # rely on the k-th inter-arrival and k-th packet being identical draws.
 _BLOCK = 64
 
 
-def simulate_once(config: ExperimentConfig, rng: np.random.Generator) -> float:
-    """One replication: first arrival epoch at which stored energy exceeds u.
+def _packet_path(step, level: np.ndarray, packets: np.ndarray, u: float) -> np.ndarray:
+    """Levels after each packet of a block, one vector step per packet.
 
-    The stored energy is a pure jump process, so the passage time always
-    coincides with an arrival epoch. Random draws follow a fixed schedule
-    (residual wait, then alternating blocks of inter-arrivals and packets),
-    so two configs sharing a seed see identical underlying streams.
+    The level never falls, so the block stops early, with fewer columns,
+    once every row is above u.
+    """
+    path = np.empty_like(packets)
+    for j in range(packets.shape[1]):
+        level = path[:, j] = step(level, packets[:, j])
+        if (level > u).all():
+            return path[:, : j + 1]
+    return path
+
+
+def _simulate_chunk(config: ExperimentConfig, rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
+    """Passage times of the first ``rows`` replications of a chunk of ``width``.
+
+    The chunk draws the residual wait of all ``width`` rows, then [width, 64]
+    blocks of inter-arrivals and packets until each of its first ``rows`` rows
+    has crossed. Blocks are drawn whole, for crossed rows too, so every row's
+    draws depend only on the stream and the block index.
     """
     battery = config.battery
     u = config.threshold
-    # continuous rule: crossing in stored units <=> raw cumulative sum
-    # crossing the transformed threshold, which is a linear problem
-    if config.nonlinear_rule == CONTINUOUS or isinstance(battery, LinearBattery):
-        linear = True
-        u_eff = battery.input_for_level(u) if config.nonlinear_rule == CONTINUOUS else u
-        cap = battery.capacity if isinstance(battery, LinearBattery) else np.inf
+    if isinstance(battery, LinearBattery):
+        step, cap = None, battery.capacity
+    elif config.nonlinear_rule == CONTINUOUS:
+        # crossing in stored units <=> raw cumulative sum crossing the
+        # transformed threshold, which is a linear problem
+        step, cap, u = None, np.inf, battery.input_for_level(u)
     else:
-        linear = False
-        u_eff = u
-        cap = battery.capacity
+        step = battery.step_update
 
     arr = config.arrival
-    if arr.mode is Mode.EQUILIBRIUM:
-        t_next = float(arr.residual_sample(rng))
-    else:
-        t_next = 0.0
-
-    m = _BLOCK
-    U = 0.0
-    consumed = 0
-    while consumed < _MAX_PACKETS:
-        gaps = np.asarray(arr.interarrival.sample(rng, m), dtype=float)
-        packets = np.asarray(config.packet.sample(rng, m), dtype=float)
-        epochs = t_next + np.concatenate(([0.0], np.cumsum(gaps[:-1])))
-        if linear:
-            path = np.minimum(U + np.cumsum(packets), cap)
-            crossed = np.nonzero(path > u_eff)[0]
-            if crossed.size:
-                return float(epochs[crossed[0]])
-            U = path[-1]
+    t = arr.residual_sample(rng, width)[:rows]  # epoch of each row's next packet
+    level = np.zeros(rows)
+    taus = np.empty(rows)
+    active = np.arange(rows)  # rows not yet crossed; t and level follow them
+    for _ in range(0, _MAX_PACKETS, _BLOCK):
+        gaps = arr.interarrival.sample(rng, (width, _BLOCK))[active]
+        packets = config.packet.sample(rng, (width, _BLOCK))[active]
+        epochs = np.empty_like(gaps)
+        epochs[:, 0] = 0.0
+        np.cumsum(gaps[:, :-1], axis=1, out=epochs[:, 1:])
+        epochs += t[:, None]
+        if step is None:
+            path = np.minimum(level[:, None] + np.cumsum(packets, axis=1), cap)
         else:
-            for j in range(m):
-                U = min(U + battery.efficiency(U) * packets[j], cap)
-                if U > u_eff:
-                    return float(epochs[j])
-        t_next = t_next + float(np.sum(gaps))
-        consumed += m
+            path = _packet_path(step, level, packets, u)
+        over = path > u
+        hit = over.any(axis=1)
+        taus[active[hit]] = epochs[hit, over[hit].argmax(axis=1)]
+        left = ~hit
+        if not left.any():
+            return taus
+        active, level, t = active[left], path[left, -1], t[left] + gaps[left].sum(axis=1)
     raise UnreachableThresholdError(
         f"no crossing after {_MAX_PACKETS} packets for config: {config.fingerprint()}"
     )
 
 
+def simulate_once(config: ExperimentConfig, rng: np.random.Generator) -> float:
+    """One replication: first arrival epoch at which stored energy exceeds u.
+
+    The stored energy is a pure jump process, so the passage time always
+    coincides with an arrival epoch. This is the chunk kernel on a chunk of
+    one, so its draws follow the same fixed schedule (residual wait, then
+    alternating blocks of 64 inter-arrivals and 64 packets), and two configs
+    sharing a stream see identical underlying draws.
+    """
+    return float(_simulate_chunk(config, rng, 1, 1)[0])
+
+
+def _n_chunks(replications: int) -> int:
+    return -(-replications // CHUNK)
+
+
 def _run_range(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    children = np.random.SeedSequence(config.seed).spawn(config.replications)
-    out = np.empty(stop - start)
-    for i in range(start, stop):
-        out[i - start] = simulate_once(config, np.random.default_rng(children[i]))
-    return out
+    """Passage times of chunks [start, stop); chunk c draws from child c of the seed.
 
-
-def run(config: ExperimentConfig, workers: int = 1) -> PassageSamples:
-    """Run all replications; output is identical for any worker count."""
+    The last chunk of the run is cut to the replications left but draws as
+    a full chunk, so a longer run starts with the taus of a shorter one.
+    """
     n = config.replications
-    if workers <= 1 or n < 2 * workers:
-        taus = _run_range(config, 0, n)
+    children = np.random.SeedSequence(config.seed).spawn(stop)[start:]
+    return np.concatenate(
+        [
+            _simulate_chunk(config, np.random.default_rng(child), min(CHUNK, n - c * CHUNK), CHUNK)
+            for c, child in zip(range(start, stop), children)
+        ]
+    )
+
+
+def pool_size(workers: int, replications: int) -> int:
+    """Processes worth starting: no more than the workers, the chunks or the CPUs."""
+    return max(1, min(workers, _n_chunks(replications), os.cpu_count() or 1))
+
+
+@contextmanager
+def worker_pool(workers: int, replications: int) -> Iterator[Optional[ProcessPoolExecutor]]:
+    """A process pool for runs of ``replications``; None when one process suffices.
+
+    Open it once and pass it to every ``run`` that shares those settings.
+    """
+    size = pool_size(workers, replications)
+    if size < 2:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        yield pool
+
+
+def run(
+    config: ExperimentConfig, workers: int = 1, pool: Optional[ProcessPoolExecutor] = None
+) -> PassageSamples:
+    """Run all replications; output is identical for any worker count.
+
+    ``pool`` is an open ``worker_pool`` shared across runs. Without one, a run
+    that can use more than one process opens its own for the call.
+    """
+    n = config.replications
+    if pool is None and pool_size(workers, n) > 1:
+        with worker_pool(workers, n) as pool:
+            return run(config, workers, pool)
+    chunks = _n_chunks(n)
+    if pool is None:
+        taus = _run_range(config, 0, chunks)
     else:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_run_range, [config] * workers, bounds[:-1], bounds[1:])
-            )
-        taus = np.concatenate(parts)
+        bounds = np.linspace(0, chunks, pool_size(workers, n) + 1).astype(int)
+        taus = np.concatenate(list(pool.map(_run_range, repeat(config), bounds[:-1], bounds[1:])))
     return PassageSamples(taus=taus, fingerprint=config.fingerprint(), seed=config.seed)
 
 

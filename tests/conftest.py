@@ -1,0 +1,39 @@
+import pytest
+
+from rechargetime import engine
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.maps = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        self.maps += 1
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """Every pool the engine constructs, none of which starts a process.
+
+    The machine appears to have 64 CPUs, so the pool size is set by the
+    workers and the chunks alone.
+    """
+    made = []
+
+    def make(max_workers):
+        made.append(FakePool(max_workers))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
+    return made

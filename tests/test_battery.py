@@ -30,6 +30,16 @@ class TestEfficiency:
         for u in np.linspace(0.0, 25.0, 200):
             assert NL.efficiency(u) > 0.0
 
+    def test_array_matches_scalar_calls(self):
+        levels = np.linspace(0.0, 25.0, 7)
+        for bat in (NL, LinearBattery(umax=25.0)):
+            np.testing.assert_array_equal(bat.efficiency(levels), [bat.efficiency(float(u)) for u in levels])
+
+    @pytest.mark.parametrize("bad", [-0.1, 25.1, np.nan])
+    def test_domain_error_anywhere_in_array(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            NL.efficiency(np.array([0.0, 12.5, bad, 25.0]))
+
 
 class TestStoredFromInput:
     def test_zero_input(self):
@@ -87,6 +97,18 @@ class TestStepUpdate:
 
     def test_saturation_clip(self):
         assert NL.step_update(24.9, 100.0) == 25.0
+
+    def test_array_matches_scalar_calls(self):
+        levels = np.array([0.0, 5.0, 12.5, 24.9])
+        packets = np.array([1.0, 0.0, 3.0, 100.0])
+        for bat in (NL, LinearBattery(umax=25.0)):
+            expected = [bat.step_update(float(u), float(x)) for u, x in zip(levels, packets)]
+            np.testing.assert_array_equal(bat.step_update(levels, packets), expected)
+
+    def test_negative_packet_rejected(self):
+        for bat in (NL, LinearBattery()):
+            with pytest.raises(ValueError, match="packet"):
+                bat.step_update(np.zeros(3), np.array([1.0, -1e-9, 2.0]))
 
 
 class TestTransformInvariants:

@@ -75,6 +75,18 @@ class TestParseConfig:
         p = parse_config("battery = nonlinear umax=25 beta=1.1\nu = 20")
         assert p.battery == NonLinearBattery(25.0, 1.1)
 
+    @pytest.mark.parametrize(
+        "line, name",
+        [("packets = exponential rate=1 rate=5", "rate"), ("battery = linear umax=25 umax=50", "umax")],
+    )
+    def test_repeated_parameter_rejected(self, line, name):
+        with pytest.raises(ConfigError, match=f"repeated parameter '{name}'"):
+            parse_config(f"{line}\nu = 20")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config("u = 20\nseed = -1")
+
 
 class TestRunExperiment:
     def test_writes_csvs_and_manifest(self, tmp_path):
@@ -107,6 +119,15 @@ class TestRunExperiment:
         p = parse_config("arrivals = uniform lo=0 hi=1\npackets = exponential rate=1\nu = 5\nreplications = 100\ngrid = 0:1:30")
         manifest = run_experiment(p, tmp_path)
         assert manifest["curves"][0]["formula"] == "clt"
+
+    def test_one_pool_for_all_curves(self, tmp_path, fake_pools):
+        # two curves of three chunks each
+        text = "packets = deterministic value=3; exponential rate=1\nu = 20\nreplications = 600\ngrid = 0:0.5:60\n"
+        run_experiment(parse_config(text + "workers = 2\n"), tmp_path / "w2")
+        assert [(p.max_workers, p.maps) for p in fake_pools] == [(2, 2)]
+        run_experiment(parse_config(text), tmp_path / "w1")
+        for curve in sorted((tmp_path / "w1").glob("*.csv")):
+            assert (tmp_path / "w2" / curve.name).read_bytes() == curve.read_bytes()
 
     def test_tolerance_breach_flag(self, tmp_path):
         p = parse_config(PANEL_A_LINEAR + "ks_tolerance = 1e-9")
@@ -160,6 +181,14 @@ class TestMain:
         assert main(["run", str(cfg), "--out", str(out), "--seed", "7", "--replications", "50"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
+
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(PANEL_A_LINEAR)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compare_command(self, tmp_path, capsys):
         cfg = tmp_path / "cmp.cfg"

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rechargetime.battery import LinearBattery, NonLinearBattery
 from rechargetime.distributions import Deterministic, Exponential, Gamma, InverseGaussian, Uniform
 from rechargetime.engine import (
+    CHUNK,
+    CONTINUOUS,
+    PER_PACKET,
     ExperimentConfig,
+    pool_size,
     run,
     simulate_once,
     summarize,
@@ -85,6 +91,93 @@ class TestRun:
         # Exp(1)/Exp(1), u=20: asymptotic mean 21
         s = run(cfg(replications=20000, seed=3))
         assert abs(s.taus.mean() - 21.0) / 21.0 < 0.05
+
+
+# run-level contracts of the chunk kernel, on runs whose last chunk is partial
+# and with thresholds that take some rows through several 64-packet blocks
+LAWS = [Exponential(1.0), Gamma(1.5, 2.0), InverseGaussian(1.0, 2.0), Uniform(0.0, 2.0), Deterministic(1.0)]
+PARTIAL = CHUNK + 44
+RUN_LEVEL = settings(max_examples=15, deadline=None, derandomize=True)
+
+
+class TestChunkedRun:
+    @RUN_LEVEL
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        arrival=st.sampled_from(LAWS),
+        packet=st.sampled_from(LAWS),
+        u=st.floats(0.5, 150.0),
+        du=st.floats(0.0, 50.0),
+    )
+    def test_taus_monotone_in_threshold(self, seed, arrival, packet, u, du):
+        base = dict(arrival=ArrivalProcess(arrival), packet=packet, replications=PARTIAL, seed=seed)
+        lo = run(cfg(threshold=u, **base)).taus
+        hi = run(cfg(threshold=u + du, **base)).taus
+        assert np.all(lo <= hi)
+
+    @RUN_LEVEL
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        arrival=st.sampled_from(LAWS),
+        packet=st.sampled_from(LAWS),
+        u=st.floats(0.5, 150.0),
+        rule=st.sampled_from([PER_PACKET, CONTINUOUS]),
+    )
+    def test_nonlinear_taus_at_least_linear(self, seed, arrival, packet, u, rule):
+        base = dict(arrival=ArrivalProcess(arrival), packet=packet, threshold=u, replications=PARTIAL, seed=seed)
+        lin = run(cfg(**base)).taus
+        non = run(cfg(battery=NonLinearBattery(umax=160.0, beta=1.1), nonlinear_rule=rule, **base)).taus
+        assert np.all(non >= lin)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            cfg(replications=2 * CHUNK + 50, seed=11),
+            cfg(
+                arrival=ArrivalProcess(Gamma(1.5, 2.0)),
+                packet=Uniform(0.0, 1.0),
+                battery=NonLinearBattery(umax=25.0, beta=1.1),
+                replications=2 * CHUNK + 50,
+                seed=12,
+            ),
+        ],
+        ids=["linear", "per-packet"],
+    )
+    def test_identical_at_workers_1_2_3(self, config, monkeypatch):
+        # three real processes at most; the CPU count is raised so that
+        # workers=3 splits the three chunks three ways even on two CPUs
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        serial = run(config, workers=1).taus
+        for workers in (2, 3):
+            np.testing.assert_array_equal(run(config, workers=workers).taus, serial)
+
+    @pytest.mark.parametrize("short", [1, 10, CHUNK, PARTIAL])
+    def test_longer_run_starts_with_shorter_run(self, short):
+        long = run(cfg(threshold=8.0, replications=3 * CHUNK + 7, seed=5)).taus
+        np.testing.assert_array_equal(run(cfg(threshold=8.0, replications=short, seed=5)).taus, long[:short])
+
+
+class TestWorkerPool:
+    def test_no_more_processes_than_chunks(self, fake_pools):
+        c = cfg(replications=3 * CHUNK - 10)
+        taus = run(c, workers=100_000).taus
+        assert [p.max_workers for p in fake_pools] == [3]
+        np.testing.assert_array_equal(taus, run(c).taus)
+
+    def test_no_more_processes_than_cpus(self, fake_pools, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        run(cfg(replications=10 * CHUNK), workers=100_000)
+        assert [p.max_workers for p in fake_pools] == [2]
+
+    def test_one_chunk_starts_no_pool(self, fake_pools):
+        run(cfg(replications=CHUNK), workers=100_000)
+        assert fake_pools == []
+
+    def test_pool_size(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert pool_size(1, 10**6) == 1
+        assert pool_size(100_000, 10**6) == 4
+        assert pool_size(100_000, CHUNK + 1) == 2
 
 
 class TestPathwiseProperties:

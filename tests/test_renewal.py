@@ -110,7 +110,7 @@ class TestResidualSampling:
         ids=lambda s: s.config_str(),
     )
     def test_scalar_draw_is_first_array_draw(self, spec):
-        # the engine draws one scalar per replication; the DKW checks above
+        # arrival_stream draws one scalar; the engine and the DKW checks above
         # draw arrays, so both paths must consume the stream the same way
         proc = ArrivalProcess(spec)
         for seed in range(5):
