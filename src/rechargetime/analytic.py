@@ -8,10 +8,13 @@ F_n(u) is the normal approximation of the n-fold convolution (general packet
 law) or the exact Erlang/incomplete-gamma form (exponential packets). It does
 not depend on t and falls with n, so one cut serves every t: the series stops
 before the first n with F_n(u) < 1e-12, which bounds the dropped mass by
-1e-12. General inter-arrival laws use renewal-theoretic asymptotics plus a
-CLT approximation (large threshold).
+1e-12. In pure mode an arrival, and so a packet, sits at the origin, and the
+series runs over F_{n+1}(u) instead. General inter-arrival laws use
+renewal-theoretic asymptotics plus a CLT approximation (large threshold).
 
-The three linear CDFs accept a scalar t (float result) or an array of t.
+The three linear CDFs accept a scalar t (float result) or an array of t. The
+Poisson series take a block of t at once: one matrix of log weights,
+exponentiated in place and summed against F row by row.
 
 The non-linear battery has two formulas. ``nonlinear_cdf`` maps the threshold
 through the tanh transform, which is exact for the continuous charging rule.
@@ -56,6 +59,10 @@ _SERIES_TOL = 1e-12
 _LEVEL_STEP = 0.02
 _TRANSIENT_TOL = 1e-12
 _MAX_PACKETS = 10_000
+# Cells of the Poisson mixture's one [block, terms] buffer (256 KB). A block
+# has as many grid points as fit, 123 at the 265 terms of u = 150, so memory
+# does not grow with the number of terms times a fixed block.
+_MIX_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,8 @@ class AsymptoticMoments:
         )
 
 
-def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None) -> np.ndarray:
-    """F_n(u) = P(S_n <= u) for n = 0, 1, ..., N - 1, with S_n a sum of n packets.
+def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None, mode: Mode) -> np.ndarray:
+    """F_n(u) = P(S_n <= u) for n = k, k + 1, ..., N - 1, with S_n a sum of n packets.
 
     sigmaX = None gives the exact Erlang law of exponential packets of mean
     Xbar, gammainc(n, u / Xbar). A number gives the normal approximation
@@ -100,9 +107,13 @@ def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None) -> np.ndarray:
     n Xbar <= u at sigmaX = 0. F_0 = 1 because u > 0. F_n does not depend on
     t and does not increase with n, so the vector ends before the first
     n with F_n < 1e-12 and every term it drops weighs less than that.
+    The vector starts at k = 0 in equilibrium mode. In pure mode it starts at
+    k = 1: the arrival at the origin brings a packet, so n arrivals in (0, t]
+    make n + 1 packets.
     """
     if u <= 0:
         raise ValueError("threshold must be > 0")
+    start = 1 if mode is Mode.PURE else 0
     size = int(u / Xbar) + 64
     while True:
         n = np.arange(size, dtype=float)
@@ -115,60 +126,94 @@ def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None) -> np.ndarray:
                 F = special.ndtr((u - n * Xbar) / (sigmaX * np.sqrt(n)))
         (small,) = np.nonzero(F < _SERIES_TOL)
         if small.size:
-            return F[: small[0]]
+            return F[start : small[0]]
         size *= 2
 
 
 def _poisson_mixture(F: np.ndarray, lam: float, t) -> np.ndarray | float:
     """1 - sum_n w_n(lam t) F_n, with w_n the Poisson(lam t) weights: P(tau <= t).
 
-    Evaluated one t at a time, so memory stays at one copy of F however long
-    the grid. A scalar t gives a float.
+    The grid is taken in blocks of ``_MIX_CELLS // F.size`` points (at least
+    one). Each block fills one [block, F.size] buffer with the log weights
+    n log(lam t) - log n! - lam t, exponentiates it in place, weights it by F
+    and sums each row. Memory stays at that one buffer however long the grid
+    and however many terms the series has. Each row is summed on its own,
+    so a point's value does not depend on the block it falls in, and a scalar
+    t gives the same float as the same t inside an array.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("time must be >= 0")
-    n = np.arange(F.size)
+    x = lam * t.ravel()
+    n = np.arange(F.size, dtype=float)
     log_fact = special.gammaln(n + 1.0)
-    # xlogy makes the lam t = 0 corner exact: weight 1 at n = 0, 0 elsewhere
-    kept = [np.exp(special.xlogy(n, x) - x - log_fact) @ F for x in lam * t.ravel()]
-    return np.clip(1.0 - np.reshape(kept, t.shape), 0.0, 1.0)[()]
+    block = max(1, _MIX_CELLS // max(F.size, 1))
+    buf = np.empty((min(x.size, block), F.size))
+    tail = np.empty(x.size)
+    for lo in range(0, x.size, block):
+        xb = x[lo : lo + block, None]
+        w = buf[: xb.shape[0]]
+        # at lam t = 0 the log is -inf: exp gives weight 0 for n > 0, and
+        # column 0 is set apart, so the corner is exact (weight 1 at n = 0).
+        # A slice, as F is empty in pure mode when one packet always crosses.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(np.log(xb), n, out=w)
+        w -= log_fact
+        w -= xb
+        w[:, :1] = -xb
+        np.exp(w, out=w)
+        w *= F
+        tail[lo : lo + block] = w.sum(axis=1)
+    return np.clip(1.0 - tail.reshape(t.shape), 0.0, 1.0)[()]
 
 
-def poisson_cdf_normal(u: float, t, lam: float, Xbar: float, sigmaX: float):
+def poisson_cdf_normal(
+    u: float, t, lam: float, Xbar: float, sigmaX: float, *, mode: Mode = Mode.EQUILIBRIUM
+):
     """P(tau(u) <= t) for Poisson arrivals via the normal-approximated series.
 
     P = 1 - e^{-lam t} sum_n (lam t)^n / n! * Phi((u - n Xbar) / (sigmaX sqrt(n)))
 
-    t is a scalar (float result) or an array.
+    In pure mode the packet at the origin shifts the series to
+    Phi((u - (n + 1) Xbar) / (sigmaX sqrt(n + 1))). t is a scalar (float
+    result) or an array.
     """
-    return _poisson_mixture(_packet_sum_cdf(u, Xbar, sigmaX), lam, t)
+    return _poisson_mixture(_packet_sum_cdf(u, Xbar, sigmaX, mode), lam, t)
 
 
-def poisson_cdf_exp_exact(u: float, t, lam: float, Xbar: float):
+def poisson_cdf_exp_exact(u: float, t, lam: float, Xbar: float, *, mode: Mode = Mode.EQUILIBRIUM):
     """Exact P(tau(u) <= t) for Poisson arrivals and exponential packets.
 
     P = 1 - e^{-lam t} sum_n (lam t)^n / n! * P(n, u/Xbar), with P the
     regularized lower incomplete gamma function (the Erlang CDF of the
-    n-packet sum). t is a scalar (float result) or an array.
+    n-packet sum); pure mode uses P(n + 1, u/Xbar). t is a scalar (float
+    result) or an array.
     """
-    return _poisson_mixture(_packet_sum_cdf(u, Xbar, None), lam, t)
+    return _poisson_mixture(_packet_sum_cdf(u, Xbar, None, mode), lam, t)
 
 
-def poisson_mean_tau(u: float, lam: float, Xbar: float, sigmaX: float) -> float:
+def poisson_mean_tau(
+    u: float, lam: float, Xbar: float, sigmaX: float, *, mode: Mode = Mode.EQUILIBRIUM
+) -> float:
     """E[tau(u)] for Poisson arrivals: (1/lam) * sum_n Phi((u - n Xbar)/(sigmaX sqrt(n))).
 
-    The n = 0 term contributes 1 (unit-step convention).
+    The sum starts at n = 0, whose term is 1 (unit-step convention), in
+    equilibrium mode and at n = 1 in pure mode.
     """
-    return float(_packet_sum_cdf(u, Xbar, sigmaX).sum()) / lam
+    return float(_packet_sum_cdf(u, Xbar, sigmaX, mode).sum()) / lam
 
 
 def renewal_mean_tau(u: float, moments: AsymptoticMoments) -> float:
-    """Asymptotic mean: lam * gamma2 / (2 Xbar^2) + u / (lam Xbar)."""
+    """Asymptotic mean: E[A0] + (u / Xbar + E[X^2] / (2 Xbar^2) - 1) / lam.
+
+    E[A0] is the mean first wait of the arrival mode, 0 in pure mode. In
+    equilibrium this equals lam gamma2 / (2 Xbar^2) + u / (lam Xbar).
+    """
     if u <= 0:
         raise ValueError("threshold must be > 0")
     m = moments
-    return m.lam * m.gamma2 / (2.0 * m.Xbar**2) + u / (m.lam * m.Xbar)
+    second = m.sigmaX2 + m.Xbar**2
+    return m.EA0 + (u / m.Xbar + second / (2.0 * m.Xbar**2) - 1.0) / m.lam
 
 
 def renewal_var_tau(u: float, moments: AsymptoticMoments) -> float:

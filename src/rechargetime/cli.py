@@ -183,11 +183,11 @@ def _linear_cdf_fn(
     if name == "poisson_normal":
         if not isinstance(arrival_spec, Exponential):
             raise ConfigError("poisson_normal needs exponential inter-arrival times")
-        return lambda u, t: poisson_cdf_normal(u, t, lam, Xbar, sigmaX)
+        return lambda u, t: poisson_cdf_normal(u, t, lam, Xbar, sigmaX, mode=mode)
     if name == "poisson_exact":
         if not isinstance(arrival_spec, Exponential) or not isinstance(packet, Exponential):
             raise ConfigError("poisson_exact needs exponential arrivals and packets")
-        return lambda u, t: poisson_cdf_exp_exact(u, t, lam, Xbar)
+        return lambda u, t: poisson_cdf_exp_exact(u, t, lam, Xbar, mode=mode)
     if name == "clt":
         return lambda u, t: renewal_cdf_clt(u, t, moments)
     raise ConfigError(f"unknown formula {name!r}")
@@ -299,8 +299,8 @@ def compare_formulas(parsed: ParsedConfig) -> dict:
             if parsed.grid is not None
             else _default_grid(parsed.arrivals[0], parsed.packets[0], parsed.mode, u)
         )
-        approx = poisson_cdf_normal(u, grid, lam, Xbar, Xbar)
-        exact = poisson_cdf_exp_exact(u, grid, lam, Xbar)
+        approx = poisson_cdf_normal(u, grid, lam, Xbar, Xbar, mode=parsed.mode)
+        exact = poisson_cdf_exp_exact(u, grid, lam, Xbar, mode=parsed.mode)
         rows.append({"u": u, "max_abs_gap": float(np.max(np.abs(approx - exact)))})
     return {"tool_version": __version__, "rows": rows}
 

@@ -61,7 +61,6 @@ class ExperimentConfig:
     threshold: float
     replications: int = 2000
     seed: int = 0
-    time_grid: Optional[Tuple[float, ...]] = None
     nonlinear_rule: str = PER_PACKET
 
     def __post_init__(self):
@@ -71,10 +70,6 @@ class ExperimentConfig:
             raise ValueError(f"threshold {self.threshold} outside (0, {cap})")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.time_grid is not None:
-            g = np.asarray(self.time_grid, dtype=float)
-            if g.size and (np.any(g < 0) or np.any(np.diff(g) <= 0)):
-                raise ValueError("time_grid must be non-negative and strictly increasing")
         if self.nonlinear_rule not in (PER_PACKET, CONTINUOUS):
             raise ValueError(f"unknown nonlinear rule {self.nonlinear_rule!r}")
 

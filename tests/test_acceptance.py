@@ -28,7 +28,7 @@ from rechargetime.distributions import (
     InverseGaussian,
     Uniform,
 )
-from rechargetime.engine import ExperimentConfig, run, simulate_once
+from rechargetime.engine import ExperimentConfig, run
 from rechargetime.renewal import ArrivalProcess
 from rechargetime.stats import CdfCurve, dkw_band, ecdf, ks_distance
 
@@ -210,21 +210,14 @@ def test_criterion_8_determinism_across_workers(tmp_path):
 
 
 def test_criterion_9_pathwise_orderings():
-    base = dict(packet=Exponential(1.0), battery=LinearBattery(), replications=1, seed=0)
-    c_lo = ExperimentConfig(arrival=POISSON, threshold=10.0, **base)
-    c_hi = ExperimentConfig(arrival=POISSON, threshold=20.0, **base)
-    c_nl = ExperimentConfig(
-        arrival=POISSON, packet=Exponential(1.0), battery=NONLINEAR,
-        threshold=20.0, replications=1, seed=0,
-    )
-    children = np.random.SeedSequence(909).spawn(10**4)
-    viol_u = viol_nl = 0
-    for child in children:
-        t_lo = simulate_once(c_lo, np.random.default_rng(child))
-        t_hi = simulate_once(c_hi, np.random.default_rng(child))
-        t_nl = simulate_once(c_nl, np.random.default_rng(child))
-        viol_u += t_lo > t_hi
-        viol_nl += t_nl < t_hi
+    # configs that share a seed see the same k-th gap and packet, so each
+    # replication is one path seen at two thresholds and by two batteries
+    base = dict(arrival=POISSON, packet=Exponential(1.0), replications=10**4, seed=909)
+    t_lo = run(ExperimentConfig(battery=LinearBattery(), threshold=10.0, **base)).taus
+    t_hi = run(ExperimentConfig(battery=LinearBattery(), threshold=20.0, **base)).taus
+    t_nl = run(ExperimentConfig(battery=NONLINEAR, threshold=20.0, **base)).taus
+    viol_u = int(np.sum(t_lo > t_hi))
+    viol_nl = int(np.sum(t_nl < t_hi))
     report(9, "threshold-monotonicity violations", viol_u, 0, viol_u == 0)
     report(9, "nonlinear-dominance violations", viol_nl, 0, viol_nl == 0)
     assert viol_u == 0

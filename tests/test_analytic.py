@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,14 @@ class TestPoissonMean:
     def test_deterministic_packets(self):
         # ceil-counting: E[tau] = (1 + floor(u/c)) / lam
         assert poisson_mean_tau(20.0, 1.0, 3.0, 0.0) == pytest.approx(7.0)
+        # pure mode: the packet at the origin is one of the seven
+        assert poisson_mean_tau(20.0, 1.0, 3.0, 0.0, mode=Mode.PURE) == pytest.approx(6.0)
+
+    def test_pure_mode_first_packet_crosses(self):
+        # the packet at the origin already lifts the level above u: tau = 0
+        assert poisson_mean_tau(2.0, 1.0, 3.0, 0.0, mode=Mode.PURE) == 0.0
+        curve = poisson_cdf_normal(2.0, [0.0, 5.0], 1.0, 3.0, 0.0, mode=Mode.PURE)
+        np.testing.assert_array_equal(curve, 1.0)
 
 
 class TestRenewalAsymptotics:
@@ -272,6 +281,43 @@ class TestPerPacketCdf:
         # a packet shorter than half a grid cell never leaves the first cell
         with pytest.raises(ValueError, match="too fine"):
             packet_count_pmf(1.0, Deterministic(0.005), LinearBattery())
+
+
+class TestPoissonMixtureOracle:
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("formula", ["normal", "exact"])
+    def test_matches_poisson_pmf_weighted_sum(self, formula, mode):
+        # 301 points, more than two blocks of the mixture, with lam t up to 400
+        # at u = 150; the oracle sums 600 untruncated terms of scipy's pmf
+        u, lam = 150.0, 1.6
+        grid = np.linspace(0.0, 250.0, 301)
+        n = np.arange(1.0, 601.0)
+        if formula == "exact":
+            F = stats.gamma.cdf(u, n)
+            fn = lambda t: poisson_cdf_exp_exact(u, t, lam, 1.0, mode=mode)
+        else:
+            F = stats.norm.cdf(u, loc=n, scale=np.sqrt(n))
+            fn = lambda t: poisson_cdf_normal(u, t, lam, 1.0, 1.0, mode=mode)
+        if mode is Mode.EQUILIBRIUM:
+            F = np.concatenate(([1.0], F[:-1]))  # F_0 = 1: no packet yet
+        weights = stats.poisson.pmf(np.arange(F.size), lam * grid[:, None])
+        oracle = 1.0 - (weights * F).sum(axis=1)
+        curve = fn(grid)
+        assert curve[0] == 0.0
+        np.testing.assert_allclose(curve, oracle, rtol=0.0, atol=1e-12)
+        # a point's value does not depend on the block it falls in
+        np.testing.assert_array_equal(curve, [fn(float(t)) for t in grid])
+
+    def test_buffer_does_not_grow_with_terms_times_block(self):
+        # packet mean 1e-4 at u = 20: about 2e5 terms, so a block of 128 grid
+        # points would hold 200 MB; the mixture keeps to a fixed cell budget
+        tracemalloc.start()
+        try:
+            poisson_cdf_normal(20.0, np.linspace(0.0, 40.0, 201), 1.0, 1e-4, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestCdfRangeProperties:

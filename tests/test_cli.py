@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -133,6 +134,30 @@ class TestRunExperiment:
         p = parse_config(PANEL_A_LINEAR + "ks_tolerance = 1e-9")
         manifest = run_experiment(p, tmp_path)
         assert manifest["breached"] is True
+
+
+class TestPureMode:
+    """An arrival, and so a packet, sits at the origin; the analytic curves count it."""
+
+    REPLICATIONS = 20_000
+
+    def curve(self, tmp_path, arrivals, u):
+        text = (
+            f"arrivals = {arrivals}\npackets = exponential rate=1\nu = {u}\n"
+            f"replications = {self.REPLICATIONS}\nseed = 3\nmode = pure\n"
+        )
+        return run_experiment(parse_config(text), tmp_path)["curves"][0]
+
+    def test_exact_series_within_dkw_band(self, tmp_path):
+        curve = self.curve(tmp_path, "exponential rate=1", 5)
+        assert curve["formula"] == "poisson_exact"
+        assert curve["ks_distance"] <= curve["dkw_band_99"]
+
+    @pytest.mark.parametrize("arrivals, u", [("exponential rate=1", 5), ("gamma shape=2 scale=0.5", 20)])
+    def test_analytic_mean_within_three_standard_errors(self, tmp_path, arrivals, u):
+        curve = self.curve(tmp_path, arrivals, u)
+        stderr = math.sqrt(curve["mc_variance"] / self.REPLICATIONS)
+        assert abs(curve["analytic_mean"] - curve["mc_mean"]) <= 3.0 * stderr
 
 
 class TestCompareFormulas:

@@ -249,10 +249,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             cfg(replications=0)
 
-    def test_bad_grid(self):
-        with pytest.raises(ValueError):
-            cfg(time_grid=(1.0, 1.0, 2.0))
-
     def test_bad_rule(self):
         with pytest.raises(ValueError):
             cfg(nonlinear_rule="midpoint")
