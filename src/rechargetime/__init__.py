@@ -28,7 +28,7 @@ from .distributions import (
     Uniform,
     parse_distribution,
 )
-from .engine import ExperimentConfig, PassageSamples, run, simulate_once, summarize
+from .engine import ExperimentConfig, PassageSamples, run, summarize
 from .renewal import ArrivalProcess, Mode
 from .stats import CdfCurve, dkw_band, ecdf, ks_distance
 
@@ -56,7 +56,6 @@ __all__ = [
     "ExperimentConfig",
     "PassageSamples",
     "run",
-    "simulate_once",
     "summarize",
     "ArrivalProcess",
     "Mode",

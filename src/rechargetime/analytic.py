@@ -20,8 +20,10 @@ The non-linear battery has two formulas. ``nonlinear_cdf`` maps the threshold
 through the tanh transform, which is exact for the continuous charging rule.
 ``per_packet_cdf`` matches the per-packet rule U <- min(U + eta(U) X, umax):
 it propagates the level on a grid to get the law of the packet count N and
-mixes it with the law of the N-th arrival epoch (exact for Poisson arrivals,
-CLT otherwise).
+mixes it with the law of the N-th arrival epoch. For Poisson arrivals that
+mixture is the Poisson series above with F_n(u) read as P(N > n), the chance
+that n packets leave the level at or below u, so one Poisson-epoch law
+serves all four Poisson curves; other laws use the CLT.
 
 Poisson weights are always computed in log space; the naive (lambda*t)^n/n!
 overflows for lambda*t beyond a few hundred.
@@ -306,25 +308,27 @@ def per_packet_cdf(
 
     P = sum_n P(N = n) P(A0 + S_{n-1} <= t), with N from
     ``packet_count_pmf``, A0 the first wait and S_{n-1} the sum of n - 1
-    inter-arrivals. Exponential inter-arrivals give exact Erlang terms:
-    shape n in equilibrium mode, n - 1 in pure mode (an arrival sits at the
-    origin). Other laws use the CLT with mean E[A0] + (n-1) mu_A and variance
-    V[A0] + (n-1) sigma_A^2; a zero variance gives a step at the mean.
+    inter-arrivals. For exponential inter-arrivals this is the Poisson
+    mixture of the linear formulas: the n-th arrival epoch is Erlang, so
+    P = P(N <= K) = 1 - sum_k w_k(lam t) P(N > k), with K the arrivals in
+    (0, t]. In pure mode the arrival at the origin brings one more packet,
+    and the survival starts at k = 1. Other laws use the CLT with mean
+    E[A0] + (n-1) mu_A and variance V[A0] + (n-1) sigma_A^2; a zero variance
+    gives a step at the mean.
     """
     if t < 0:
         raise ValueError("time must be >= 0")
     pmf = packet_count_pmf(u, packet, battery)
-    gaps = np.arange(pmf.size)  # n - 1
     a = arrival.interarrival
     if isinstance(a, Exponential):
-        shape = gaps + (arrival.mode is Mode.EQUILIBRIUM)
-        # gammainc(0, 0) is nan; a sum of no waits is 0 <= t
-        arrived = np.where(shape == 0, 1.0, special.gammainc(np.maximum(shape, 1), a.rate * t))
-    else:
-        mean0, var0 = arrival.residual_moments()
-        mean = mean0 + gaps * a.mean
-        var = var0 + gaps * a.variance
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = (t - mean) / np.sqrt(var)
-        arrived = np.where(var > 0.0, special.ndtr(z), (t >= mean) * 1.0)
+        survival = 1.0 - np.concatenate(([0.0], np.cumsum(pmf)[:-1]))  # P(N > k), k = 0, 1, ...
+        start = 1 if arrival.mode is Mode.PURE else 0
+        return float(_poisson_mixture(survival[start:], a.rate, t))
+    gaps = np.arange(pmf.size)  # n - 1
+    mean0, var0 = arrival.residual_moments()
+    mean = mean0 + gaps * a.mean
+    var = var0 + gaps * a.variance
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (t - mean) / np.sqrt(var)
+    arrived = np.where(var > 0.0, special.ndtr(z), (t >= mean) * 1.0)
     return float(np.clip(pmf @ arrived, 0.0, 1.0))

@@ -27,7 +27,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .analytic import (
     renewal_mean_tau,
     renewal_var_tau,
 )
-from .battery import BatteryModel, LinearBattery, NonLinearBattery, parse_battery
+from .battery import BatteryModel, parse_battery
 from .distributions import DistributionSpec, Exponential, parse_distribution
 from .engine import ExperimentConfig, run, summarize, worker_pool
 from .renewal import ArrivalProcess, Mode
@@ -54,6 +54,8 @@ _KNOWN_KEYS = {
     "mode", "formula", "ks_tolerance", "workers",
 }
 _FORMULAS = {"auto", "poisson_normal", "poisson_exact", "clt"}
+# Expected packets, summed over its replications, that one curve may draw.
+_PACKET_BUDGET = 10**9
 
 
 class ConfigError(ValueError):
@@ -117,6 +119,7 @@ def parse_config(text: str) -> ParsedConfig:
         replications = int(values.get("replications", "2000"))
         seed = int(values.get("seed", "0"))
         workers = int(values.get("workers", "1"))
+        ks_tol = float(values["ks_tolerance"]) if "ks_tolerance" in values else None
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -130,11 +133,22 @@ def parse_config(text: str) -> ParsedConfig:
     formula = values.get("formula", "auto").lower()
     if formula not in _FORMULAS:
         raise ConfigError(f"formula must be one of {sorted(_FORMULAS)}, got {formula!r}")
-    ks_tol = float(values["ks_tolerance"]) if "ks_tolerance" in values else None
+    exp_arrivals = all(isinstance(a, Exponential) for a in arrivals)
+    exp_packets = all(isinstance(p, Exponential) for p in packets)
+    if formula == "poisson_normal" and not exp_arrivals:
+        raise ConfigError("poisson_normal needs exponential inter-arrival times")
+    if formula == "poisson_exact" and not (exp_arrivals and exp_packets):
+        raise ConfigError("poisson_exact needs exponential arrivals and packets")
+    if ks_tol is not None and not 0.0 < ks_tol <= 1.0:
+        raise ConfigError(f"ks_tolerance must be a finite value in (0, 1], got {ks_tol}")
     for u in thresholds:
         cap = battery.capacity
         if not 0.0 < u < cap:
             raise ConfigError(f"u = {u} outside (0, {cap})")
+    names = [_curve_name(*combo) for combo in itertools.product(thresholds, arrivals, packets)]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"two curves would both write {name}; list each threshold and law once")
     parsed = ParsedConfig(
         arrivals=arrivals,
         packets=packets,
@@ -154,13 +168,28 @@ def parse_config(text: str) -> ParsedConfig:
 
 
 def _check_counts(parsed: ParsedConfig) -> None:
-    """Reject counts and seeds no run can use; ``main`` checks its overrides here too."""
+    """Reject counts, seeds and work no run can use; ``main`` checks its overrides here too.
+
+    Each packet lifts the level by at least eta_min X, with eta_min the lower
+    of eta(0) and eta(u) (eta is concave), so by Wald's identity, overshoot
+    aside, a replication needs at most 1 + u / (eta_min Xbar) packets on
+    average. A curve whose replications need more than ``_PACKET_BUDGET`` in
+    all is refused before anything runs.
+    """
     if parsed.replications < 1:
         raise ConfigError("replications must be >= 1")
     if parsed.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {parsed.seed}")
     if parsed.workers < 1:
         raise ConfigError("workers must be >= 1")
+    for u, packet in itertools.product(parsed.thresholds, parsed.packets):
+        eta_min = float(np.min(parsed.battery.efficiency(np.array([0.0, u]))))
+        work = parsed.replications * (1.0 + u / (eta_min * packet.mean))
+        if work > _PACKET_BUDGET:
+            raise ConfigError(
+                f"u = {u:g} with packet mean {packet.mean:g} needs about {work:.2g} packets over "
+                f"{parsed.replications} replications, more than the budget of {_PACKET_BUDGET:.0e}"
+            )
 
 
 def _pick_formula(formula: str, arrival: DistributionSpec, packet: DistributionSpec) -> str:
@@ -172,33 +201,30 @@ def _pick_formula(formula: str, arrival: DistributionSpec, packet: DistributionS
 
 
 def _linear_cdf_fn(
-    name: str,
-    arrival_spec: DistributionSpec,
-    packet: DistributionSpec,
-    mode: Mode,
+    name: str, moments: AsymptoticMoments, mode: Mode
 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Linear-threshold CDF (u, t) -> p for the chosen formula; t may be the whole grid."""
-    moments = AsymptoticMoments.from_specs(ArrivalProcess(arrival_spec, mode), packet)
+    """Linear-threshold CDF (u, t) -> p for the chosen formula; t may be the whole grid.
+
+    ``parse_config`` has already checked that the formula fits the laws.
+    """
     lam, Xbar, sigmaX = moments.lam, moments.Xbar, float(np.sqrt(moments.sigmaX2))
     if name == "poisson_normal":
-        if not isinstance(arrival_spec, Exponential):
-            raise ConfigError("poisson_normal needs exponential inter-arrival times")
         return lambda u, t: poisson_cdf_normal(u, t, lam, Xbar, sigmaX, mode=mode)
     if name == "poisson_exact":
-        if not isinstance(arrival_spec, Exponential) or not isinstance(packet, Exponential):
-            raise ConfigError("poisson_exact needs exponential arrivals and packets")
         return lambda u, t: poisson_cdf_exp_exact(u, t, lam, Xbar, mode=mode)
-    if name == "clt":
-        return lambda u, t: renewal_cdf_clt(u, t, moments)
-    raise ConfigError(f"unknown formula {name!r}")
+    return lambda u, t: renewal_cdf_clt(u, t, moments)
 
 
 def _slug(spec: DistributionSpec) -> str:
     return re.sub(r"[^a-z0-9.]+", "_", spec.config_str().lower()).strip("_")
 
 
-def _default_grid(arrival: DistributionSpec, packet, mode: Mode, u_eff: float) -> np.ndarray:
-    moments = AsymptoticMoments.from_specs(ArrivalProcess(arrival, mode), packet)
+def _curve_name(u: float, arrival: DistributionSpec, packet: DistributionSpec) -> str:
+    """File name of one curve's CSV."""
+    return f"curve_u{u:g}__{_slug(arrival)}__{_slug(packet)}.csv"
+
+
+def _default_grid(moments: AsymptoticMoments, u_eff: float) -> np.ndarray:
     horizon = 3.0 * renewal_mean_tau(u_eff, moments)
     return np.linspace(0.0, horizon, 201)
 
@@ -223,7 +249,6 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
     with worker_pool(parsed.workers, parsed.replications) as pool:
         for u, arrival, packet in combos:
             formula = _pick_formula(parsed.formula, arrival, packet)
-            linear_cdf = _linear_cdf_fn(formula, arrival, packet, parsed.mode)
             config = ExperimentConfig(
                 arrival=ArrivalProcess(arrival, parsed.mode),
                 packet=packet,
@@ -232,22 +257,18 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
                 replications=parsed.replications,
                 seed=parsed.seed,
             )
+            moments = AsymptoticMoments.from_specs(config.arrival, packet)
             u_prime = parsed.battery.input_for_level(u)
-            grid = (
-                parsed.grid
-                if parsed.grid is not None
-                else _default_grid(arrival, packet, parsed.mode, u_prime)
-            )
+            grid = parsed.grid if parsed.grid is not None else _default_grid(moments, u_prime)
             samples = run(config, workers=parsed.workers, pool=pool)
             summary, emp = summarize(samples, grid)
+            linear_cdf = _linear_cdf_fn(formula, moments, parsed.mode)
             ana_vals = nonlinear_cdf(u, grid, parsed.battery, linear_cdf)
-            ana = CdfCurve(tuple(grid), tuple(np.clip(np.maximum.accumulate(ana_vals), 0, 1)), formula)
+            ana = CdfCurve(grid, np.clip(np.maximum.accumulate(ana_vals), 0, 1), formula)
             ks = ks_distance(emp, ana)
             band = dkw_band(parsed.replications, 0.01)
-            moments = AsymptoticMoments.from_specs(config.arrival, packet)
-            name = f"curve_u{u:g}__{_slug(arrival)}__{_slug(packet)}.csv"
-            path = out_dir / name
-            _write_csv(path, np.asarray(grid), emp.values, ana.values)
+            name = _curve_name(u, arrival, packet)
+            _write_csv(out_dir / name, grid, emp.values, ana.values)
             tol = parsed.ks_tolerance
             curve_breach = tol is not None and ks > tol
             breached = breached or curve_breach
@@ -292,13 +313,10 @@ def compare_formulas(parsed: ParsedConfig) -> dict:
         raise ConfigError("compare needs a single exponential packets law")
     lam = parsed.arrivals[0].rate
     Xbar = parsed.packets[0].mean
+    moments = AsymptoticMoments.from_specs(ArrivalProcess(parsed.arrivals[0], parsed.mode), parsed.packets[0])
     rows = []
     for u in parsed.thresholds:
-        grid = (
-            parsed.grid
-            if parsed.grid is not None
-            else _default_grid(parsed.arrivals[0], parsed.packets[0], parsed.mode, u)
-        )
+        grid = parsed.grid if parsed.grid is not None else _default_grid(moments, u)
         approx = poisson_cdf_normal(u, grid, lam, Xbar, Xbar, mode=parsed.mode)
         exact = poisson_cdf_exp_exact(u, grid, lam, Xbar, mode=parsed.mode)
         rows.append({"u": u, "max_abs_gap": float(np.max(np.abs(approx - exact)))})

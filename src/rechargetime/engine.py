@@ -2,15 +2,16 @@
 
 Each replication replays an arrival stream against a battery model and
 records the first epoch at which the stored energy strictly exceeds the
-threshold. One kernel advances a chunk of ``CHUNK`` replications as arrays.
-Chunk c draws from its own stream, child c of SeedSequence(seed): the
-residual first wait of every row, then [CHUNK, 64] blocks of inter-arrivals
-and packets, drawn whole until every row has crossed. A replication's draws
-thus depend only on the seed, its chunk and the block index, not on the
-threshold, the battery, the worker count or the number of replications. So
-results are bitwise reproducible for a given seed across worker counts,
-configs that share a seed see common random numbers, and a longer run starts
-with the taus of a shorter one.
+threshold. ``run`` is the one entry point, and one kernel serves it: it
+advances a chunk of ``CHUNK`` replications as arrays. A single replication is
+a run of one. Chunk c draws from its own stream, child c of SeedSequence(seed):
+the residual first wait of every row, then [CHUNK, 64] blocks of
+inter-arrivals and packets, drawn whole until every row has crossed. A
+replication's draws thus depend only on the seed, its chunk and the block
+index, not on the threshold, the battery, the worker count or the number of
+replications. So results are bitwise reproducible for a given seed across
+worker counts, configs that share a seed see common random numbers, and a
+longer run starts with the taus of a shorter one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "PassageSamples",
     "SummaryStats",
     "UnreachableThresholdError",
-    "simulate_once",
     "pool_size",
     "worker_pool",
     "run",
@@ -168,18 +168,6 @@ def _simulate_chunk(config: ExperimentConfig, rng: np.random.Generator, rows: in
     raise UnreachableThresholdError(
         f"no crossing after {_MAX_PACKETS} packets for config: {config.fingerprint()}"
     )
-
-
-def simulate_once(config: ExperimentConfig, rng: np.random.Generator) -> float:
-    """One replication: first arrival epoch at which stored energy exceeds u.
-
-    The stored energy is a pure jump process, so the passage time always
-    coincides with an arrival epoch. This is the chunk kernel on a chunk of
-    one, so its draws follow the same fixed schedule (residual wait, then
-    alternating blocks of 64 inter-arrivals and 64 packets), and two configs
-    sharing a stream see identical underlying draws.
-    """
-    return float(_simulate_chunk(config, rng, 1, 1)[0])
 
 
 def _n_chunks(replications: int) -> int:

@@ -3,7 +3,9 @@
 An arrival stream is a residual first wait followed by i.i.d. inter-arrivals.
 In equilibrium mode the first wait follows the residual density
 (1 - F_A(t)) / mu_A, modeling observation long after the process started;
-in pure mode an arrival sits at the origin.
+in pure mode an arrival sits at the origin. ``ArrivalProcess`` names the law
+and draws the first wait; the engine draws the inter-arrivals in blocks and
+sums them into epochs.
 
 The equilibrium first wait is sampled exactly, with no numerical inversion:
 it equals V * A_hat, where V ~ U(0, 1) is independent of A_hat and A_hat
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -71,11 +73,3 @@ class ArrivalProcess:
         if isinstance(d, Exponential):
             return d.sample(rng, size)
         return d.length_biased_sample(rng, size) * rng.random(size)
-
-    def arrival_stream(self, rng: np.random.Generator) -> Iterator[float]:
-        """Lazy strictly increasing epochs t1 < t2 < ...; t1 is the first wait."""
-        t = float(self.residual_sample(rng)) if self.mode is Mode.EQUILIBRIUM else 0.0
-        yield t
-        while True:
-            t += float(self.interarrival.sample(rng))
-            yield t

@@ -1,45 +1,43 @@
-"""Empirical CDFs and simulation-vs-theory comparison metrics."""
+"""Empirical CDFs and simulation-vs-theory comparison metrics.
+
+A curve holds read-only float arrays. KS compares two curves point by point,
+so both must be evaluated on one shared grid.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 __all__ = ["CdfCurve", "ecdf", "ks_distance", "dkw_band"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CdfCurve:
     """A CDF evaluated on an ordered time grid.
 
-    kind is "empirical(n)" for an ECDF over n samples, or the name of the
-    analytic formula that produced the values.
+    grid and values are read-only float arrays copied from the input. kind is
+    "empirical(n)" for an ECDF over n samples, or the name of the analytic
+    formula that produced the values.
     """
 
-    grid: Tuple[float, ...]
-    values: Tuple[float, ...]
+    grid: np.ndarray
+    values: np.ndarray
     kind: str
 
     def __post_init__(self):
-        g = np.asarray(self.grid)
-        v = np.asarray(self.values)
+        g = np.array(self.grid, dtype=float)
+        v = np.array(self.values, dtype=float)
         if g.shape != v.shape:
             raise ValueError("grid and values must have equal length")
         if np.any(np.diff(g) <= 0):
             raise ValueError("grid must be strictly increasing")
         if np.any(v < 0) or np.any(v > 1) or np.any(np.diff(v) < -1e-12):
             raise ValueError("values must be a CDF: in [0,1] and non-decreasing")
-
-    def resample(self, grid) -> "CdfCurve":
-        """Step-function (right-continuous) evaluation on a new grid."""
-        grid = np.asarray(grid, dtype=float)
-        old = np.asarray(self.grid)
-        vals = np.asarray(self.values)
-        idx = np.searchsorted(old, grid, side="right") - 1
-        out = np.where(idx >= 0, vals[np.clip(idx, 0, len(vals) - 1)], 0.0)
-        return CdfCurve(tuple(grid), tuple(out), self.kind)
+        for name, arr in (("grid", g), ("values", v)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def ecdf(samples, grid) -> CdfCurve:
@@ -47,25 +45,15 @@ def ecdf(samples, grid) -> CdfCurve:
     samples = np.sort(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("need at least one sample")
-    grid = np.asarray(grid, dtype=float)
-    counts = np.searchsorted(samples, grid, side="right")
-    return CdfCurve(tuple(grid), tuple(counts / samples.size), f"empirical({samples.size})")
+    counts = np.searchsorted(samples, np.asarray(grid, dtype=float), side="right")
+    return CdfCurve(grid, counts / samples.size, f"empirical({samples.size})")
 
 
 def ks_distance(a: CdfCurve, b: CdfCurve) -> float:
-    """Sup over the common grid of |a - b| (step-resampled when grids differ)."""
-    ga, gb = np.asarray(a.grid), np.asarray(b.grid)
-    if ga.shape == gb.shape and np.array_equal(ga, gb):
-        grid = ga
-    else:
-        lo, hi = max(ga[0], gb[0]), min(ga[-1], gb[-1])
-        if lo > hi:
-            raise ValueError("curves have disjoint grids")
-        grid = np.union1d(ga, gb)
-        grid = grid[(grid >= lo) & (grid <= hi)]
-    va = np.asarray(a.resample(grid).values)
-    vb = np.asarray(b.resample(grid).values)
-    return float(np.max(np.abs(va - vb)))
+    """Max over the shared grid of |a - b|; curves on different grids raise ValueError."""
+    if not np.array_equal(a.grid, b.grid):
+        raise ValueError("curves must share one grid")
+    return float(np.max(np.abs(a.values - b.values)))
 
 
 def dkw_band(n: int, alpha: float) -> float:

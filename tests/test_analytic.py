@@ -21,7 +21,7 @@ from rechargetime.analytic import (
     renewal_var_tau,
 )
 from rechargetime.battery import LinearBattery, NonLinearBattery
-from rechargetime.distributions import Deterministic, Exponential, Gamma, Uniform
+from rechargetime.distributions import Deterministic, Exponential, Gamma, InverseGaussian, Uniform
 from rechargetime.renewal import ArrivalProcess, Mode
 from rechargetime.stats import dkw_band
 
@@ -266,6 +266,21 @@ class TestPerPacketCdf:
             for t in (0.5, 1.0, 3.0):
                 val = per_packet_cdf(2.5, t, arrival, pkt, bat)
                 assert val == pytest.approx(float(special.gammainc(shape, 2.0 * t)), abs=1e-12)
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_poisson_arrivals_match_erlang_epoch_sum(self, mode):
+        # oracle: sum_n P(N = n) P(n-th arrival epoch <= t), an Erlang law of
+        # shape n in equilibrium and n - 1 in pure mode (a sum of no waits is 0)
+        arrival = ArrivalProcess(Exponential(1.0), mode)
+        grid = np.linspace(0.0, 60.0, 601)
+        laws = [Uniform(0.0, 1.0), Deterministic(3.0), InverseGaussian(1.0, 2.0), Gamma(1.0, 2.0), Exponential(1.0)]
+        for packet in laws:
+            pmf = packet_count_pmf(20.0, packet, self.NL)
+            shape = np.arange(1, pmf.size + 1) - (mode is Mode.PURE)
+            erlang = special.gammainc(np.maximum(shape, 1), grid[:, None])
+            oracle = np.where(shape == 0, 1.0, erlang) @ pmf
+            got = [per_packet_cdf(20.0, t, arrival, packet, self.NL) for t in grid]
+            np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
 
     def test_pure_deterministic_arrivals_give_a_step(self):
         # 11 packets, the first at the origin, then 10 gaps of 2

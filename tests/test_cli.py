@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rechargetime.analytic import AsymptoticMoments
 from rechargetime.battery import LinearBattery, NonLinearBattery
 from rechargetime.cli import (
     ConfigError,
@@ -88,6 +89,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config("u = 20\nseed = -1")
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "1.5"])
+    def test_bad_ks_tolerance_rejected(self, tol):
+        with pytest.raises(ConfigError, match="ks_tolerance"):
+            parse_config(f"u = 20\nks_tolerance = {tol}")
+
+    @pytest.mark.parametrize(
+        "lines",
+        ["u = 20, 20", "u = 20\npackets = exp rate=1; exponential rate=1"],
+        ids=["threshold", "packet-law"],
+    )
+    def test_curves_sharing_a_csv_name_rejected(self, lines):
+        with pytest.raises(ConfigError, match="curve_u20__exponential_rate_1__exponential_rate_1.csv"):
+            parse_config(lines)
+
+    def test_run_past_the_packet_budget_rejected(self):
+        # 2000 replications of about 4e7 packets each
+        with pytest.raises(ConfigError, match=r"u = 20 with packet mean 5e-07 .* budget of 1e\+09"):
+            parse_config("u = 20\npackets = uniform lo=0 hi=1e-6")
+
+    def test_packet_budget_counts_battery_efficiency(self):
+        # 2.0e4 packets a replication on a linear battery (8.0e8 in all), and
+        # 2.9e4 on this one (1.2e9), whose efficiency starts at eta(0) = 0.17
+        text = "packets = deterministic value=1e-3\nu = 20\nreplications = 40000\n"
+        parse_config(text + "battery = linear umax=25")
+        with pytest.raises(ConfigError, match="budget"):
+            parse_config(text + "battery = nonlinear umax=25 beta=1.1")
+
 
 class TestRunExperiment:
     def test_writes_csvs_and_manifest(self, tmp_path):
@@ -129,6 +157,15 @@ class TestRunExperiment:
         run_experiment(parse_config(text), tmp_path / "w1")
         for curve in sorted((tmp_path / "w1").glob("*.csv")):
             assert (tmp_path / "w2" / curve.name).read_bytes() == curve.read_bytes()
+
+    def test_one_moments_object_per_curve(self, tmp_path, monkeypatch):
+        # the formula, the default grid and the manifest share one
+        calls = []
+        build = AsymptoticMoments.from_specs
+        monkeypatch.setattr(AsymptoticMoments, "from_specs", lambda *specs: calls.append(specs) or build(*specs))
+        text = "arrivals = gamma shape=2 scale=0.5\npackets = exponential rate=1; deterministic value=3\nu = 20\nreplications = 100"
+        run_experiment(parse_config(text), tmp_path)
+        assert len(calls) == 2
 
     def test_tolerance_breach_flag(self, tmp_path):
         p = parse_config(PANEL_A_LINEAR + "ks_tolerance = 1e-9")
@@ -213,6 +250,29 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out), "--seed", "-1"]) == 1
         assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines",
+        ["formula = poisson_exact", "formula = poisson_normal\narrivals = gamma shape=2 scale=0.5"],
+        ids=["exact", "normal"],
+    )
+    def test_formula_outside_its_laws_fails_before_writing(self, tmp_path, capsys, lines):
+        # the panel's packets are deterministic
+        cfg = tmp_path / "formula.cfg"
+        cfg.write_text(PANEL_A_LINEAR.replace("arrivals = exponential rate=1\n", "") + lines)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert "needs exponential" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replication_override_past_the_packet_budget_rejected(self, tmp_path, capsys):
+        # 4e5 packets a replication: 8e8 in all at 2000 replications, 4e9 at 10 000
+        cfg = tmp_path / "fine.cfg"
+        cfg.write_text("packets = uniform lo=0 hi=1e-4\nu = 20\nreplications = 2000")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--replications", "10000"]) == 1
+        assert "budget" in capsys.readouterr().err
         assert not out.exists()
 
     def test_compare_command(self, tmp_path, capsys):

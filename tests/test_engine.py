@@ -12,7 +12,6 @@ from rechargetime.engine import (
     ExperimentConfig,
     pool_size,
     run,
-    simulate_once,
     summarize,
 )
 from rechargetime.renewal import ArrivalProcess, Mode
@@ -31,16 +30,17 @@ def cfg(**kw):
     return ExperimentConfig(**base)
 
 
-class TestSimulateOnce:
+class TestPassageTime:
     def test_pure_deterministic_hand_enumeration(self):
         # packets of 3 at epochs 0,1,2,...: cumulative exceeds 20 with the
         # 7th packet (21 > 20), which lands at epoch 6
-        c = cfg(
-            arrival=ArrivalProcess(Deterministic(1.0), Mode.PURE),
-            packet=Deterministic(3.0),
-        )
         for seed in range(5):
-            assert simulate_once(c, np.random.default_rng(seed)) == 6.0
+            c = cfg(
+                arrival=ArrivalProcess(Deterministic(1.0), Mode.PURE),
+                packet=Deterministic(3.0),
+                seed=seed,
+            )
+            assert np.all(run(c).taus == 6.0)
 
     def test_equilibrium_deterministic_shifts_by_residual(self):
         c = cfg(arrival=ArrivalProcess(Deterministic(1.0)), packet=Deterministic(3.0))
@@ -49,29 +49,24 @@ class TestSimulateOnce:
         assert np.all((taus > 6.0) & (taus < 7.0))
 
     def test_huge_beta_matches_linear(self):
-        lin = cfg(battery=LinearBattery())
-        non = cfg(battery=NonLinearBattery(umax=25.0, beta=1e6))
-        for seed in range(50):
-            t_lin = simulate_once(lin, np.random.default_rng(seed))
-            t_non = simulate_once(non, np.random.default_rng(seed))
-            assert t_non == pytest.approx(t_lin, abs=1e-6)
+        # configs that share a seed see the same draws, replication by replication
+        t_lin = run(cfg(battery=LinearBattery())).taus
+        t_non = run(cfg(battery=NonLinearBattery(umax=25.0, beta=1e6))).taus
+        assert t_non == pytest.approx(t_lin, abs=1e-6)
 
     def test_tau_is_an_arrival_epoch(self):
-        import itertools
-
-        c = cfg(arrival=ArrivalProcess(Gamma(1.5, 2.0)), packet=Uniform(0.0, 1.0), threshold=5.0)
-        for seed in range(30):
-            tau = simulate_once(c, np.random.default_rng(seed))
-            # replay the identical draw schedule to recover the epochs
-            rng = np.random.default_rng(seed)
-            t = float(c.arrival.residual_sample(rng))
-            epochs = [t]
-            while epochs[-1] < tau + 1e-9 and len(epochs) < 10000:
-                gaps = c.arrival.interarrival.sample(rng, 64)
-                c.packet.sample(rng, 64)  # consume the packet block
-                for g in gaps:
-                    epochs.append(epochs[-1] + float(g))
-            assert any(abs(tau - e) < 1e-9 for e in epochs)
+        c = cfg(arrival=ArrivalProcess(Gamma(1.5, 2.0)), packet=Uniform(0.0, 1.0), threshold=5.0, replications=CHUNK)
+        taus = run(c).taus
+        # replay chunk 0's draw schedule to recover every row's epochs: the
+        # residual waits of the chunk, then [CHUNK, 64] blocks of inter-arrivals
+        # and packets
+        rng = np.random.default_rng(np.random.SeedSequence(c.seed).spawn(1)[0])
+        epochs = c.arrival.residual_sample(rng, CHUNK)[:, None]
+        while np.any(epochs[:, -1] < taus):
+            gaps = c.arrival.interarrival.sample(rng, (CHUNK, 64))
+            c.packet.sample(rng, (CHUNK, 64))  # consume the packet block
+            epochs = np.hstack([epochs, epochs[:, -1:] + np.cumsum(gaps, axis=1)])
+        assert np.all(np.abs(epochs - taus[:, None]).min(axis=1) < 1e-9)
 
 
 class TestRun:
@@ -182,20 +177,14 @@ class TestWorkerPool:
 
 class TestPathwiseProperties:
     def test_monotone_in_threshold(self):
-        c1 = cfg(threshold=5.0)
-        c2 = cfg(threshold=15.0)
-        for seed in range(500):
-            t1 = simulate_once(c1, np.random.default_rng(seed))
-            t2 = simulate_once(c2, np.random.default_rng(seed))
-            assert t1 <= t2
+        t1 = run(cfg(threshold=5.0)).taus
+        t2 = run(cfg(threshold=15.0)).taus
+        assert np.all(t1 <= t2)
 
     def test_nonlinear_dominates_linear(self):
-        lin = cfg()
-        non = cfg(battery=NonLinearBattery(umax=25.0, beta=1.1))
-        for seed in range(500):
-            assert simulate_once(non, np.random.default_rng(seed)) >= simulate_once(
-                lin, np.random.default_rng(seed)
-            )
+        lin = run(cfg()).taus
+        non = run(cfg(battery=NonLinearBattery(umax=25.0, beta=1.1))).taus
+        assert np.all(non >= lin)
 
     @pytest.mark.parametrize(
         "law,scaled",
@@ -210,12 +199,9 @@ class TestPathwiseProperties:
     )
     def test_scale_equivariance(self, law, scaled):
         # doubling all inter-arrival times doubles every passage time
-        base = cfg(arrival=ArrivalProcess(law), packet=Uniform(0.0, 1.0), threshold=8.0)
-        double = cfg(arrival=ArrivalProcess(scaled), packet=Uniform(0.0, 1.0), threshold=8.0)
-        for seed in range(100):
-            t1 = simulate_once(base, np.random.default_rng(seed))
-            t2 = simulate_once(double, np.random.default_rng(seed))
-            assert t2 == pytest.approx(2.0 * t1, rel=1e-9, abs=1e-9)
+        t1 = run(cfg(arrival=ArrivalProcess(law), packet=Uniform(0.0, 1.0), threshold=8.0)).taus
+        t2 = run(cfg(arrival=ArrivalProcess(scaled), packet=Uniform(0.0, 1.0), threshold=8.0)).taus
+        assert t2 == pytest.approx(2.0 * t1, rel=1e-9, abs=1e-9)
 
 
 class TestSummarize:
@@ -226,7 +212,7 @@ class TestSummarize:
         stats, curve = summarize(s, [0.5, 2.0, 5.0])
         assert stats.mean == 2.0
         assert stats.variance == 1.0
-        assert curve.values == (0.0, pytest.approx(2 / 3), 1.0)
+        assert tuple(curve.values) == (0.0, pytest.approx(2 / 3), 1.0)
 
     def test_variance_matches_asymptotic(self):
         s = run(cfg(replications=20000, seed=5))

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -19,6 +17,13 @@ from rechargetime.stats import CdfCurve, dkw_band, ecdf, ks_distance
 def residual_cdf_quadrature(spec, t):
     """Independent oracle: integrate (1 - F_A)/mu_A numerically."""
     return quad(lambda s: (1.0 - spec.cdf(s)) / spec.mean, 0.0, t, limit=300)[0]
+
+
+def arrival_epochs(proc, rng, rows, n):
+    """[rows, n] epochs drawn as arrays: the first wait plus a cumulative sum of inter-arrivals."""
+    first = proc.residual_sample(rng, rows)
+    gaps = proc.interarrival.sample(rng, (rows, n - 1))
+    return first[:, None] + np.hstack([np.zeros((rows, 1)), np.cumsum(gaps, axis=1)])
 
 
 class TestResidualMoments:
@@ -110,8 +115,8 @@ class TestResidualSampling:
         ids=lambda s: s.config_str(),
     )
     def test_scalar_draw_is_first_array_draw(self, spec):
-        # arrival_stream draws one scalar; the engine and the DKW checks above
-        # draw arrays, so both paths must consume the stream the same way
+        # the DKW checks above cover array draws only; a scalar draw must be
+        # the first value of an array draw, so both read the stream the same way
         proc = ArrivalProcess(spec)
         for seed in range(5):
             one = proc.residual_sample(np.random.default_rng(seed))
@@ -120,23 +125,23 @@ class TestResidualSampling:
 
 
 class TestArrivalStream:
+    """The law of the epochs, drawn as arrays as the engine draws them."""
+
     def test_pure_deterministic(self):
         proc = ArrivalProcess(Deterministic(1.0), Mode.PURE)
-        epochs = list(itertools.islice(proc.arrival_stream(np.random.default_rng(0)), 5))
-        assert epochs == [0.0, 1.0, 2.0, 3.0, 4.0]
+        epochs = arrival_epochs(proc, np.random.default_rng(0), 1, 5)
+        assert epochs.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0]]
 
     def test_equilibrium_deterministic(self):
         proc = ArrivalProcess(Deterministic(1.0))
-        for seed in range(20):
-            s = proc.arrival_stream(np.random.default_rng(seed))
-            e = list(itertools.islice(s, 4))
-            a0 = e[0]
-            assert 0.0 <= a0 < 1.0
-            assert e == pytest.approx([a0, a0 + 1, a0 + 2, a0 + 3])
+        e = arrival_epochs(proc, np.random.default_rng(0), 20, 4)
+        a0 = e[:, :1]
+        assert np.all((0.0 <= a0) & (a0 < 1.0))
+        assert e == pytest.approx(a0 + [0, 1, 2, 3])
 
     def test_strictly_increasing(self):
         proc = ArrivalProcess(Gamma(0.5, 2.0))
-        e = np.array(list(itertools.islice(proc.arrival_stream(np.random.default_rng(5)), 200)))
+        e = arrival_epochs(proc, np.random.default_rng(5), 1, 200)
         assert np.all(np.diff(e) > 0)
 
     def test_poisson_counts_chi_square(self):
@@ -144,15 +149,9 @@ class TestArrivalStream:
         proc = ArrivalProcess(Exponential(1.0))
         t_win = 3.0
         n_windows = 10**5
-        rng = np.random.default_rng(6)
-        counts = np.empty(n_windows, dtype=int)
-        for i in range(n_windows):
-            k = 0
-            for epoch in proc.arrival_stream(rng):
-                if epoch > t_win:
-                    break
-                k += 1
-            counts[i] = k
+        epochs = arrival_epochs(proc, np.random.default_rng(6), n_windows, 32)
+        assert np.all(epochs[:, -1] > t_win)
+        counts = (epochs <= t_win).sum(axis=1)
         kmax = counts.max()
         observed = np.bincount(counts, minlength=kmax + 1).astype(float)
         expected = stats.poisson.pmf(np.arange(kmax + 1), t_win) * n_windows
@@ -170,14 +169,11 @@ class TestArrivalStream:
         spec = Gamma(1.5, 2.0)
         proc = ArrivalProcess(spec)
         t0 = 25.0
-        rng = np.random.default_rng(7)
         n = 4000
-        waits = np.empty(n)
-        for i in range(n):
-            for epoch in proc.arrival_stream(rng):
-                if epoch > t0:
-                    waits[i] = epoch - t0
-                    break
+        epochs = arrival_epochs(proc, np.random.default_rng(7), n, 64)
+        past = epochs > t0
+        assert past[:, -1].all()
+        waits = epochs[np.arange(n), past.argmax(axis=1)] - t0
         grid = np.linspace(1e-6, waits.max() * 1.01, 150)
         emp = np.asarray(ecdf(waits, grid).values)
         oracle = np.array([residual_cdf_quadrature(spec, t) for t in grid])

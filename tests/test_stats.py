@@ -8,11 +8,11 @@ from rechargetime.stats import CdfCurve, dkw_band, ecdf, ks_distance
 class TestEcdf:
     def test_small_sample_values(self):
         c = ecdf([1.0, 2.0, 3.0], [0.5, 2.0, 2.5, 3.0, 4.0])
-        assert c.values == (0.0, pytest.approx(2 / 3), pytest.approx(2 / 3), 1.0, 1.0)
+        assert tuple(c.values) == (0.0, pytest.approx(2 / 3), pytest.approx(2 / 3), 1.0, 1.0)
 
     def test_bounds(self):
         c = ecdf([5.0, 6.0], [1.0, 7.0])
-        assert c.values == (0.0, 1.0)
+        assert tuple(c.values) == (0.0, 1.0)
 
     def test_exponential_samples_within_dkw(self):
         rng = np.random.default_rng(0)
@@ -58,10 +58,16 @@ class TestKsDistance:
                 for c in curves:
                     assert ks_distance(a, c) <= ks_distance(a, b) + ks_distance(b, c) + 1e-12
 
-    def test_mixed_grid_resampling(self):
+    @pytest.mark.parametrize(
+        "other",
+        [np.linspace(0.6, 3.4, 11), np.linspace(0.5, 3.5, 8)[:7], np.linspace(0.5, 3.5, 7)[:6]],
+        ids=["overlapping", "same-size", "prefix"],
+    )
+    def test_unequal_grids_rejected(self, other):
         a = ecdf([1.0, 2.0, 3.0], np.linspace(0.5, 3.5, 7))
-        b = ecdf([1.0, 2.0, 3.0], np.linspace(0.6, 3.4, 11))
-        assert ks_distance(a, b) <= 1 / 3 + 1e-12
+        b = ecdf([1.0, 2.0, 3.0], other)
+        with pytest.raises(ValueError, match="one grid"):
+            ks_distance(a, b)
 
 
 class TestDkwBand:
@@ -95,6 +101,17 @@ def test_dkw_empirical_pass_rate():
         for _ in range(100)
     )
     assert passes >= 98
+
+
+def test_cdf_curve_holds_read_only_copies():
+    grid, values = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 1.0])
+    c = CdfCurve(grid, values, "c")
+    grid[1], values[1] = 1.5, 0.25
+    np.testing.assert_array_equal(c.grid, [0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(c.values, [0.0, 0.5, 1.0])
+    assert c.grid.dtype == c.values.dtype == np.float64
+    with pytest.raises(ValueError):
+        c.values[0] = 0.1
 
 
 def test_cdf_curve_validation():
