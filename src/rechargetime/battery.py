@@ -34,8 +34,9 @@ def _check_state(U, cap: float) -> np.ndarray:
 
 
 def _check_packets(x) -> np.ndarray:
+    """x as an array, or ValueError if any packet is negative or NaN."""
     x = np.asarray(x, dtype=float)
-    if (x < 0).any():
+    if not (x >= 0).all():
         raise ValueError("packet energy must be >= 0")
     return x
 
@@ -107,7 +108,13 @@ class NonLinearBattery:
     def efficiency(self, U):
         """eta(U) for a scalar or an array of states in [0, umax]."""
         U = _check_state(U, self.umax)
-        return (1.0 - ((U - self.a) / self.b) ** 2)[()]
+        return self._eta(U, np.empty_like(U))[()]
+
+    def _eta(self, U, out):
+        np.subtract(U, self.a, out=out)
+        out /= self.b
+        np.square(out, out=out)
+        return np.subtract(1.0, out, out=out)
 
     def stored_from_input(self, x_total: float) -> float:
         if x_total < 0:
@@ -121,9 +128,21 @@ class NonLinearBattery:
             raise ValueError(f"level {u} outside (0, {self.umax}]")
         return self.input_offset + self.b * math.atanh((u - self.a) / self.b)
 
+    def check_step(self, U, x_packet):
+        """U and x_packet as arrays; ValueError for a state outside [0, umax] or a bad packet."""
+        return _check_state(U, self.umax), _check_packets(x_packet)
+
     def step_update(self, U, x_packet):
         """Per-packet rule U <- min(U + eta(U) X, umax), elementwise over arrays."""
-        return np.minimum(U + self.efficiency(U) * _check_packets(x_packet), self.umax)[()]
+        U, x = self.check_step(U, x_packet)
+        return self.advance(U, x, np.empty(np.broadcast_shapes(U.shape, x.shape)))[()]
+
+    def advance(self, U, x, out):
+        """``step_update`` of checked arrays, written into ``out`` (neither U nor x)."""
+        self._eta(U, out)
+        out *= x
+        out += U
+        return np.minimum(out, self.umax, out=out)
 
     def config_str(self) -> str:
         return f"nonlinear umax={self.umax:g} beta={self.beta:g}"

@@ -14,8 +14,11 @@ Semicolons in ``arrivals`` / ``packets`` list several laws; the runner emits
 one curve (CSV of t, ecdf, analytic_cdf) per combination plus a JSON
 manifest with KS distances and moment summaries. Each analytic curve is one
 call of its formula on the whole grid. The Poisson series have no truncation
-setting: they stop where the packet-sum CDF falls below 1e-12. Exit codes:
-0 ok, 1 validation error, 2 KS tolerance breach, 3 I/O error.
+setting: they stop where the packet-sum CDF falls below 1e-12. ``workers`` is
+an upper bound: an experiment that needs fewer than ``_POOL_BREAK_EVEN``
+expected packets in all runs in this process, where a pool would cost more
+than it saves. Exit codes: 0 ok, 1 validation error, 2 KS tolerance breach,
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ _KNOWN_KEYS = {
 _FORMULAS = {"auto", "poisson_normal", "poisson_exact", "clt"}
 # Expected packets, summed over its replications, that one curve may draw.
 _PACKET_BUDGET = 10**9
+# Expected packets, summed over all curves, below which an experiment runs in
+# one process. Timed on 2 vCPUs, a pool of two broke even near 2e6 packets
+# under the linear rule and near 5e5 under the per-packet rule, whose packets
+# cost about 4x more; 1e6 bounds the wall time lost either way to about 1.3x.
+_POOL_BREAK_EVEN = 10**6
 
 
 class ConfigError(ValueError):
@@ -88,6 +96,15 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.arange(start, stop + 0.5 * step, step)
 
 
+def _number(key: str, text: str, kind: type):
+    """``kind(text)``, or a ConfigError that names the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {what}, got {text.strip()!r}") from None
+
+
 def parse_config(text: str) -> ParsedConfig:
     """Parse and validate a config file's text."""
     values = {}
@@ -111,19 +128,17 @@ def parse_config(text: str) -> ParsedConfig:
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from None
 
+    arrivals = _specs("arrivals", "exponential rate=1")
+    packets = _specs("packets", "exponential rate=1")
     try:
-        arrivals = _specs("arrivals", "exponential rate=1")
-        packets = _specs("packets", "exponential rate=1")
         battery = parse_battery(values.get("battery", "linear"))
-        thresholds = [float(s) for s in values.get("u", "20").split(",")]
-        replications = int(values.get("replications", "2000"))
-        seed = int(values.get("seed", "0"))
-        workers = int(values.get("workers", "1"))
-        ks_tol = float(values["ks_tolerance"]) if "ks_tolerance" in values else None
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"battery: {exc}") from None
+    thresholds = [_number("u", s, float) for s in values.get("u", "20").split(",")]
+    replications = _number("replications", values.get("replications", "2000"), int)
+    seed = _number("seed", values.get("seed", "0"), int)
+    workers = _number("workers", values.get("workers", "1"), int)
+    ks_tol = _number("ks_tolerance", values["ks_tolerance"], float) if "ks_tolerance" in values else None
     grid = _parse_grid(values["grid"]) if "grid" in values else None
     mode_txt = values.get("mode", "equilibrium").lower()
     try:
@@ -167,14 +182,23 @@ def parse_config(text: str) -> ParsedConfig:
     return parsed
 
 
+def _expected_packets(parsed: ParsedConfig, u: float, packet: DistributionSpec) -> float:
+    """Estimated packets that one curve's replications draw in all.
+
+    A replication needs about 1 + x(u) / Xbar packets, with x(u) =
+    ``battery.input_for_level(u)`` the raw input that lifts an empty battery
+    to u under the continuous rule (u itself for a linear battery). That is
+    Wald's identity with the overshoot left out. It is an estimate, not a
+    bound; on small packets it matches the per-packet rule to 1e-4.
+    """
+    return parsed.replications * (1.0 + parsed.battery.input_for_level(u) / packet.mean)
+
+
 def _check_counts(parsed: ParsedConfig) -> None:
     """Reject counts, seeds and work no run can use; ``main`` checks its overrides here too.
 
-    Each packet lifts the level by at least eta_min X, with eta_min the lower
-    of eta(0) and eta(u) (eta is concave), so by Wald's identity, overshoot
-    aside, a replication needs at most 1 + u / (eta_min Xbar) packets on
-    average. A curve whose replications need more than ``_PACKET_BUDGET`` in
-    all is refused before anything runs.
+    A curve whose replications need more than ``_PACKET_BUDGET`` expected
+    packets in all is refused before anything runs.
     """
     if parsed.replications < 1:
         raise ConfigError("replications must be >= 1")
@@ -183,8 +207,7 @@ def _check_counts(parsed: ParsedConfig) -> None:
     if parsed.workers < 1:
         raise ConfigError("workers must be >= 1")
     for u, packet in itertools.product(parsed.thresholds, parsed.packets):
-        eta_min = float(np.min(parsed.battery.efficiency(np.array([0.0, u]))))
-        work = parsed.replications * (1.0 + u / (eta_min * packet.mean))
+        work = _expected_packets(parsed, u, packet)
         if work > _PACKET_BUDGET:
             raise ConfigError(
                 f"u = {u:g} with packet mean {packet.mean:g} needs about {work:.2g} packets over "
@@ -230,23 +253,26 @@ def _default_grid(moments: AsymptoticMoments, u_eff: float) -> np.ndarray:
 
 
 def _write_csv(path: Path, grid: np.ndarray, emp: Sequence[float], ana: Sequence[float]) -> None:
-    with path.open("w", newline="") as fh:
-        fh.write("t,ecdf,analytic_cdf\n")
-        for t, e, a in zip(grid, emp, ana):
-            fh.write(f"{t:.17g},{e:.17g},{a:.17g}\n")
+    columns = (np.asarray(c, dtype=float).tolist() for c in (grid, emp, ana))
+    rows = map("{:.17g},{:.17g},{:.17g}\n".format, *columns)
+    path.write_text("t,ecdf,analytic_cdf\n" + "".join(rows), newline="")
 
 
 def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
     """Run every (arrival, packet, threshold) combination; write CSVs + manifest.
 
     Returns the manifest dict; manifest["breached"] is True when any curve's
-    KS distance exceeds the configured tolerance.
+    KS distance exceeds the configured tolerance. Below ``_POOL_BREAK_EVEN``
+    expected packets in all, every curve runs in this process whatever
+    ``workers`` says; the output is the same either way.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = []
     breached = False
-    combos = itertools.product(parsed.thresholds, parsed.arrivals, parsed.packets)
-    with worker_pool(parsed.workers, parsed.replications) as pool:
+    combos = list(itertools.product(parsed.thresholds, parsed.arrivals, parsed.packets))
+    work = sum(_expected_packets(parsed, u, packet) for u, _, packet in combos)
+    workers = parsed.workers if work >= _POOL_BREAK_EVEN else 1
+    with worker_pool(workers, parsed.replications) as pool:
         for u, arrival, packet in combos:
             formula = _pick_formula(parsed.formula, arrival, packet)
             config = ExperimentConfig(
@@ -260,7 +286,7 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
             moments = AsymptoticMoments.from_specs(config.arrival, packet)
             u_prime = parsed.battery.input_for_level(u)
             grid = parsed.grid if parsed.grid is not None else _default_grid(moments, u_prime)
-            samples = run(config, workers=parsed.workers, pool=pool)
+            samples = run(config, workers=workers, pool=pool)
             summary, emp = summarize(samples, grid)
             linear_cdf = _linear_cdf_fn(formula, moments, parsed.mode)
             ana_vals = nonlinear_cdf(u, grid, parsed.battery, linear_cdf)

@@ -12,6 +12,12 @@ index, not on the threshold, the battery, the worker count or the number of
 replications. So results are bitwise reproducible for a given seed across
 worker counts, configs that share a seed see common random numbers, and a
 longer run starts with the taus of a shorter one.
+
+Under the per-packet rule the battery checks each block of packets, and the
+levels entering it, once (``check_step``); then every packet column steps
+unchecked and in place (``advance``). ``run`` uses as many processes as its
+``workers`` allow; the CLI passes one worker for experiments too small to
+repay a pool.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .battery import BatteryModel, LinearBattery
+from .battery import BatteryModel, LinearBattery, NonLinearBattery
 from .distributions import DistributionSpec
 from .renewal import ArrivalProcess
 from .stats import CdfCurve, ecdf
@@ -109,18 +115,21 @@ CHUNK = 256
 _BLOCK = 64
 
 
-def _packet_path(step, level: np.ndarray, packets: np.ndarray, u: float) -> np.ndarray:
-    """Levels after each packet of a block, one vector step per packet.
+def _packet_path(battery: NonLinearBattery, level: np.ndarray, packets: np.ndarray, u: float) -> np.ndarray:
+    """Levels after each packet of a block, one in-place vector step per packet.
 
-    The level never falls, so the block stops early, with fewer columns,
-    once every row is above u.
+    The incoming levels and the whole block are checked once, then each column
+    of a contiguous transposed copy steps unchecked. The level never falls, so
+    the block stops early, with fewer columns, once every row is above u.
     """
-    path = np.empty_like(packets)
-    for j in range(packets.shape[1]):
-        level = path[:, j] = step(level, packets[:, j])
-        if (level > u).all():
-            return path[:, : j + 1]
-    return path
+    level, packets = battery.check_step(level, packets)
+    columns = np.ascontiguousarray(packets.T)
+    path = np.empty_like(columns)
+    for j, x in enumerate(columns):
+        level = battery.advance(level, x, path[j])
+        if level.min() > u:
+            return path[: j + 1].T
+    return path.T
 
 
 def _simulate_chunk(config: ExperimentConfig, rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
@@ -133,38 +142,45 @@ def _simulate_chunk(config: ExperimentConfig, rng: np.random.Generator, rows: in
     """
     battery = config.battery
     u = config.threshold
-    if isinstance(battery, LinearBattery):
-        step, cap = None, battery.capacity
-    elif config.nonlinear_rule == CONTINUOUS:
+    linear = isinstance(battery, LinearBattery)
+    per_packet = not linear and config.nonlinear_rule == PER_PACKET
+    if not linear and config.nonlinear_rule == CONTINUOUS:
         # crossing in stored units <=> raw cumulative sum crossing the
         # transformed threshold, which is a linear problem
-        step, cap, u = None, np.inf, battery.input_for_level(u)
-    else:
-        step = battery.step_update
+        u = battery.input_for_level(u)
 
     arr = config.arrival
     t = arr.residual_sample(rng, width)[:rows]  # epoch of each row's next packet
     level = np.zeros(rows)
     taus = np.empty(rows)
     active = np.arange(rows)  # rows not yet crossed; t and level follow them
+    pick = slice(rows)  # the same rows of a drawn block; a view while all are active
     for _ in range(0, _MAX_PACKETS, _BLOCK):
-        gaps = arr.interarrival.sample(rng, (width, _BLOCK))[active]
-        packets = config.packet.sample(rng, (width, _BLOCK))[active]
-        epochs = np.empty_like(gaps)
-        epochs[:, 0] = 0.0
-        np.cumsum(gaps[:, :-1], axis=1, out=epochs[:, 1:])
-        epochs += t[:, None]
-        if step is None:
-            path = np.minimum(level[:, None] + np.cumsum(packets, axis=1), cap)
+        gaps = arr.interarrival.sample(rng, (width, _BLOCK))[pick]
+        packets = config.packet.sample(rng, (width, _BLOCK))[pick]
+        if per_packet:
+            path = _packet_path(battery, level, packets, u)
         else:
-            path = _packet_path(step, level, packets, u)
+            # no capacity clip: u < capacity, so a clip would move no crossing
+            # and leave every row still below u as it is
+            path = np.cumsum(packets, axis=1, out=packets)
+            path += level[:, None]
         over = path > u
         hit = over.any(axis=1)
-        taus[active[hit]] = epochs[hit, over[hit].argmax(axis=1)]
-        left = ~hit
-        if not left.any():
-            return taus
-        active, level, t = active[left], path[left, -1], t[left] + gaps[left].sum(axis=1)
+        if hit.any():
+            crossed = np.flatnonzero(hit)
+            first = over[crossed].argmax(axis=1)
+            since_t = np.zeros((crossed.size, _BLOCK))  # each packet's epoch less t
+            np.cumsum(gaps[crossed, :-1], axis=1, out=since_t[:, 1:])
+            taus[active[crossed]] = since_t[np.arange(crossed.size), first] + t[crossed]
+            left = ~hit
+            if not left.any():
+                return taus
+            active = pick = active[left]
+            level, t, gaps = path[left, -1], t[left], gaps[left]
+        else:
+            level = path[:, -1]
+        t = t + gaps.sum(axis=1)
     raise UnreachableThresholdError(
         f"no crossing after {_MAX_PACKETS} packets for config: {config.fingerprint()}"
     )

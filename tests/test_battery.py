@@ -110,6 +110,18 @@ class TestStepUpdate:
             with pytest.raises(ValueError, match="packet"):
                 bat.step_update(np.zeros(3), np.array([1.0, -1e-9, 2.0]))
 
+    def test_nonlinear_step_is_the_written_rule_bit_for_bit(self):
+        # the engine steps packet columns with the same unchecked update
+        rng = np.random.default_rng(4)
+        levels, packets = rng.uniform(0.0, 25.0, 10_000), rng.exponential(2.0, 10_000)
+        written = np.minimum(levels + (1.0 - ((levels - NL.a) / NL.b) ** 2) * packets, NL.umax)
+        assert NL.step_update(levels, packets).tobytes() == written.tobytes()
+
+    def test_nan_packet_rejected(self):
+        for bat in (NL, LinearBattery()):
+            with pytest.raises(ValueError, match="packet"):
+                bat.step_update(np.zeros(3), np.array([1.0, np.nan, 2.0]))
+
 
 class TestTransformInvariants:
     @pytest.mark.parametrize("umax,beta", [(25.0, 1.1), (10.0, 1.5), (50.0, 2.0)])

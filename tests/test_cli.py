@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from rechargetime.analytic import AsymptoticMoments
+from rechargetime import cli
 from rechargetime.battery import LinearBattery, NonLinearBattery
 from rechargetime.cli import (
     ConfigError,
@@ -108,6 +110,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"u = 20 with packet mean 5e-07 .* budget of 1e\+09"):
             parse_config("u = 20\npackets = uniform lo=0 hi=1e-6")
 
+    @pytest.mark.parametrize(
+        "key, value, bad",
+        [
+            ("replications", "1e3", "1e3"),
+            ("seed", "x", "x"),
+            ("workers", "2.5", "2.5"),
+            ("u", "20, x", "x"),
+            ("ks_tolerance", "abc", "abc"),
+        ],
+    )
+    def test_malformed_number_names_its_key(self, key, value, bad):
+        with pytest.raises(ConfigError, match=rf"^{key}: expected an? (integer|number), got '{bad}'$"):
+            parse_config(f"{key} = {value}")
+
+    def test_packet_budget_takes_the_per_packet_work_not_a_bound(self):
+        # 29 346 packets a replication on this battery at u = 20, 2.9e8 in
+        # all; the old bound 1 + u / (eta_min Xbar) read 1.2e9
+        text = "packets = deterministic value=1e-3\nu = 20\nreplications = 10000\n"
+        parse_config(text + "battery = nonlinear umax=25 beta=1.1")
+
     def test_packet_budget_counts_battery_efficiency(self):
         # 2.0e4 packets a replication on a linear battery (8.0e8 in all), and
         # 2.9e4 on this one (1.2e9), whose efficiency starts at eta(0) = 0.17
@@ -149,14 +171,29 @@ class TestRunExperiment:
         manifest = run_experiment(p, tmp_path)
         assert manifest["curves"][0]["formula"] == "clt"
 
-    def test_one_pool_for_all_curves(self, tmp_path, fake_pools):
-        # two curves of three chunks each
+    def test_one_pool_for_all_curves(self, tmp_path, fake_pools, monkeypatch):
+        # two curves of three chunks each, with the pool's break-even lowered
+        # so that these small curves still use it
+        monkeypatch.setattr(cli, "_POOL_BREAK_EVEN", 0)
         text = "packets = deterministic value=3; exponential rate=1\nu = 20\nreplications = 600\ngrid = 0:0.5:60\n"
         run_experiment(parse_config(text + "workers = 2\n"), tmp_path / "w2")
         assert [(p.max_workers, p.maps) for p in fake_pools] == [(2, 2)]
         run_experiment(parse_config(text), tmp_path / "w1")
         for curve in sorted((tmp_path / "w1").glob("*.csv")):
             assert (tmp_path / "w2" / curve.name).read_bytes() == curve.read_bytes()
+
+    def test_no_pool_below_the_break_even(self, tmp_path, fake_pools):
+        # four curves of three chunks each, 6.9e4 expected packets in all
+        text = (
+            "packets = uniform lo=0 hi=1; deterministic value=3\nbattery = nonlinear umax=25 beta=1.1\n"
+            "u = 10, 20\nreplications = 600\ngrid = 0:0.5:60\nworkers = 2\n"
+        )
+        parsed = parse_config(text)
+        run_experiment(parsed, tmp_path / "w2")
+        assert fake_pools == []
+        run_experiment(dataclasses.replace(parsed, workers=1), tmp_path / "w1")
+        for name in sorted(f.name for f in (tmp_path / "w1").iterdir()):
+            assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
 
     def test_one_moments_object_per_curve(self, tmp_path, monkeypatch):
         # the formula, the default grid and the manifest share one

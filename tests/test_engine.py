@@ -69,6 +69,98 @@ class TestPassageTime:
         assert np.all(np.abs(epochs - taus[:, None]).min(axis=1) < 1e-9)
 
 
+def replay_chunk_0(c):
+    """Taus of chunk 0 of ``run(c)``, replayed one row and one packet at a time.
+
+    The draws follow the kernel's schedule: the residual waits of the chunk,
+    then [CHUNK, 64] blocks of inter-arrivals and packets. Within a block a
+    row's epoch is its carried epoch plus a running sum of its gaps. Its level
+    is stepped by ``step_update`` under the per-packet rule; otherwise it is
+    the carried level plus a running sum of the block's packets, crossing the
+    transformed threshold under the continuous rule. A block's last level and
+    its gap total carry over to the next block.
+    """
+    per_packet = isinstance(c.battery, NonLinearBattery) and c.nonlinear_rule == PER_PACKET
+    u = c.threshold
+    if isinstance(c.battery, NonLinearBattery) and not per_packet:
+        u = c.battery.input_for_level(u)
+    rng = np.random.default_rng(np.random.SeedSequence(c.seed).spawn(1)[0])
+    t = c.arrival.residual_sample(rng, CHUNK)
+    level = np.zeros(CHUNK)
+    taus = np.full(min(c.replications, CHUNK), np.nan)
+    while np.isnan(taus).any():
+        gaps = c.arrival.interarrival.sample(rng, (CHUNK, 64))
+        packets = c.packet.sample(rng, (CHUNK, 64))
+        for r in np.flatnonzero(np.isnan(taus)):
+            epoch, added, U = 0.0, 0.0, level[r]
+            for k in range(64):
+                if per_packet:
+                    U = c.battery.step_update(U, packets[r, k])
+                else:
+                    added += packets[r, k]
+                    U = level[r] + added
+                if U > u:
+                    taus[r] = epoch + t[r]
+                    break
+                epoch += gaps[r, k]
+            level[r] = U
+            t[r] += gaps[r].sum()
+    return taus
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize(
+        "battery, rule, u",
+        [
+            (LinearBattery(), PER_PACKET, 35.0),
+            (NonLinearBattery(umax=25.0, beta=1.1), PER_PACKET, 20.0),
+            (NonLinearBattery(umax=25.0, beta=1.1), CONTINUOUS, 20.0),
+        ],
+        ids=["linear", "per-packet", "continuous"],
+    )
+    def test_taus_equal_a_row_by_row_replay(self, battery, rule, u):
+        # about 71 and 60 packets a row, so some rows cross in the first block
+        # and some in the second, in a chunk cut to 200 of its 256 rows
+        c = cfg(
+            arrival=ArrivalProcess(Gamma(1.5, 2.0)),
+            packet=Uniform(0.0, 1.0),
+            battery=battery,
+            nonlinear_rule=rule,
+            threshold=u,
+            replications=200,
+            seed=9,
+        )
+        taus = run(c).taus
+        assert taus.tobytes() == replay_chunk_0(c).tobytes()
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["negative", "nan"])
+    def test_packet_check_covers_the_whole_block(self, bad):
+        class PoisonedPackets:
+            """Packets of 0.25, with one bad column in the second block."""
+
+            mean = 0.25
+
+            def __init__(self):
+                self.blocks = 0
+
+            def sample(self, rng, size):
+                self.blocks += 1
+                packets = np.full(size, self.mean)
+                if self.blocks == 2:
+                    packets[:, 40] = bad
+                return packets
+
+            def config_str(self):
+                return "poisoned"
+
+        # every row crosses u = 10 with its 75th packet, so the kernel never
+        # steps the bad column, the 105th packet
+        battery = NonLinearBattery(umax=25.0, beta=1.1)
+        c = cfg(packet=PoisonedPackets(), battery=battery, threshold=10.0, replications=CHUNK)
+        with pytest.raises(ValueError, match="packet energy must be >= 0"):
+            run(c)
+
+
 class TestRun:
     def test_reproducible_and_seed_sensitive(self):
         a = run(cfg(seed=42)).taus
