@@ -12,9 +12,11 @@ before the first n with F_n(u) < 1e-12, which bounds the dropped mass by
 series runs over F_{n+1}(u) instead. General inter-arrival laws use
 renewal-theoretic asymptotics plus a CLT approximation (large threshold).
 
-The three linear CDFs accept a scalar t (float result) or an array of t. The
+Every CDF accepts a scalar t (float result) or an array of t >= 0. The
 Poisson series take a block of t at once: one matrix of log weights,
-exponentiated in place and summed against F row by row.
+exponentiated in place and summed against F row by row. The CLT curves share
+one normal epoch mixture: a [t, n] matrix of normal CDFs summed against the
+law of the packet count (a single term for ``renewal_cdf_clt``).
 
 The non-linear battery has two formulas. ``nonlinear_cdf`` maps the threshold
 through the tanh transform, which is exact for the continuous charging rule.
@@ -23,7 +25,7 @@ it propagates the level on a grid to get the law of the packet count N and
 mixes it with the law of the N-th arrival epoch. For Poisson arrivals that
 mixture is the Poisson series above with F_n(u) read as P(N > n), the chance
 that n packets leave the level at or below u, so one Poisson-epoch law
-serves all four Poisson curves; other laws use the CLT.
+serves all four Poisson curves; other laws use the normal epoch mixture.
 
 Poisson weights are always computed in log space; the naive (lambda*t)^n/n!
 overflows for lambda*t beyond a few hundred.
@@ -226,20 +228,33 @@ def renewal_var_tau(u: float, moments: AsymptoticMoments) -> float:
     return m.VA0 + m.gamma2 * u / m.Xbar**3
 
 
+def _normal_epoch_mixture(t, pmf: np.ndarray, mean: np.ndarray, var: np.ndarray):
+    """sum_n pmf_n P(T_n <= t), with T_n normal of mean_n and var_n; P(tau <= t).
+
+    A zero variance makes T_n a step at mean_n. t is a scalar (float result)
+    or an array; each point is one row of a [t, n] matrix summed against pmf.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("time must be >= 0")
+    ts = t.reshape(-1, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (ts - mean) / np.sqrt(var)
+    arrived = np.where(var > 0.0, special.ndtr(z), (ts >= mean) * 1.0)
+    return np.clip(arrived @ pmf, 0.0, 1.0).reshape(t.shape)[()]
+
+
 def renewal_cdf_clt(u: float, t, moments: AsymptoticMoments):
     """CLT approximation P(tau(u) <= t) = Phi((t - mean) / sd).
 
     The mean and variance are ``renewal_mean_tau`` and ``renewal_var_tau``,
     whose constant terms noticeably improve moderate-u accuracy over the
-    leading order. A zero variance degenerates to a step at the mean. t is a
-    scalar (float result) or an array.
+    leading order. A zero variance degenerates to a step at the mean. t >= 0
+    is a scalar (float result) or an array.
     """
-    mean = renewal_mean_tau(u, moments)
-    var = renewal_var_tau(u, moments)
-    t = np.asarray(t, dtype=float)
-    if var > 0.0:
-        return special.ndtr((t - mean) / np.sqrt(var))[()]
-    return np.where(t >= mean, 1.0, 0.0)[()]
+    mean = np.array([renewal_mean_tau(u, moments)])
+    var = np.array([renewal_var_tau(u, moments)])
+    return _normal_epoch_mixture(t, np.ones(1), mean, var)
 
 
 def nonlinear_cdf(u: float, t, model: BatteryModel, linear_cdf):
@@ -297,13 +312,7 @@ def packet_count_pmf(u: float, packet: DistributionSpec, battery: BatteryModel) 
     return out
 
 
-def per_packet_cdf(
-    u: float,
-    t: float,
-    arrival: ArrivalProcess,
-    packet: DistributionSpec,
-    battery: BatteryModel,
-) -> float:
+def per_packet_cdf(u: float, t, arrival: ArrivalProcess, packet: DistributionSpec, battery: BatteryModel):
     """P(tau(u) <= t) for the per-packet rule U <- min(U + eta(U) X, umax).
 
     P = sum_n P(N = n) P(A0 + S_{n-1} <= t), with N from
@@ -312,23 +321,17 @@ def per_packet_cdf(
     mixture of the linear formulas: the n-th arrival epoch is Erlang, so
     P = P(N <= K) = 1 - sum_k w_k(lam t) P(N > k), with K the arrivals in
     (0, t]. In pure mode the arrival at the origin brings one more packet,
-    and the survival starts at k = 1. Other laws use the CLT with mean
-    E[A0] + (n-1) mu_A and variance V[A0] + (n-1) sigma_A^2; a zero variance
-    gives a step at the mean.
+    and the survival starts at k = 1. Other laws use the normal epoch
+    mixture of ``renewal_cdf_clt``, with mean E[A0] + (n-1) mu_A and
+    variance V[A0] + (n-1) sigma_A^2; a zero variance gives a step at the
+    mean. t >= 0 is a scalar (float result) or an array.
     """
-    if t < 0:
-        raise ValueError("time must be >= 0")
     pmf = packet_count_pmf(u, packet, battery)
     a = arrival.interarrival
     if isinstance(a, Exponential):
         survival = 1.0 - np.concatenate(([0.0], np.cumsum(pmf)[:-1]))  # P(N > k), k = 0, 1, ...
         start = 1 if arrival.mode is Mode.PURE else 0
-        return float(_poisson_mixture(survival[start:], a.rate, t))
+        return _poisson_mixture(survival[start:], a.rate, t)
     gaps = np.arange(pmf.size)  # n - 1
     mean0, var0 = arrival.residual_moments()
-    mean = mean0 + gaps * a.mean
-    var = var0 + gaps * a.variance
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = (t - mean) / np.sqrt(var)
-    arrived = np.where(var > 0.0, special.ndtr(z), (t >= mean) * 1.0)
-    return float(np.clip(pmf @ arrived, 0.0, 1.0))
+    return _normal_epoch_mixture(t, pmf, mean0 + gaps * a.mean, var0 + gaps * a.variance)

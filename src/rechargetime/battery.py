@@ -21,7 +21,7 @@ import numpy as np
 
 from .distributions import split_spec
 
-__all__ = ["LinearBattery", "NonLinearBattery", "BatteryModel", "parse_battery"]
+__all__ = ["LinearBattery", "NonLinearBattery", "BatteryModel", "check_packets", "parse_battery"]
 
 
 def _check_state(U, cap: float) -> np.ndarray:
@@ -33,7 +33,7 @@ def _check_state(U, cap: float) -> np.ndarray:
     return U
 
 
-def _check_packets(x) -> np.ndarray:
+def check_packets(x) -> np.ndarray:
     """x as an array, or ValueError if any packet is negative or NaN."""
     x = np.asarray(x, dtype=float)
     if not (x >= 0).all():
@@ -59,19 +59,10 @@ class LinearBattery:
         """1 for each state in U (a scalar or an array)."""
         return np.ones_like(_check_state(U, self.capacity))[()]
 
-    def stored_from_input(self, x_total: float) -> float:
-        if x_total < 0:
-            raise ValueError("cumulative input must be >= 0")
-        return min(x_total, self.capacity)
-
     def input_for_level(self, u: float) -> float:
         if not 0.0 < u <= self.capacity:
             raise ValueError(f"level {u} outside (0, {self.capacity}]")
         return u
-
-    def step_update(self, U, x_packet):
-        """Level after one packet, elementwise over arrays U and x_packet."""
-        return np.minimum(U + _check_packets(x_packet), self.capacity)[()]
 
     def config_str(self) -> str:
         return "linear" if self.umax is None else f"linear umax={self.umax:g}"
@@ -128,13 +119,12 @@ class NonLinearBattery:
             raise ValueError(f"level {u} outside (0, {self.umax}]")
         return self.input_offset + self.b * math.atanh((u - self.a) / self.b)
 
-    def check_step(self, U, x_packet):
-        """U and x_packet as arrays; ValueError for a state outside [0, umax] or a bad packet."""
-        return _check_state(U, self.umax), _check_packets(x_packet)
-
     def step_update(self, U, x_packet):
-        """Per-packet rule U <- min(U + eta(U) X, umax), elementwise over arrays."""
-        U, x = self.check_step(U, x_packet)
+        """Per-packet rule U <- min(U + eta(U) X, umax), elementwise over arrays.
+
+        ValueError for a state outside [0, umax] or a negative or NaN packet.
+        """
+        U, x = _check_state(U, self.umax), check_packets(x_packet)
         return self.advance(U, x, np.empty(np.broadcast_shapes(U.shape, x.shape)))[()]
 
     def advance(self, U, x, out):

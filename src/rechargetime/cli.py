@@ -14,10 +14,11 @@ Semicolons in ``arrivals`` / ``packets`` list several laws; the runner emits
 one curve (CSV of t, ecdf, analytic_cdf) per combination plus a JSON
 manifest with KS distances and moment summaries. Each analytic curve is one
 call of its formula on the whole grid. The Poisson series have no truncation
-setting: they stop where the packet-sum CDF falls below 1e-12. ``workers`` is
-an upper bound: an experiment that needs fewer than ``_POOL_BREAK_EVEN``
-expected packets in all runs in this process, where a pool would cost more
-than it saves. Exit codes: 0 ok, 1 validation error, 2 KS tolerance breach,
+setting: they stop where the packet-sum CDF falls below 1e-12. Each curve is
+one ``ExperimentConfig``, which checks its threshold and replications and
+estimates its packets; the engine's ``worker_pool`` decides from those
+estimates whether one process pool for all curves pays. ``workers`` is an
+upper bound. Exit codes: 0 ok, 1 validation error, 2 KS tolerance breach,
 3 I/O error.
 """
 
@@ -59,11 +60,6 @@ _KNOWN_KEYS = {
 _FORMULAS = {"auto", "poisson_normal", "poisson_exact", "clt"}
 # Expected packets, summed over its replications, that one curve may draw.
 _PACKET_BUDGET = 10**9
-# Expected packets, summed over all curves, below which an experiment runs in
-# one process. Timed on 2 vCPUs, a pool of two broke even near 2e6 packets
-# under the linear rule and near 5e5 under the per-packet rule, whose packets
-# cost about 4x more; 1e6 bounds the wall time lost either way to about 1.3x.
-_POOL_BREAK_EVEN = 10**6
 
 
 class ConfigError(ValueError):
@@ -156,10 +152,6 @@ def parse_config(text: str) -> ParsedConfig:
         raise ConfigError("poisson_exact needs exponential arrivals and packets")
     if ks_tol is not None and not 0.0 < ks_tol <= 1.0:
         raise ConfigError(f"ks_tolerance must be a finite value in (0, 1], got {ks_tol}")
-    for u in thresholds:
-        cap = battery.capacity
-        if not 0.0 < u < cap:
-            raise ConfigError(f"u = {u} outside (0, {cap})")
     names = [_curve_name(*combo) for combo in itertools.product(thresholds, arrivals, packets)]
     for name in names:
         if names.count(name) > 1:
@@ -182,16 +174,27 @@ def parse_config(text: str) -> ParsedConfig:
     return parsed
 
 
-def _expected_packets(parsed: ParsedConfig, u: float, packet: DistributionSpec) -> float:
-    """Estimated packets that one curve's replications draw in all.
+def _configs(parsed: ParsedConfig) -> List[ExperimentConfig]:
+    """The run of each (threshold, arrival, packet) combination, in curve order.
 
-    A replication needs about 1 + x(u) / Xbar packets, with x(u) =
-    ``battery.input_for_level(u)`` the raw input that lifts an empty battery
-    to u under the continuous rule (u itself for a linear battery). That is
-    Wald's identity with the overshoot left out. It is an estimate, not a
-    bound; on small packets it matches the per-packet rule to 1e-4.
+    ``ExperimentConfig`` checks the threshold against the battery's capacity
+    and the replications; its ValueError becomes a ConfigError naming the key.
     """
-    return parsed.replications * (1.0 + parsed.battery.input_for_level(u) / packet.mean)
+    configs = []
+    for u, arrival, packet in itertools.product(parsed.thresholds, parsed.arrivals, parsed.packets):
+        try:
+            configs.append(ExperimentConfig(
+                arrival=ArrivalProcess(arrival, parsed.mode),
+                packet=packet,
+                battery=parsed.battery,
+                threshold=u,
+                replications=parsed.replications,
+                seed=parsed.seed,
+            ))
+        except ValueError as exc:
+            key = "replications" if parsed.replications < 1 else "u"
+            raise ConfigError(f"{key}: {exc}") from None
+    return configs
 
 
 def _check_counts(parsed: ParsedConfig) -> None:
@@ -200,18 +203,17 @@ def _check_counts(parsed: ParsedConfig) -> None:
     A curve whose replications need more than ``_PACKET_BUDGET`` expected
     packets in all is refused before anything runs.
     """
-    if parsed.replications < 1:
-        raise ConfigError("replications must be >= 1")
     if parsed.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {parsed.seed}")
     if parsed.workers < 1:
         raise ConfigError("workers must be >= 1")
-    for u, packet in itertools.product(parsed.thresholds, parsed.packets):
-        work = _expected_packets(parsed, u, packet)
+    for config in _configs(parsed):
+        work = config.expected_packets
         if work > _PACKET_BUDGET:
             raise ConfigError(
-                f"u = {u:g} with packet mean {packet.mean:g} needs about {work:.2g} packets over "
-                f"{parsed.replications} replications, more than the budget of {_PACKET_BUDGET:.0e}"
+                f"u = {config.threshold:g} with packet mean {config.packet.mean:g} needs about "
+                f"{work:.2g} packets over {parsed.replications} replications, more than the "
+                f"budget of {_PACKET_BUDGET:.0e}"
             )
 
 
@@ -262,31 +264,21 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
     """Run every (arrival, packet, threshold) combination; write CSVs + manifest.
 
     Returns the manifest dict; manifest["breached"] is True when any curve's
-    KS distance exceeds the configured tolerance. Below ``_POOL_BREAK_EVEN``
-    expected packets in all, every curve runs in this process whatever
-    ``workers`` says; the output is the same either way.
+    KS distance exceeds the configured tolerance. One ``worker_pool`` serves
+    every curve; the output is the same for any worker count.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = []
     breached = False
-    combos = list(itertools.product(parsed.thresholds, parsed.arrivals, parsed.packets))
-    work = sum(_expected_packets(parsed, u, packet) for u, _, packet in combos)
-    workers = parsed.workers if work >= _POOL_BREAK_EVEN else 1
-    with worker_pool(workers, parsed.replications) as pool:
-        for u, arrival, packet in combos:
+    configs = _configs(parsed)
+    with worker_pool(parsed.workers, configs) as pool:
+        for config in configs:
+            u, arrival, packet = config.threshold, config.arrival.interarrival, config.packet
             formula = _pick_formula(parsed.formula, arrival, packet)
-            config = ExperimentConfig(
-                arrival=ArrivalProcess(arrival, parsed.mode),
-                packet=packet,
-                battery=parsed.battery,
-                threshold=u,
-                replications=parsed.replications,
-                seed=parsed.seed,
-            )
             moments = AsymptoticMoments.from_specs(config.arrival, packet)
             u_prime = parsed.battery.input_for_level(u)
             grid = parsed.grid if parsed.grid is not None else _default_grid(moments, u_prime)
-            samples = run(config, workers=workers, pool=pool)
+            samples = run(config, workers=parsed.workers, pool=pool)
             summary, emp = summarize(samples, grid)
             linear_cdf = _linear_cdf_fn(formula, moments, parsed.mode)
             ana_vals = nonlinear_cdf(u, grid, parsed.battery, linear_cdf)

@@ -13,11 +13,13 @@ replications. So results are bitwise reproducible for a given seed across
 worker counts, configs that share a seed see common random numbers, and a
 longer run starts with the taus of a shorter one.
 
-Under the per-packet rule the battery checks each block of packets, and the
-levels entering it, once (``check_step``); then every packet column steps
-unchecked and in place (``advance``). ``run`` uses as many processes as its
-``workers`` allow; the CLI passes one worker for experiments too small to
-repay a pool.
+Each drawn block of packets is checked once, under every rule, before the
+levels take it in; under the per-packet rule each packet column then steps
+unchecked and in place (``advance``). ``workers`` is an upper bound, and one
+pool policy serves the CLI and library callers alike: ``worker_pool`` opens a
+pool only when ``pool_size`` allows two processes or more and its configs'
+``expected_packets`` reach ``_POOL_BREAK_EVEN``, where a pool starts to pay;
+``run`` applies the same rule to its own config.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .battery import BatteryModel, LinearBattery, NonLinearBattery
+from .battery import BatteryModel, LinearBattery, NonLinearBattery, check_packets
 from .distributions import DistributionSpec
 from .renewal import ArrivalProcess
 from .stats import CdfCurve, ecdf
@@ -48,6 +50,12 @@ __all__ = [
 ]
 
 _MAX_PACKETS = 10**9
+# Expected packets, summed over the runs that share a pool, below which they
+# run in this process. Timed on 2 vCPUs, a pool of two broke even near 2e6
+# packets under the linear rule and near 5e5 under the per-packet rule, whose
+# packets cost about 4x more; 1e6 bounds the wall time lost either way to
+# about 1.3x.
+_POOL_BREAK_EVEN = 10**6
 
 # per-packet: the discrete update U <- U + eta(U) * X
 # continuous:  accumulate raw input and apply the tanh transform
@@ -70,28 +78,33 @@ class ExperimentConfig:
     nonlinear_rule: str = PER_PACKET
 
     def __post_init__(self):
+        if self.replications < 1:
+            raise ValueError(f"replications must be >= 1, got {self.replications}")
         cap = self.battery.capacity
         # the level is capped at capacity, so it can never exceed u = capacity
         if not 0.0 < self.threshold < cap:
             raise ValueError(f"threshold {self.threshold} outside (0, {cap})")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
         if self.nonlinear_rule not in (PER_PACKET, CONTINUOUS):
             raise ValueError(f"unknown nonlinear rule {self.nonlinear_rule!r}")
 
-    def fingerprint(self) -> str:
-        return (
-            f"arrivals=[{self.arrival.interarrival.config_str()}] mode={self.arrival.mode.value} "
-            f"packets=[{self.packet.config_str()}] battery=[{self.battery.config_str()}] "
-            f"u={self.threshold:g} reps={self.replications} rule={self.nonlinear_rule}"
-        )
+    @property
+    def expected_packets(self) -> float:
+        """Estimated packets that all the replications draw together.
+
+        A replication needs about 1 + x(u) / Xbar packets, with x(u) =
+        ``battery.input_for_level(u)`` the raw input that lifts an empty
+        battery to u under the continuous rule (u itself for a linear
+        battery). That is Wald's identity with the overshoot left out. It is
+        an estimate, not a bound; on small packets it matches the per-packet
+        rule to 1e-4.
+        """
+        x_u = self.battery.input_for_level(self.threshold)
+        return self.replications * (1.0 + x_u / self.packet.mean)
 
 
 @dataclass(frozen=True)
 class PassageSamples:
     taus: np.ndarray
-    fingerprint: str
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "taus", np.asarray(self.taus, dtype=float))
@@ -99,10 +112,8 @@ class PassageSamples:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    n: int
     mean: float
     variance: float  # unbiased
-    stderr: float
 
 
 # Replications per chunk. Fixed, so that a replication's draws depend only on
@@ -116,13 +127,12 @@ _BLOCK = 64
 
 
 def _packet_path(battery: NonLinearBattery, level: np.ndarray, packets: np.ndarray, u: float) -> np.ndarray:
-    """Levels after each packet of a block, one in-place vector step per packet.
+    """Levels after each packet of a checked block, one in-place vector step per packet.
 
-    The incoming levels and the whole block are checked once, then each column
-    of a contiguous transposed copy steps unchecked. The level never falls, so
-    the block stops early, with fewer columns, once every row is above u.
+    Each column of a contiguous transposed copy steps unchecked. The level
+    never falls, so the block stops early, with fewer columns, once every row
+    is above u.
     """
-    level, packets = battery.check_step(level, packets)
     columns = np.ascontiguousarray(packets.T)
     path = np.empty_like(columns)
     for j, x in enumerate(columns):
@@ -157,7 +167,7 @@ def _simulate_chunk(config: ExperimentConfig, rng: np.random.Generator, rows: in
     pick = slice(rows)  # the same rows of a drawn block; a view while all are active
     for _ in range(0, _MAX_PACKETS, _BLOCK):
         gaps = arr.interarrival.sample(rng, (width, _BLOCK))[pick]
-        packets = config.packet.sample(rng, (width, _BLOCK))[pick]
+        packets = check_packets(config.packet.sample(rng, (width, _BLOCK))[pick])
         if per_packet:
             path = _packet_path(battery, level, packets, u)
         else:
@@ -182,7 +192,7 @@ def _simulate_chunk(config: ExperimentConfig, rng: np.random.Generator, rows: in
             level = path[:, -1]
         t = t + gaps.sum(axis=1)
     raise UnreachableThresholdError(
-        f"no crossing after {_MAX_PACKETS} packets for config: {config.fingerprint()}"
+        f"no crossing after {_MAX_PACKETS} packets for config: {config!r}"
     )
 
 
@@ -212,13 +222,15 @@ def pool_size(workers: int, replications: int) -> int:
 
 
 @contextmanager
-def worker_pool(workers: int, replications: int) -> Iterator[Optional[ProcessPoolExecutor]]:
-    """A process pool for runs of ``replications``; None when one process suffices.
+def worker_pool(workers: int, configs: Sequence[ExperimentConfig]) -> Iterator[Optional[ProcessPoolExecutor]]:
+    """A process pool for the runs of ``configs``; None when one process suffices.
 
-    Open it once and pass it to every ``run`` that shares those settings.
+    One process suffices when ``pool_size`` allows fewer than two or when the
+    configs expect fewer than ``_POOL_BREAK_EVEN`` packets in all. Open it
+    once and pass it to the ``run`` of each config.
     """
-    size = pool_size(workers, replications)
-    if size < 2:
+    size = pool_size(workers, max(c.replications for c in configs))
+    if size < 2 or sum(c.expected_packets for c in configs) < _POOL_BREAK_EVEN:
         yield None
         return
     with ProcessPoolExecutor(max_workers=size) as pool:
@@ -230,20 +242,21 @@ def run(
 ) -> PassageSamples:
     """Run all replications; output is identical for any worker count.
 
-    ``pool`` is an open ``worker_pool`` shared across runs. Without one, a run
-    that can use more than one process opens its own for the call.
+    ``pool`` is an open ``worker_pool`` shared across runs. Without one, the
+    run opens its own for the call when ``worker_pool`` finds that one pays.
     """
+    if pool is None:
+        with worker_pool(workers, [config]) as pool:
+            if pool is not None:
+                return run(config, workers, pool)
     n = config.replications
-    if pool is None and pool_size(workers, n) > 1:
-        with worker_pool(workers, n) as pool:
-            return run(config, workers, pool)
     chunks = _n_chunks(n)
     if pool is None:
         taus = _run_range(config, 0, chunks)
     else:
         bounds = np.linspace(0, chunks, pool_size(workers, n) + 1).astype(int)
         taus = np.concatenate(list(pool.map(_run_range, repeat(config), bounds[:-1], bounds[1:])))
-    return PassageSamples(taus=taus, fingerprint=config.fingerprint(), seed=config.seed)
+    return PassageSamples(taus=taus)
 
 
 def summarize(samples: PassageSamples, time_grid) -> Tuple[SummaryStats, CdfCurve]:
@@ -251,8 +264,5 @@ def summarize(samples: PassageSamples, time_grid) -> Tuple[SummaryStats, CdfCurv
     taus = samples.taus
     if taus.size == 0:
         raise ValueError("no samples")
-    n = int(taus.size)
-    mean = float(np.mean(taus))
-    var = float(np.var(taus, ddof=1)) if n > 1 else 0.0
-    stderr = float(np.sqrt(var / n))
-    return SummaryStats(n=n, mean=mean, variance=var, stderr=stderr), ecdf(taus, time_grid)
+    var = float(np.var(taus, ddof=1)) if taus.size > 1 else 0.0
+    return SummaryStats(mean=float(np.mean(taus)), variance=var), ecdf(taus, time_grid)

@@ -4,11 +4,15 @@ from rechargetime import engine
 
 
 class FakePool:
-    """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
+    """Stands in for ProcessPoolExecutor: records its size and maps in this process.
+
+    ``tasks`` holds the number of tasks of each map.
+    """
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
         self.maps = 0
+        self.tasks = []
 
     def __enter__(self):
         return self
@@ -18,7 +22,9 @@ class FakePool:
 
     def map(self, fn, *iterables):
         self.maps += 1
-        return map(fn, *iterables)
+        args = list(zip(*iterables))
+        self.tasks.append(len(args))
+        return [fn(*a) for a in args]
 
 
 @pytest.fixture
@@ -37,3 +43,9 @@ def fake_pools(monkeypatch):
     monkeypatch.setattr(engine, "ProcessPoolExecutor", make)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
     return made
+
+
+@pytest.fixture
+def pool_always_pays(monkeypatch):
+    """The engine's pool break-even lowered to 0, so that small runs still take the pool path."""
+    monkeypatch.setattr(engine, "_POOL_BREAK_EVEN", 0)

@@ -188,6 +188,13 @@ class TestRenewalClt:
         assert renewal_cdf_clt(20.0, 6.0, m) == 0.0
         assert renewal_cdf_clt(20.0, 7.0, m) == 1.0
 
+    def test_negative_time_rejected(self):
+        m = AsymptoticMoments.from_specs(ArrivalProcess(Gamma(1.0, 2.0)), Exponential(1.0))
+        with pytest.raises(ValueError, match="time"):
+            renewal_cdf_clt(20.0, -1e-9, m)
+        with pytest.raises(ValueError, match="time"):
+            renewal_cdf_clt(20.0, np.array([0.0, -1.0]), m)
+
 
 class TestNonlinearCdf:
     def test_linear_model_is_identity(self):
@@ -279,8 +286,31 @@ class TestPerPacketCdf:
             shape = np.arange(1, pmf.size + 1) - (mode is Mode.PURE)
             erlang = special.gammainc(np.maximum(shape, 1), grid[:, None])
             oracle = np.where(shape == 0, 1.0, erlang) @ pmf
-            got = [per_packet_cdf(20.0, t, arrival, packet, self.NL) for t in grid]
+            got = per_packet_cdf(20.0, grid, arrival, packet, self.NL)
             np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "interarrival, atol",
+        [(Exponential(1.0), 0.0), (Gamma(2.0, 0.5), 1e-15), (InverseGaussian(1.0, 2.0), 1e-15)],
+        ids=lambda v: v.config_str() if hasattr(v, "config_str") else None,
+    )
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_array_t_equals_scalar_t(self, interarrival, atol, mode):
+        # the Poisson mixture sums each point's row on its own, bit for bit;
+        # the CLT branch sums a [t, n] matrix, whose row sums may round apart
+        arrival = ArrivalProcess(interarrival, mode)
+        grid = np.linspace(0.0, 60.0, 241)
+        got = per_packet_cdf(20.0, grid, arrival, Gamma(1.0, 2.0), self.NL)
+        scalars = np.array([per_packet_cdf(20.0, float(t), arrival, Gamma(1.0, 2.0), self.NL) for t in grid])
+        if atol == 0.0:
+            assert got.tobytes() == scalars.tobytes()
+        np.testing.assert_allclose(got, scalars, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("interarrival", [Exponential(1.0), Gamma(2.0, 0.5)], ids=lambda a: a.config_str())
+    def test_negative_time_rejected(self, interarrival):
+        arrival = ArrivalProcess(interarrival)
+        with pytest.raises(ValueError, match="time"):
+            per_packet_cdf(20.0, np.array([1.0, -1e-9]), arrival, Exponential(1.0), self.NL)
 
     def test_pure_deterministic_arrivals_give_a_step(self):
         # 11 packets, the first at the origin, then 10 gaps of 2

@@ -54,10 +54,6 @@ class TestStoredFromInput:
         assert c == pytest.approx(20.93, abs=0.01)
         assert NL.stored_from_input(c) == pytest.approx(12.5)
 
-    def test_linear_clips(self):
-        assert LinearBattery(umax=25.0).stored_from_input(30.0) == 25.0
-        assert LinearBattery().stored_from_input(30.0) == 30.0
-
 
 class TestInputForLevel:
     def test_linear_identity(self):
@@ -89,9 +85,6 @@ class TestInputForLevel:
 
 
 class TestStepUpdate:
-    def test_linear(self):
-        assert LinearBattery(umax=25.0).step_update(5.0, 3.0) == 8.0
-
     def test_nonlinear_empty(self):
         assert NL.step_update(0.0, 1.0) == pytest.approx(1.0 - 1.0 / 1.1**2)
 
@@ -101,14 +94,12 @@ class TestStepUpdate:
     def test_array_matches_scalar_calls(self):
         levels = np.array([0.0, 5.0, 12.5, 24.9])
         packets = np.array([1.0, 0.0, 3.0, 100.0])
-        for bat in (NL, LinearBattery(umax=25.0)):
-            expected = [bat.step_update(float(u), float(x)) for u, x in zip(levels, packets)]
-            np.testing.assert_array_equal(bat.step_update(levels, packets), expected)
+        expected = [NL.step_update(float(u), float(x)) for u, x in zip(levels, packets)]
+        np.testing.assert_array_equal(NL.step_update(levels, packets), expected)
 
     def test_negative_packet_rejected(self):
-        for bat in (NL, LinearBattery()):
-            with pytest.raises(ValueError, match="packet"):
-                bat.step_update(np.zeros(3), np.array([1.0, -1e-9, 2.0]))
+        with pytest.raises(ValueError, match="packet"):
+            NL.step_update(np.zeros(3), np.array([1.0, -1e-9, 2.0]))
 
     def test_nonlinear_step_is_the_written_rule_bit_for_bit(self):
         # the engine steps packet columns with the same unchecked update
@@ -118,9 +109,8 @@ class TestStepUpdate:
         assert NL.step_update(levels, packets).tobytes() == written.tobytes()
 
     def test_nan_packet_rejected(self):
-        for bat in (NL, LinearBattery()):
-            with pytest.raises(ValueError, match="packet"):
-                bat.step_update(np.zeros(3), np.array([1.0, np.nan, 2.0]))
+        with pytest.raises(ValueError, match="packet"):
+            NL.step_update(np.zeros(3), np.array([1.0, np.nan, 2.0]))
 
 
 class TestTransformInvariants:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rechargetime.analytic import AsymptoticMoments
-from rechargetime import cli
+from rechargetime import engine
 from rechargetime.battery import LinearBattery, NonLinearBattery
 from rechargetime.cli import (
     ConfigError,
@@ -52,6 +52,20 @@ class TestParseConfig:
     def test_threshold_at_capacity_rejected(self):
         with pytest.raises(ConfigError, match="outside"):
             parse_config("battery = linear umax=25\nu = 25")
+
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ("battery = linear umax=25\nu = 20, 30", "u"),
+            ("u = -1", "u"),
+            ("replications = 0", "replications"),
+            ("u = 30\nbattery = linear umax=25\nreplications = 0", "replications"),
+        ],
+        ids=["above-capacity", "negative", "no-replications", "both"],
+    )
+    def test_run_config_error_names_its_key(self, lines, key):
+        with pytest.raises(ConfigError, match=rf"^{key}: "):
+            parse_config(lines)
 
     def test_beta_one_rejected(self):
         with pytest.raises(ValueError, match="beta"):
@@ -174,13 +188,19 @@ class TestRunExperiment:
     def test_one_pool_for_all_curves(self, tmp_path, fake_pools, monkeypatch):
         # two curves of three chunks each, with the pool's break-even lowered
         # so that these small curves still use it
-        monkeypatch.setattr(cli, "_POOL_BREAK_EVEN", 0)
+        monkeypatch.setattr(engine, "_POOL_BREAK_EVEN", 0)
         text = "packets = deterministic value=3; exponential rate=1\nu = 20\nreplications = 600\ngrid = 0:0.5:60\n"
         run_experiment(parse_config(text + "workers = 2\n"), tmp_path / "w2")
         assert [(p.max_workers, p.maps) for p in fake_pools] == [(2, 2)]
         run_experiment(parse_config(text), tmp_path / "w1")
         for curve in sorted((tmp_path / "w1").glob("*.csv")):
             assert (tmp_path / "w2" / curve.name).read_bytes() == curve.read_bytes()
+
+    def test_each_curve_splits_over_the_pool(self, tmp_path, fake_pools, pool_always_pays):
+        # three chunks a curve, split over the two processes that workers allows
+        text = "packets = deterministic value=3; exponential rate=1\nu = 20\nreplications = 600\nworkers = 2\n"
+        run_experiment(parse_config(text), tmp_path)
+        assert [p.tasks for p in fake_pools] == [[2, 2]]
 
     def test_no_pool_below_the_break_even(self, tmp_path, fake_pools):
         # four curves of three chunks each, 6.9e4 expected packets in all
@@ -301,6 +321,23 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 1
         assert "needs exponential" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines, override, key",
+        [
+            ("battery = linear umax=25\nu = 30", [], "u"),
+            ("replications = 0", [], "replications"),
+            ("u = 20", ["--replications", "0"], "replications"),
+        ],
+        ids=["threshold", "replications", "replication-override"],
+    )
+    def test_bad_run_config_fails_before_writing(self, tmp_path, capsys, lines, override, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(lines)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), *override]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not out.exists()
 
     def test_replication_override_past_the_packet_budget_rejected(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rechargetime import engine
 from rechargetime.battery import LinearBattery, NonLinearBattery
 from rechargetime.distributions import Deterministic, Exponential, Gamma, InverseGaussian, Uniform
 from rechargetime.engine import (
@@ -13,6 +14,7 @@ from rechargetime.engine import (
     pool_size,
     run,
     summarize,
+    worker_pool,
 )
 from rechargetime.renewal import ArrivalProcess, Mode
 
@@ -133,8 +135,17 @@ class TestKernelOracle:
         taus = run(c).taus
         assert taus.tobytes() == replay_chunk_0(c).tobytes()
 
+    @pytest.mark.parametrize(
+        "battery, rule, u",
+        [
+            (LinearBattery(), PER_PACKET, 20.0),
+            (NonLinearBattery(umax=25.0, beta=1.1), PER_PACKET, 10.0),
+            (NonLinearBattery(umax=25.0, beta=1.1), CONTINUOUS, 10.0),
+        ],
+        ids=["linear", "per-packet", "continuous"],
+    )
     @pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["negative", "nan"])
-    def test_packet_check_covers_the_whole_block(self, bad):
+    def test_packet_check_covers_the_whole_block(self, battery, rule, u, bad):
         class PoisonedPackets:
             """Packets of 0.25, with one bad column in the second block."""
 
@@ -153,10 +164,10 @@ class TestKernelOracle:
             def config_str(self):
                 return "poisoned"
 
-        # every row crosses u = 10 with its 75th packet, so the kernel never
-        # steps the bad column, the 105th packet
-        battery = NonLinearBattery(umax=25.0, beta=1.1)
-        c = cfg(packet=PoisonedPackets(), battery=battery, threshold=10.0, replications=CHUNK)
+        # every row crosses with its 81st (linear, u = 20), 75th (per-packet)
+        # or 74th (continuous) packet, so the kernel never uses the bad
+        # column, the 105th packet
+        c = cfg(packet=PoisonedPackets(), battery=battery, nonlinear_rule=rule, threshold=u, replications=CHUNK)
         with pytest.raises(ValueError, match="packet energy must be >= 0"):
             run(c)
 
@@ -169,7 +180,7 @@ class TestRun:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_worker_count_does_not_change_output(self):
+    def test_worker_count_does_not_change_output(self, pool_always_pays):
         a = run(cfg(replications=400), workers=1).taus
         b = run(cfg(replications=400), workers=4).taus
         np.testing.assert_array_equal(a, b)
@@ -230,7 +241,7 @@ class TestChunkedRun:
         ],
         ids=["linear", "per-packet"],
     )
-    def test_identical_at_workers_1_2_3(self, config, monkeypatch):
+    def test_identical_at_workers_1_2_3(self, config, monkeypatch, pool_always_pays):
         # three real processes at most; the CPU count is raised so that
         # workers=3 splits the three chunks three ways even on two CPUs
         monkeypatch.setattr("os.cpu_count", lambda: 3)
@@ -245,20 +256,33 @@ class TestChunkedRun:
 
 
 class TestWorkerPool:
-    def test_no_more_processes_than_chunks(self, fake_pools):
+    def test_no_more_processes_than_chunks(self, fake_pools, pool_always_pays):
         c = cfg(replications=3 * CHUNK - 10)
         taus = run(c, workers=100_000).taus
         assert [p.max_workers for p in fake_pools] == [3]
         np.testing.assert_array_equal(taus, run(c).taus)
 
-    def test_no_more_processes_than_cpus(self, fake_pools, monkeypatch):
+    def test_no_more_processes_than_cpus(self, fake_pools, monkeypatch, pool_always_pays):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         run(cfg(replications=10 * CHUNK), workers=100_000)
         assert [p.max_workers for p in fake_pools] == [2]
 
-    def test_one_chunk_starts_no_pool(self, fake_pools):
+    def test_one_chunk_starts_no_pool(self, fake_pools, pool_always_pays):
         run(cfg(replications=CHUNK), workers=100_000)
         assert fake_pools == []
+
+    def test_pool_once_the_summed_estimate_reaches_the_break_even(self, fake_pools, monkeypatch):
+        # 600 replications at u = 20 and u = 40 of unit-mean packets: 12 600
+        # and 24 600 expected packets
+        lo, hi = cfg(replications=600), cfg(replications=600, threshold=40.0)
+        assert (lo.expected_packets, hi.expected_packets) == (12_600, 24_600)
+        monkeypatch.setattr(engine, "_POOL_BREAK_EVEN", 12_600 + 24_600)
+        with worker_pool(2, [lo, hi]) as pool:
+            assert pool is fake_pools[0]
+        with worker_pool(2, [hi]) as pool:
+            assert pool is None
+        run(hi, workers=2)
+        assert len(fake_pools) == 1
 
     def test_pool_size(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 4)
@@ -300,7 +324,7 @@ class TestSummarize:
     def test_small_sample(self):
         from rechargetime.engine import PassageSamples
 
-        s = PassageSamples(taus=[1.0, 2.0, 3.0], fingerprint="x", seed=0)
+        s = PassageSamples(taus=[1.0, 2.0, 3.0])
         stats, curve = summarize(s, [0.5, 2.0, 5.0])
         assert stats.mean == 2.0
         assert stats.variance == 1.0
@@ -330,3 +354,10 @@ class TestValidation:
     def test_bad_rule(self):
         with pytest.raises(ValueError):
             cfg(nonlinear_rule="midpoint")
+
+    def test_packet_limit_names_the_config(self, monkeypatch):
+        # 2001 packets of 0.01 to pass u = 20, past a limit of two blocks
+        monkeypatch.setattr(engine, "_MAX_PACKETS", 128)
+        c = cfg(packet=Deterministic(0.01), replications=10)
+        with pytest.raises(engine.UnreachableThresholdError, match=r"128 packets .*ExperimentConfig\(.*threshold=20\.0"):
+            run(c)
