@@ -8,7 +8,6 @@ renewal-process energy arrivals.
 __version__ = "0.1.0"
 
 from .analytic import (
-    AsymptoticMoments,
     nonlinear_cdf,
     packet_count_pmf,
     per_packet_cdf,
@@ -34,7 +33,6 @@ from .stats import CdfCurve, dkw_band, ecdf, ks_distance
 
 __all__ = [
     "__version__",
-    "AsymptoticMoments",
     "nonlinear_cdf",
     "packet_count_pmf",
     "per_packet_cdf",

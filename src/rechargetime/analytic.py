@@ -10,13 +10,15 @@ not depend on t and falls with n, so one cut serves every t: the series stops
 before the first n with F_n(u) < 1e-12, which bounds the dropped mass by
 1e-12. In pure mode an arrival, and so a packet, sits at the origin, and the
 series runs over F_{n+1}(u) instead. General inter-arrival laws use
-renewal-theoretic asymptotics plus a CLT approximation (large threshold).
+renewal-theoretic asymptotics plus a CLT approximation (large threshold),
+which read their moments from the arrival process and the packet law.
 
-Every CDF accepts a scalar t (float result) or an array of t >= 0. The
-Poisson series take a block of t at once: one matrix of log weights,
-exponentiated in place and summed against F row by row. The CLT curves share
-one normal epoch mixture: a [t, n] matrix of normal CDFs summed against the
-law of the packet count (a single term for ``renewal_cdf_clt``).
+Every CDF accepts a scalar t (float result) or an array of t >= 0. One
+blocked mixture serves them all: each block of t fills one [block, n] buffer,
+which is summed against the weights row by row. The Poisson series fill it
+with log weights, exponentiated in place, against F; the CLT curves with
+normal or step epoch CDFs against the law of the packet count (one term for
+``renewal_cdf_clt``).
 
 The non-linear battery has two formulas. ``nonlinear_cdf`` maps the threshold
 through the tanh transform, which is exact for the continuous charging rule.
@@ -34,7 +36,6 @@ overflows for lambda*t beyond a few hundred.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -44,7 +45,6 @@ from .distributions import DistributionSpec, Exponential
 from .renewal import ArrivalProcess, Mode
 
 __all__ = [
-    "AsymptoticMoments",
     "poisson_cdf_normal",
     "poisson_cdf_exp_exact",
     "poisson_mean_tau",
@@ -63,43 +63,10 @@ _SERIES_TOL = 1e-12
 _LEVEL_STEP = 0.02
 _TRANSIENT_TOL = 1e-12
 _MAX_PACKETS = 10_000
-# Cells of the Poisson mixture's one [block, terms] buffer (256 KB). A block
-# has as many grid points as fit, 123 at the 265 terms of u = 150, so memory
-# does not grow with the number of terms times a fixed block.
+# Cells of the mixture's one [block, terms] buffer (256 KB), for both epoch
+# laws. A block has as many grid points as fit, 123 at the 265 terms of
+# u = 150, so memory does not grow with the number of terms times a block.
 _MIX_CELLS = 1 << 15
-
-
-@dataclass(frozen=True)
-class AsymptoticMoments:
-    """Rate/moment summary feeding the renewal asymptotics.
-
-    gamma2 = sigma_X^2 / lam^2 + sigma_A^2 * Xbar^2 is the variance constant
-    that appears in both the mean and the variance asymptotics.
-    """
-
-    lam: float         # arrival rate, 1 / E[inter-arrival]
-    Xbar: float        # mean packet energy
-    sigmaX2: float     # packet variance
-    sigmaA2: float     # inter-arrival variance
-    EA0: float         # mean residual wait
-    VA0: float         # variance of residual wait
-
-    @property
-    def gamma2(self) -> float:
-        return self.sigmaX2 / self.lam**2 + self.sigmaA2 * self.Xbar**2
-
-    @classmethod
-    def from_specs(cls, arrival: ArrivalProcess, packet: DistributionSpec) -> "AsymptoticMoments":
-        a = arrival.interarrival
-        ea0, va0 = arrival.residual_moments()
-        return cls(
-            lam=1.0 / a.mean,
-            Xbar=packet.mean,
-            sigmaX2=packet.variance,
-            sigmaA2=a.variance,
-            EA0=ea0,
-            VA0=va0,
-        )
 
 
 def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None, mode: Mode) -> np.ndarray:
@@ -113,10 +80,13 @@ def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None, mode: Mode) -> 
     n with F_n < 1e-12 and every term it drops weighs less than that.
     The vector starts at k = 0 in equilibrium mode. In pure mode it starts at
     k = 1: the arrival at the origin brings a packet, so n arrivals in (0, t]
-    make n + 1 packets.
+    make n + 1 packets. ValueError for a non-finite or non-positive Xbar, or
+    a non-finite or negative sigmaX: F would be NaN or never small.
     """
     if u <= 0:
         raise ValueError("threshold must be > 0")
+    if not (0.0 < Xbar < np.inf and (sigmaX is None or 0.0 <= sigmaX < np.inf)):
+        raise ValueError(f"packet mean {Xbar} and sd {sigmaX} must be finite, mean > 0, sd >= 0")
     start = 1 if mode is Mode.PURE else 0
     size = int(u / Xbar) + 64
     while True:
@@ -134,41 +104,52 @@ def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None, mode: Mode) -> 
         size *= 2
 
 
-def _poisson_mixture(F: np.ndarray, lam: float, t) -> np.ndarray | float:
-    """1 - sum_n w_n(lam t) F_n, with w_n the Poisson(lam t) weights: P(tau <= t).
+def _mixture(t, weights: np.ndarray, fill) -> np.ndarray:
+    """sum_n weights_n c_n(t) at each t >= 0; ``fill(tb, out)`` writes c_n(t) for a column tb of t.
 
-    The grid is taken in blocks of ``_MIX_CELLS // F.size`` points (at least
-    one). Each block fills one [block, F.size] buffer with the log weights
-    n log(lam t) - log n! - lam t, exponentiates it in place, weights it by F
-    and sums each row. Memory stays at that one buffer however long the grid
-    and however many terms the series has. Each row is summed on its own,
-    so a point's value does not depend on the block it falls in, and a scalar
-    t gives the same float as the same t inside an array.
+    t goes in blocks of ``_MIX_CELLS // weights.size`` points (at least one)
+    through one [block, weights.size] buffer, so memory does not grow with
+    the grid or the terms. Each row is summed on its own: a point's value does
+    not depend on its block, and a scalar t gives the float it gives in an array.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("time must be >= 0")
-    x = lam * t.ravel()
+    ts = t.ravel()
+    block = max(1, _MIX_CELLS // max(weights.size, 1))
+    buf = np.empty((min(ts.size, block), weights.size))
+    out = np.empty(ts.size)
+    for lo in range(0, ts.size, block):
+        tb = ts[lo : lo + block, None]
+        w = buf[: tb.shape[0]]
+        fill(tb, w)
+        w *= weights
+        out[lo : lo + block] = w.sum(axis=1)
+    return out.reshape(t.shape)
+
+
+def _poisson_mixture(F: np.ndarray, lam: float, t) -> np.ndarray | float:
+    """1 - sum_n w_n(lam t) F_n, with w_n the Poisson(lam t) weights: P(tau <= t).
+
+    The weights fill each block of ``_mixture`` as the log weights
+    n log(lam t) - log n! - lam t, exponentiated in place.
+    """
     n = np.arange(F.size, dtype=float)
     log_fact = special.gammaln(n + 1.0)
-    block = max(1, _MIX_CELLS // max(F.size, 1))
-    buf = np.empty((min(x.size, block), F.size))
-    tail = np.empty(x.size)
-    for lo in range(0, x.size, block):
-        xb = x[lo : lo + block, None]
-        w = buf[: xb.shape[0]]
+
+    def poisson_weights(tb, w):
+        x = lam * tb
         # at lam t = 0 the log is -inf: exp gives weight 0 for n > 0, and
         # column 0 is set apart, so the corner is exact (weight 1 at n = 0).
         # A slice, as F is empty in pure mode when one packet always crosses.
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(np.log(xb), n, out=w)
+            np.multiply(np.log(x), n, out=w)
         w -= log_fact
-        w -= xb
-        w[:, :1] = -xb
+        w -= x
+        w[:, :1] = -x
         np.exp(w, out=w)
-        w *= F
-        tail[lo : lo + block] = w.sum(axis=1)
-    return np.clip(1.0 - tail.reshape(t.shape), 0.0, 1.0)[()]
+
+    return np.clip(1.0 - _mixture(t, F, poisson_weights), 0.0, 1.0)[()]
 
 
 def poisson_cdf_normal(
@@ -207,44 +188,49 @@ def poisson_mean_tau(
     return float(_packet_sum_cdf(u, Xbar, sigmaX, mode).sum()) / lam
 
 
-def renewal_mean_tau(u: float, moments: AsymptoticMoments) -> float:
-    """Asymptotic mean: E[A0] + (u / Xbar + E[X^2] / (2 Xbar^2) - 1) / lam.
+def renewal_mean_tau(u: float, arrival: ArrivalProcess, packet: DistributionSpec) -> float:
+    """Asymptotic mean: E[A0] + (u / Xbar + E[X^2] / (2 Xbar^2) - 1) / lam, lam = 1 / mu_A.
 
     E[A0] is the mean first wait of the arrival mode, 0 in pure mode. In
     equilibrium this equals lam gamma2 / (2 Xbar^2) + u / (lam Xbar).
     """
     if u <= 0:
         raise ValueError("threshold must be > 0")
-    m = moments
-    second = m.sigmaX2 + m.Xbar**2
-    return m.EA0 + (u / m.Xbar + second / (2.0 * m.Xbar**2) - 1.0) / m.lam
+    lam, Xbar = 1.0 / arrival.interarrival.mean, packet.mean
+    second = packet.variance + Xbar**2
+    return arrival.residual_moments()[0] + (u / Xbar + second / (2.0 * Xbar**2) - 1.0) / lam
 
 
-def renewal_var_tau(u: float, moments: AsymptoticMoments) -> float:
-    """Asymptotic variance: V[A0] + gamma2 * u / Xbar^3."""
+def renewal_var_tau(u: float, arrival: ArrivalProcess, packet: DistributionSpec) -> float:
+    """Asymptotic variance: V[A0] + gamma2 u / Xbar^3, gamma2 = sigma_X^2 / lam^2 + sigma_A^2 Xbar^2."""
     if u <= 0:
         raise ValueError("threshold must be > 0")
-    m = moments
-    return m.VA0 + m.gamma2 * u / m.Xbar**3
+    a = arrival.interarrival
+    lam, Xbar = 1.0 / a.mean, packet.mean
+    gamma2 = packet.variance / lam**2 + a.variance * Xbar**2
+    return arrival.residual_moments()[1] + gamma2 * u / Xbar**3
 
 
 def _normal_epoch_mixture(t, pmf: np.ndarray, mean: np.ndarray, var: np.ndarray):
     """sum_n pmf_n P(T_n <= t), with T_n normal of mean_n and var_n; P(tau <= t).
 
     A zero variance makes T_n a step at mean_n. t is a scalar (float result)
-    or an array; each point is one row of a [t, n] matrix summed against pmf.
+    or an array; the normal or step CDFs fill each block of ``_mixture``.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be >= 0")
-    ts = t.reshape(-1, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = (ts - mean) / np.sqrt(var)
-    arrived = np.where(var > 0.0, special.ndtr(z), (ts >= mean) * 1.0)
-    return np.clip(arrived @ pmf, 0.0, 1.0).reshape(t.shape)[()]
+    sd = np.sqrt(np.maximum(var, 0.0))
+    (step,) = np.nonzero(~(var > 0.0))
+
+    def epoch_cdfs(tb, w):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.subtract(tb, mean, out=w)
+            w /= sd
+            special.ndtr(w, out=w)
+        w[:, step] = tb >= mean[step]
+
+    return np.clip(_mixture(t, pmf, epoch_cdfs), 0.0, 1.0)[()]
 
 
-def renewal_cdf_clt(u: float, t, moments: AsymptoticMoments):
+def renewal_cdf_clt(u: float, t, arrival: ArrivalProcess, packet: DistributionSpec):
     """CLT approximation P(tau(u) <= t) = Phi((t - mean) / sd).
 
     The mean and variance are ``renewal_mean_tau`` and ``renewal_var_tau``,
@@ -252,8 +238,8 @@ def renewal_cdf_clt(u: float, t, moments: AsymptoticMoments):
     leading order. A zero variance degenerates to a step at the mean. t >= 0
     is a scalar (float result) or an array.
     """
-    mean = np.array([renewal_mean_tau(u, moments)])
-    var = np.array([renewal_var_tau(u, moments)])
+    mean = np.array([renewal_mean_tau(u, arrival, packet)])
+    var = np.array([renewal_var_tau(u, arrival, packet)])
     return _normal_epoch_mixture(t, np.ones(1), mean, var)
 
 

@@ -37,7 +37,6 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
-    AsymptoticMoments,
     nonlinear_cdf,
     poisson_cdf_exp_exact,
     poisson_cdf_normal,
@@ -60,6 +59,8 @@ _KNOWN_KEYS = {
 _FORMULAS = {"auto", "poisson_normal", "poisson_exact", "clt"}
 # Expected packets, summed over its replications, that one curve may draw.
 _PACKET_BUDGET = 10**9
+# Points a configured grid may hold; each curve writes one CSV row per point.
+_MAX_GRID_POINTS = 10**6
 
 
 class ConfigError(ValueError):
@@ -85,10 +86,12 @@ class ParsedConfig:
 def _parse_grid(text: str) -> np.ndarray:
     m = re.fullmatch(r"\s*([^:]+):([^:]+):([^:]+)\s*", text)
     if not m:
-        raise ConfigError(f"grid must be start:step:stop, got {text!r}")
-    start, step, stop = (float(g) for g in m.groups())
-    if step <= 0 or stop <= start or start < 0:
-        raise ConfigError(f"grid needs start >= 0, step > 0, stop > start, got {text!r}")
+        raise ConfigError(f"grid: expected start:step:stop, got {text!r}")
+    start, step, stop = (_number("grid", g, float) for g in m.groups())
+    if not (0.0 < step < np.inf and 0.0 <= start < stop < np.inf):
+        raise ConfigError(f"grid: needs finite start >= 0, step > 0 and stop > start, got {text!r}")
+    if (stop - start) / step + 1 > _MAX_GRID_POINTS:  # before the array is built
+        raise ConfigError(f"grid: {text!r} has more than {_MAX_GRID_POINTS:.0e} points")
     return np.arange(start, stop + 0.5 * step, step)
 
 
@@ -226,18 +229,18 @@ def _pick_formula(formula: str, arrival: DistributionSpec, packet: DistributionS
 
 
 def _linear_cdf_fn(
-    name: str, moments: AsymptoticMoments, mode: Mode
+    name: str, arrival: ArrivalProcess, packet: DistributionSpec
 ) -> Callable[[float, np.ndarray], np.ndarray]:
     """Linear-threshold CDF (u, t) -> p for the chosen formula; t may be the whole grid.
 
     ``parse_config`` has already checked that the formula fits the laws.
     """
-    lam, Xbar, sigmaX = moments.lam, moments.Xbar, float(np.sqrt(moments.sigmaX2))
+    lam, Xbar, sigmaX = 1.0 / arrival.interarrival.mean, packet.mean, float(np.sqrt(packet.variance))
     if name == "poisson_normal":
-        return lambda u, t: poisson_cdf_normal(u, t, lam, Xbar, sigmaX, mode=mode)
+        return lambda u, t: poisson_cdf_normal(u, t, lam, Xbar, sigmaX, mode=arrival.mode)
     if name == "poisson_exact":
-        return lambda u, t: poisson_cdf_exp_exact(u, t, lam, Xbar, mode=mode)
-    return lambda u, t: renewal_cdf_clt(u, t, moments)
+        return lambda u, t: poisson_cdf_exp_exact(u, t, lam, Xbar, mode=arrival.mode)
+    return lambda u, t: renewal_cdf_clt(u, t, arrival, packet)
 
 
 def _slug(spec: DistributionSpec) -> str:
@@ -249,8 +252,8 @@ def _curve_name(u: float, arrival: DistributionSpec, packet: DistributionSpec) -
     return f"curve_u{u:g}__{_slug(arrival)}__{_slug(packet)}.csv"
 
 
-def _default_grid(moments: AsymptoticMoments, u_eff: float) -> np.ndarray:
-    horizon = 3.0 * renewal_mean_tau(u_eff, moments)
+def _default_grid(arrival: ArrivalProcess, packet: DistributionSpec, u_eff: float) -> np.ndarray:
+    horizon = 3.0 * renewal_mean_tau(u_eff, arrival, packet)
     return np.linspace(0.0, horizon, 201)
 
 
@@ -275,12 +278,11 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
         for config in configs:
             u, arrival, packet = config.threshold, config.arrival.interarrival, config.packet
             formula = _pick_formula(parsed.formula, arrival, packet)
-            moments = AsymptoticMoments.from_specs(config.arrival, packet)
             u_prime = parsed.battery.input_for_level(u)
-            grid = parsed.grid if parsed.grid is not None else _default_grid(moments, u_prime)
+            grid = parsed.grid if parsed.grid is not None else _default_grid(config.arrival, packet, u_prime)
             samples = run(config, workers=parsed.workers, pool=pool)
             summary, emp = summarize(samples, grid)
-            linear_cdf = _linear_cdf_fn(formula, moments, parsed.mode)
+            linear_cdf = _linear_cdf_fn(formula, config.arrival, packet)
             ana_vals = nonlinear_cdf(u, grid, parsed.battery, linear_cdf)
             ana = CdfCurve(grid, np.clip(np.maximum.accumulate(ana_vals), 0, 1), formula)
             ks = ks_distance(emp, ana)
@@ -303,8 +305,8 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
                     "breach": curve_breach,
                     "mc_mean": summary.mean,
                     "mc_variance": summary.variance,
-                    "analytic_mean": renewal_mean_tau(u_prime, moments),
-                    "analytic_variance": renewal_var_tau(u_prime, moments),
+                    "analytic_mean": renewal_mean_tau(u_prime, config.arrival, packet),
+                    "analytic_variance": renewal_var_tau(u_prime, config.arrival, packet),
                 }
             )
     manifest = {
@@ -323,21 +325,20 @@ def compare_formulas(parsed: ParsedConfig) -> dict:
     """Max gap between the normal-approximation and exact Poisson series.
 
     Only defined for exponential arrivals and exponential packets (the exact
-    formula's domain); tabulated per configured threshold over the grid.
+    formula's domain); tabulated per configured threshold over the grid. The
+    two curves are those ``run`` draws with ``formula = poisson_normal`` and
+    ``formula = poisson_exact``.
     """
     if len(parsed.arrivals) != 1 or not isinstance(parsed.arrivals[0], Exponential):
         raise ConfigError("compare needs a single exponential arrivals law")
     if len(parsed.packets) != 1 or not isinstance(parsed.packets[0], Exponential):
         raise ConfigError("compare needs a single exponential packets law")
-    lam = parsed.arrivals[0].rate
-    Xbar = parsed.packets[0].mean
-    moments = AsymptoticMoments.from_specs(ArrivalProcess(parsed.arrivals[0], parsed.mode), parsed.packets[0])
+    arrival, packet = ArrivalProcess(parsed.arrivals[0], parsed.mode), parsed.packets[0]
+    approx, exact = (_linear_cdf_fn(name, arrival, packet) for name in ("poisson_normal", "poisson_exact"))
     rows = []
     for u in parsed.thresholds:
-        grid = parsed.grid if parsed.grid is not None else _default_grid(moments, u)
-        approx = poisson_cdf_normal(u, grid, lam, Xbar, Xbar, mode=parsed.mode)
-        exact = poisson_cdf_exp_exact(u, grid, lam, Xbar, mode=parsed.mode)
-        rows.append({"u": u, "max_abs_gap": float(np.max(np.abs(approx - exact)))})
+        grid = parsed.grid if parsed.grid is not None else _default_grid(arrival, packet, u)
+        rows.append({"u": u, "max_abs_gap": float(np.max(np.abs(approx(u, grid) - exact(u, grid))))})
     return {"tool_version": __version__, "rows": rows}
 
 

@@ -245,7 +245,7 @@ DistributionSpec = Union[Exponential, Gamma, InverseGaussian, Uniform, Determini
 
 def split_spec(text: str, what: str) -> tuple[str, dict[str, float]]:
     """Split a config fragment ``name key=value ...`` into its lower-cased name
-    and float parameters; ``what`` names the spec in errors."""
+    and finite float parameters; ``what`` names the spec in errors."""
     parts = text.split()
     if not parts:
         raise ValueError(f"empty {what} spec")
@@ -257,6 +257,8 @@ def split_spec(text: str, what: str) -> tuple[str, dict[str, float]]:
         if key in kwargs:
             raise ValueError(f"repeated parameter {key!r} in {text!r}")
         kwargs[key] = float(val)
+        if not np.isfinite(kwargs[key]):
+            raise ValueError(f"parameter {key!r} must be finite, got {val!r} in {text!r}")
     return parts[0].lower(), kwargs
 
 

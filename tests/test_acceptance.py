@@ -12,7 +12,6 @@ import pytest
 from scipy import special
 
 from rechargetime.analytic import (
-    AsymptoticMoments,
     nonlinear_cdf,
     per_packet_cdf,
     poisson_cdf_exp_exact,
@@ -87,8 +86,7 @@ def test_criterion_3_linear_renewal_panel(law):
         arrival=arrival, packet=Exponential(1.0), battery=LinearBattery(),
         threshold=20.0, replications=2000, seed=5,
     )
-    moments = AsymptoticMoments.from_specs(arrival, Exponential(1.0))
-    ks = mc_vs_curve(config, lambda t: renewal_cdf_clt(20.0, t, moments))
+    ks = mc_vs_curve(config, lambda t: renewal_cdf_clt(20.0, t, arrival, Exponential(1.0)))
     report(3, f"arrivals {law.config_str()}, exp packets", ks, 0.06, ks <= 0.06)
     assert ks <= 0.06
 
@@ -100,8 +98,7 @@ def _nonlinear_panel_cases():
         yield pytest.param(POISSON, packet, fn, id=f"poisson-{packet.config_str()}")
     for law in FIGURE_LAWS:
         arrival = ArrivalProcess(law)
-        moments = AsymptoticMoments.from_specs(arrival, Exponential(1.0))
-        fn = (lambda m: lambda u, t: renewal_cdf_clt(u, t, m))(moments)
+        fn = (lambda a: lambda u, t: renewal_cdf_clt(u, t, a, Exponential(1.0)))(arrival)
         yield pytest.param(arrival, Exponential(1.0), fn, id=f"renewal-{law.config_str()}")
 
 

@@ -9,7 +9,6 @@ from scipy import special, stats
 from scipy.integrate import quad
 
 from rechargetime.analytic import (
-    AsymptoticMoments,
     nonlinear_cdf,
     packet_count_pmf,
     per_packet_cdf,
@@ -26,8 +25,15 @@ from rechargetime.renewal import ArrivalProcess, Mode
 from rechargetime.stats import dkw_band
 
 
-def exp_exp_moments():
-    return AsymptoticMoments.from_specs(ArrivalProcess(Exponential(1.0)), Exponential(1.0))
+# exponential inter-arrivals and packets, both of mean 1
+EXP_EXP = (ArrivalProcess(Exponential(1.0)), Exponential(1.0))
+
+
+def law_with_moments(mean, variance):
+    """The gamma law of this mean and variance, or a point mass at zero variance."""
+    if variance == 0.0:
+        return Deterministic(mean)
+    return Gamma(mean**2 / variance, variance / mean)
 
 
 def erlang_double_sum_cdf(u, t, lam, xbar, terms):
@@ -149,51 +155,46 @@ class TestPoissonMean:
 
 class TestRenewalAsymptotics:
     def test_exp_exp_mean_21(self):
-        m = exp_exp_moments()
-        assert m.gamma2 == pytest.approx(2.0)
-        assert renewal_mean_tau(20.0, m) == pytest.approx(21.0)
+        assert renewal_mean_tau(20.0, *EXP_EXP) == pytest.approx(21.0)
 
     def test_exp_exp_var_41(self):
-        assert renewal_var_tau(20.0, exp_exp_moments()) == pytest.approx(41.0)
+        # V[A0] + gamma2 u / Xbar^3 = 1 + 2 * 20
+        assert renewal_var_tau(20.0, *EXP_EXP) == pytest.approx(41.0)
 
     def test_deterministic_laws_have_zero_gamma2(self):
-        m = AsymptoticMoments.from_specs(ArrivalProcess(Deterministic(2.0)), Deterministic(3.0))
-        assert m.gamma2 == 0.0
-        assert renewal_mean_tau(20.0, m) == pytest.approx(20.0 / (0.5 * 3.0))
+        arrival, packet = ArrivalProcess(Deterministic(2.0)), Deterministic(3.0)
+        assert renewal_mean_tau(20.0, arrival, packet) == pytest.approx(20.0 / (0.5 * 3.0))
         # only residual jitter remains: A0 ~ Uniform(0, 2)
-        assert renewal_var_tau(20.0, m) == pytest.approx(4.0 / 12.0)
+        assert renewal_var_tau(20.0, arrival, packet) == pytest.approx(4.0 / 12.0)
 
     def test_mean_linear_in_threshold(self):
-        m = AsymptoticMoments.from_specs(ArrivalProcess(Gamma(1.5, 2.0)), Uniform(0.0, 1.0))
-        delta = renewal_mean_tau(40.0, m) - renewal_mean_tau(20.0, m)
-        assert delta == pytest.approx(20.0 / (m.lam * m.Xbar))
+        arrival, packet = ArrivalProcess(Gamma(1.5, 2.0)), Uniform(0.0, 1.0)
+        lam = 1.0 / arrival.interarrival.mean
+        delta = renewal_mean_tau(40.0, arrival, packet) - renewal_mean_tau(20.0, arrival, packet)
+        assert delta == pytest.approx(20.0 / (lam * packet.mean))
 
     def test_pure_mode_deterministic_variance_zero(self):
-        m = AsymptoticMoments.from_specs(
-            ArrivalProcess(Deterministic(2.0), Mode.PURE), Deterministic(3.0)
-        )
-        assert renewal_var_tau(20.0, m) == 0.0
+        arrival = ArrivalProcess(Deterministic(2.0), Mode.PURE)
+        assert renewal_var_tau(20.0, arrival, Deterministic(3.0)) == 0.0
 
 
 class TestRenewalClt:
     def test_monotone_in_time(self):
-        m = AsymptoticMoments.from_specs(ArrivalProcess(Gamma(1.0, 2.0)), Exponential(1.0))
-        vals = [renewal_cdf_clt(20.0, t, m) for t in np.linspace(0, 150, 300)]
+        laws = (ArrivalProcess(Gamma(1.0, 2.0)), Exponential(1.0))
+        vals = [renewal_cdf_clt(20.0, t, *laws) for t in np.linspace(0, 150, 300)]
         assert np.all(np.diff(vals) >= 0)
 
     def test_degenerate_step(self):
-        m = AsymptoticMoments.from_specs(
-            ArrivalProcess(Deterministic(1.0), Mode.PURE), Deterministic(3.0)
-        )
-        assert renewal_cdf_clt(20.0, 6.0, m) == 0.0
-        assert renewal_cdf_clt(20.0, 7.0, m) == 1.0
+        laws = (ArrivalProcess(Deterministic(1.0), Mode.PURE), Deterministic(3.0))
+        assert renewal_cdf_clt(20.0, 6.0, *laws) == 0.0
+        assert renewal_cdf_clt(20.0, 7.0, *laws) == 1.0
 
     def test_negative_time_rejected(self):
-        m = AsymptoticMoments.from_specs(ArrivalProcess(Gamma(1.0, 2.0)), Exponential(1.0))
+        laws = (ArrivalProcess(Gamma(1.0, 2.0)), Exponential(1.0))
         with pytest.raises(ValueError, match="time"):
-            renewal_cdf_clt(20.0, -1e-9, m)
+            renewal_cdf_clt(20.0, -1e-9, *laws)
         with pytest.raises(ValueError, match="time"):
-            renewal_cdf_clt(20.0, np.array([0.0, -1.0]), m)
+            renewal_cdf_clt(20.0, np.array([0.0, -1.0]), *laws)
 
 
 class TestNonlinearCdf:
@@ -328,6 +329,25 @@ class TestPerPacketCdf:
             packet_count_pmf(1.0, Deterministic(0.005), LinearBattery())
 
 
+class TestPacketSumGuards:
+    @pytest.mark.parametrize(
+        "Xbar, sigmaX",
+        [(math.inf, 1.0), (math.nan, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, math.inf), (1.0, math.nan), (1.0, -1.0)],
+    )
+    def test_bad_packet_moments_rejected(self, Xbar, sigmaX):
+        # an infinite sigma makes F all NaN and a negative mean keeps F near 1:
+        # unchecked, the series would double its length without end
+        with pytest.raises(ValueError, match="packet"):
+            poisson_cdf_normal(20.0, 1.0, 1.0, Xbar, sigmaX)
+        with pytest.raises(ValueError, match="packet"):
+            poisson_mean_tau(20.0, 1.0, Xbar, sigmaX)
+
+    @pytest.mark.parametrize("Xbar", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_exact_packet_mean_rejected(self, Xbar):
+        with pytest.raises(ValueError, match="packet mean"):
+            poisson_cdf_exp_exact(20.0, 1.0, 1.0, Xbar)
+
+
 class TestPoissonMixtureOracle:
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     @pytest.mark.parametrize("formula", ["normal", "exact"])
@@ -353,12 +373,22 @@ class TestPoissonMixtureOracle:
         # a point's value does not depend on the block it falls in
         np.testing.assert_array_equal(curve, [fn(float(t)) for t in grid])
 
-    def test_buffer_does_not_grow_with_terms_times_block(self):
-        # packet mean 1e-4 at u = 20: about 2e5 terms, so a block of 128 grid
-        # points would hold 200 MB; the mixture keeps to a fixed cell budget
+    @pytest.mark.parametrize("epochs", ["poisson", "normal"])
+    def test_buffer_does_not_grow_with_terms_times_block(self, epochs):
+        if epochs == "poisson":
+            # packet mean 1e-4 at u = 20: about 2e5 terms, so a block of 128 grid
+            # points would hold 200 MB; the mixture keeps to a fixed cell budget
+            curve = lambda: poisson_cdf_normal(20.0, np.linspace(0.0, 40.0, 201), 1.0, 1e-4, 1e-4)
+        else:
+            # 1170 packet counts on 4001 points under gamma arrivals: one dense
+            # [t, n] matrix of normal epoch CDFs would hold 37 MB. The count
+            # law is cached first, so only the mixture is traced
+            arrival, laws = ArrivalProcess(Gamma(2.0, 0.5)), (Uniform(0.0, 0.04), LinearBattery())
+            packet_count_pmf(20.0, *laws)
+            curve = lambda: per_packet_cdf(20.0, np.linspace(0.0, 40.0, 4001), arrival, *laws)
         tracemalloc.start()
         try:
-            poisson_cdf_normal(20.0, np.linspace(0.0, 40.0, 201), 1.0, 1e-4, 1e-4)
+            curve()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -371,7 +401,7 @@ class TestCdfRangeProperties:
         fn = {
             "normal": lambda t: poisson_cdf_normal(30.0, t, 1.5, 0.7, 0.4),
             "exact": lambda t: poisson_cdf_exp_exact(30.0, t, 1.5, 0.7),
-            "clt": lambda t: renewal_cdf_clt(30.0, t, exp_exp_moments()),
+            "clt": lambda t: renewal_cdf_clt(30.0, t, *EXP_EXP),
         }[formula]
         grid = np.linspace(0.0, 80.0, 161)
         curve = fn(grid)
@@ -392,28 +422,27 @@ class TestCdfRangeProperties:
     )
     def test_monotone_in_time_and_in_unit_interval(self, u, lam, Xbar, sigmaX, sigmaA2, times):
         t = np.sort(times)
-        m = AsymptoticMoments(lam=lam, Xbar=Xbar, sigmaX2=sigmaX**2, sigmaA2=sigmaA2, EA0=1.0 / lam, VA0=sigmaA2)
+        arrival = ArrivalProcess(law_with_moments(1.0 / lam, sigmaA2))
+        packet = law_with_moments(Xbar, sigmaX**2)
         for vals in (
             poisson_cdf_normal(u, t, lam, Xbar, sigmaX),
             poisson_cdf_exp_exact(u, t, lam, Xbar),
-            renewal_cdf_clt(u, t, m),
+            renewal_cdf_clt(u, t, arrival, packet),
         ):
             assert np.all((vals >= 0.0) & (vals <= 1.0))
             # the series' own error bound is 1e-12
             assert np.all(np.diff(vals) >= -1e-12)
 
     def test_all_formulas_in_unit_interval(self):
-        m = exp_exp_moments()
         for t in np.linspace(0.0, 100.0, 101):
             for v in (
                 poisson_cdf_normal(20.0, t, 1.0, 1.0, 1.0),
                 poisson_cdf_exp_exact(20.0, t, 1.0, 1.0),
-                renewal_cdf_clt(20.0, t, m),
+                renewal_cdf_clt(20.0, t, *EXP_EXP),
             ):
                 assert 0.0 <= v <= 1.0
 
     def test_zero_at_origin(self):
-        m = exp_exp_moments()
         assert poisson_cdf_normal(20.0, 0.0, 1.0, 1.0, 1.0) == 0.0
         assert poisson_cdf_exp_exact(20.0, 0.0, 1.0, 1.0) == 0.0
-        assert renewal_cdf_clt(20.0, 0.0, m) < 1e-3
+        assert renewal_cdf_clt(20.0, 0.0, *EXP_EXP) < 1e-3

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from rechargetime.analytic import AsymptoticMoments
 from rechargetime import engine
 from rechargetime.battery import LinearBattery, NonLinearBattery
 from rechargetime.cli import (
@@ -60,8 +59,19 @@ class TestParseConfig:
             ("u = -1", "u"),
             ("replications = 0", "replications"),
             ("u = 30\nbattery = linear umax=25\nreplications = 0", "replications"),
+            # law and battery parameters must be finite
+            ("packets = uniform lo=0 hi=inf", "packets"),
+            ("packets = deterministic value=inf", "packets"),
+            ("packets = gamma shape=nan scale=1", "packets"),
+            ("arrivals = exponential rate=inf", "arrivals"),
+            ("battery = nonlinear umax=inf beta=1.1", "battery"),
+            ("battery = nonlinear umax=25 beta=inf", "battery"),
+            ("battery = linear umax=inf", "battery"),
         ],
-        ids=["above-capacity", "negative", "no-replications", "both"],
+        ids=[
+            "above-capacity", "negative", "no-replications", "both", "uniform-hi-inf", "deterministic-inf",
+            "gamma-shape-nan", "exponential-rate-inf", "nonlinear-umax-inf", "nonlinear-beta-inf", "linear-umax-inf",
+        ],
     )
     def test_run_config_error_names_its_key(self, lines, key):
         with pytest.raises(ConfigError, match=rf"^{key}: "):
@@ -85,9 +95,18 @@ class TestParseConfig:
         p = parse_config("packets = deterministic value=3; gamma shape=1 scale=2\nu = 20")
         assert p.packets == [Deterministic(3.0), Gamma(1.0, 2.0)]
 
-    def test_bad_grid(self):
-        with pytest.raises(ConfigError, match="grid"):
-            parse_config("grid = 5:0:1")
+    @pytest.mark.parametrize(
+        "grid",
+        ["5:0:1", "0:nan:10", "0:inf:10", "0:1:inf", "nan:1:10", "0:x:10", "0:1e-7:1e3", "0:2e-5:60", "0:1:1000000"],
+    )
+    def test_bad_grid(self, grid):
+        # non-finite ends and steps, and grids of more than 1e6 points, are
+        # refused before any array is built
+        with pytest.raises(ConfigError, match="^grid: "):
+            parse_config(f"grid = {grid}")
+
+    def test_grid_at_the_point_limit_accepted(self):
+        assert parse_config("grid = 0:1:999999").grid.size == 10**6
 
     def test_nonlinear_battery(self):
         p = parse_config("battery = nonlinear umax=25 beta=1.1\nu = 20")
@@ -215,15 +234,6 @@ class TestRunExperiment:
         for name in sorted(f.name for f in (tmp_path / "w1").iterdir()):
             assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
 
-    def test_one_moments_object_per_curve(self, tmp_path, monkeypatch):
-        # the formula, the default grid and the manifest share one
-        calls = []
-        build = AsymptoticMoments.from_specs
-        monkeypatch.setattr(AsymptoticMoments, "from_specs", lambda *specs: calls.append(specs) or build(*specs))
-        text = "arrivals = gamma shape=2 scale=0.5\npackets = exponential rate=1; deterministic value=3\nu = 20\nreplications = 100"
-        run_experiment(parse_config(text), tmp_path)
-        assert len(calls) == 2
-
     def test_tolerance_breach_flag(self, tmp_path):
         p = parse_config(PANEL_A_LINEAR + "ks_tolerance = 1e-9")
         manifest = run_experiment(p, tmp_path)
@@ -329,8 +339,18 @@ class TestMain:
             ("battery = linear umax=25\nu = 30", [], "u"),
             ("replications = 0", [], "replications"),
             ("u = 20", ["--replications", "0"], "replications"),
+            # without the check of finite parameters these hang, run out of memory or crash
+            ("packets = uniform lo=0 hi=inf\nu = 5\nreplications = 100", [], "packets"),
+            ("battery = nonlinear umax=inf beta=1.1\nu = 5\nreplications = 100", [], "battery"),
+            ("packets = deterministic value=inf\nu = 5\nreplications = 100", [], "packets"),
+            ("arrivals = exponential rate=inf\nu = 5\nreplications = 100", [], "arrivals"),
+            ("battery = nonlinear umax=25 beta=inf\nu = 5\nreplications = 100", [], "battery"),
+            ("grid = 0:1e-7:1e3", [], "grid"),
         ],
-        ids=["threshold", "replications", "replication-override"],
+        ids=[
+            "threshold", "replications", "replication-override", "uniform-hi-inf", "nonlinear-umax-inf",
+            "deterministic-inf", "exponential-rate-inf", "nonlinear-beta-inf", "grid-too-fine",
+        ],
     )
     def test_bad_run_config_fails_before_writing(self, tmp_path, capsys, lines, override, key):
         cfg = tmp_path / "bad.cfg"
