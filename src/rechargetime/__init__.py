@@ -13,7 +13,6 @@ from .analytic import (
     per_packet_cdf,
     poisson_cdf_exp_exact,
     poisson_cdf_normal,
-    poisson_mean_tau,
     renewal_cdf_clt,
     renewal_mean_tau,
     renewal_var_tau,
@@ -38,7 +37,6 @@ __all__ = [
     "per_packet_cdf",
     "poisson_cdf_exp_exact",
     "poisson_cdf_normal",
-    "poisson_mean_tau",
     "renewal_cdf_clt",
     "renewal_mean_tau",
     "renewal_var_tau",

@@ -3,7 +3,7 @@
 Poisson-arrival results condition on the number of arrivals by time t, which
 turns the level-crossing probability into a Poisson-weighted series over
 F_n(u) = P(S_n <= u), the CDF of the n-packet sum:
-P(tau <= t) = 1 - sum_n w_n(lam t) F_n(u) and E[tau] = (1/lam) sum_n F_n(u).
+P(tau <= t) = 1 - sum_n w_n(lam t) F_n(u), for a rate lam in (0, inf).
 F_n(u) is the normal approximation of the n-fold convolution (general packet
 law) or the exact Erlang/incomplete-gamma form (exponential packets). It does
 not depend on t and falls with n, so one cut serves every t: the series stops
@@ -47,7 +47,6 @@ from .renewal import ArrivalProcess, Mode
 __all__ = [
     "poisson_cdf_normal",
     "poisson_cdf_exp_exact",
-    "poisson_mean_tau",
     "renewal_mean_tau",
     "renewal_var_tau",
     "renewal_cdf_clt",
@@ -132,8 +131,11 @@ def _poisson_mixture(F: np.ndarray, lam: float, t) -> np.ndarray | float:
     """1 - sum_n w_n(lam t) F_n, with w_n the Poisson(lam t) weights: P(tau <= t).
 
     The weights fill each block of ``_mixture`` as the log weights
-    n log(lam t) - log n! - lam t, exponentiated in place.
+    n log(lam t) - log n! - lam t, exponentiated in place. ValueError for a
+    rate lam outside (0, inf), whose weights would be NaN or all at n = 0.
     """
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"arrival rate {lam} must be finite and > 0")
     n = np.arange(F.size, dtype=float)
     log_fact = special.gammaln(n + 1.0)
 
@@ -175,17 +177,6 @@ def poisson_cdf_exp_exact(u: float, t, lam: float, Xbar: float, *, mode: Mode = 
     result) or an array.
     """
     return _poisson_mixture(_packet_sum_cdf(u, Xbar, None, mode), lam, t)
-
-
-def poisson_mean_tau(
-    u: float, lam: float, Xbar: float, sigmaX: float, *, mode: Mode = Mode.EQUILIBRIUM
-) -> float:
-    """E[tau(u)] for Poisson arrivals: (1/lam) * sum_n Phi((u - n Xbar)/(sigmaX sqrt(n))).
-
-    The sum starts at n = 0, whose term is 1 (unit-step convention), in
-    equilibrium mode and at n = 1 in pure mode.
-    """
-    return float(_packet_sum_cdf(u, Xbar, sigmaX, mode).sum()) / lam
 
 
 def renewal_mean_tau(u: float, arrival: ArrivalProcess, packet: DistributionSpec) -> float:

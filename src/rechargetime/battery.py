@@ -45,11 +45,11 @@ def check_packets(x) -> np.ndarray:
 class LinearBattery:
     """Unit-efficiency storage; optionally capped at a capacity."""
 
-    umax: Optional[float] = None  # None = unbounded
+    umax: Optional[float] = None  # None = unbounded; inf is refused
 
     def __post_init__(self):
-        if self.umax is not None and not self.umax > 0:
-            raise ValueError("umax must be > 0")
+        if self.umax is not None and not 0 < self.umax < math.inf:
+            raise ValueError(f"umax must be finite and > 0, got {self.umax}")
 
     @property
     def capacity(self) -> float:
@@ -74,10 +74,10 @@ class NonLinearBattery:
     beta: float
 
     def __post_init__(self):
-        if not self.umax > 0:
-            raise ValueError("umax must be > 0")
-        if not self.beta > 1.0:
-            raise ValueError(f"beta must be > 1, got {self.beta}")
+        if not 0 < self.umax < math.inf:
+            raise ValueError(f"umax must be finite and > 0, got {self.umax}")
+        if not 1.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 1, got {self.beta}")
 
     @property
     def a(self) -> float:

@@ -15,11 +15,12 @@ one curve (CSV of t, ecdf, analytic_cdf) per combination plus a JSON
 manifest with KS distances and moment summaries. Each analytic curve is one
 call of its formula on the whole grid. The Poisson series have no truncation
 setting: they stop where the packet-sum CDF falls below 1e-12. Each curve is
-one ``ExperimentConfig``, which checks its threshold and replications and
-estimates its packets; the engine's ``worker_pool`` decides from those
-estimates whether one process pool for all curves pays. ``workers`` is an
-upper bound. Exit codes: 0 ok, 1 validation error, 2 KS tolerance breach,
-3 I/O error.
+one ``ExperimentConfig``, which checks its threshold, replications, seed and
+expected packets, as the laws and the battery check their parameters; the CLI
+checks only its own keys and prefixes every refusal with its key. The
+engine's ``worker_pool`` decides from the packet estimates whether one process
+pool for all curves pays. ``workers`` is an upper bound. Exit codes: 0 ok,
+1 validation error, 2 KS tolerance breach, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ _KNOWN_KEYS = {
     "mode", "formula", "ks_tolerance", "workers",
 }
 _FORMULAS = {"auto", "poisson_normal", "poisson_exact", "clt"}
-# Expected packets, summed over its replications, that one curve may draw.
-_PACKET_BUDGET = 10**9
 # Points a configured grid may hold; each curve writes one CSV row per point.
 _MAX_GRID_POINTS = 10**6
 
@@ -159,6 +158,8 @@ def parse_config(text: str) -> ParsedConfig:
     for name in names:
         if names.count(name) > 1:
             raise ConfigError(f"two curves would both write {name}; list each threshold and law once")
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
     parsed = ParsedConfig(
         arrivals=arrivals,
         packets=packets,
@@ -173,15 +174,17 @@ def parse_config(text: str) -> ParsedConfig:
         workers=workers,
         raw_text=text,
     )
-    _check_counts(parsed)
+    _configs(parsed)
     return parsed
 
 
 def _configs(parsed: ParsedConfig) -> List[ExperimentConfig]:
     """The run of each (threshold, arrival, packet) combination, in curve order.
 
-    ``ExperimentConfig`` checks the threshold against the battery's capacity
-    and the replications; its ValueError becomes a ConfigError naming the key.
+    ``ExperimentConfig`` checks the replications, the seed, the threshold
+    against the battery's capacity and the expected packets, in that order;
+    its ValueError becomes a ConfigError naming the key. ``parse_config``
+    calls this to check a config, and ``main`` again after its overrides.
     """
     configs = []
     for u, arrival, packet in itertools.product(parsed.thresholds, parsed.arrivals, parsed.packets):
@@ -195,29 +198,9 @@ def _configs(parsed: ParsedConfig) -> List[ExperimentConfig]:
                 seed=parsed.seed,
             ))
         except ValueError as exc:
-            key = "replications" if parsed.replications < 1 else "u"
+            key = "replications" if parsed.replications < 1 else "seed" if parsed.seed < 0 else "u"
             raise ConfigError(f"{key}: {exc}") from None
     return configs
-
-
-def _check_counts(parsed: ParsedConfig) -> None:
-    """Reject counts, seeds and work no run can use; ``main`` checks its overrides here too.
-
-    A curve whose replications need more than ``_PACKET_BUDGET`` expected
-    packets in all is refused before anything runs.
-    """
-    if parsed.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {parsed.seed}")
-    if parsed.workers < 1:
-        raise ConfigError("workers must be >= 1")
-    for config in _configs(parsed):
-        work = config.expected_packets
-        if work > _PACKET_BUDGET:
-            raise ConfigError(
-                f"u = {config.threshold:g} with packet mean {config.packet.mean:g} needs about "
-                f"{work:.2g} packets over {parsed.replications} replications, more than the "
-                f"budget of {_PACKET_BUDGET:.0e}"
-            )
 
 
 def _pick_formula(formula: str, arrival: DistributionSpec, packet: DistributionSpec) -> str:
@@ -367,7 +350,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parsed.seed = args.seed
         if args.replications is not None:
             parsed.replications = args.replications
-        _check_counts(parsed)
+        _configs(parsed)
         if args.command == "compare":
             report = compare_formulas(parsed)
             for row in report["rows"]:

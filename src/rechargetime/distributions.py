@@ -12,13 +12,15 @@ Parameter conventions (important, the literature is ambiguous):
 Both are spelled out as keyword arguments on the constructors so experiment
 configs are unambiguous.
 
-All laws have non-negative support and finite first three raw moments.
+All laws have non-negative support and finite first three raw moments; the
+constructors refuse a non-finite or out-of-range parameter.
 Specs are immutable; random streams (``numpy.random.Generator``) are passed
 in by the caller and never stored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -48,8 +50,8 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"exponential rate must be > 0, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"exponential rate must be finite and > 0, got {self.rate}")
 
     @property
     def mean(self) -> float:
@@ -82,8 +84,8 @@ class Gamma:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise ValueError(f"gamma needs shape > 0 and scale > 0, got {self}")
+        if not (0 < self.shape < math.inf and 0 < self.scale < math.inf):
+            raise ValueError(f"gamma needs finite shape > 0 and scale > 0, got {self}")
 
     @property
     def mean(self) -> float:
@@ -122,8 +124,8 @@ class InverseGaussian:
     shape: float
 
     def __post_init__(self):
-        if not (self.mean_ > 0 and self.shape > 0):
-            raise ValueError(f"inverse gaussian needs mean > 0 and shape > 0, got {self}")
+        if not (0 < self.mean_ < math.inf and 0 < self.shape < math.inf):
+            raise ValueError(f"inverse gaussian needs finite mean > 0 and shape > 0, got {self}")
 
     @property
     def mean(self) -> float:
@@ -172,8 +174,8 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if not (self.lo >= 0 and self.hi > self.lo):
-            raise ValueError(f"uniform needs 0 <= lo < hi, got {self}")
+        if not 0 <= self.lo < self.hi < math.inf:
+            raise ValueError(f"uniform needs finite lo and hi with 0 <= lo < hi, got {self}")
 
     @property
     def mean(self) -> float:
@@ -209,8 +211,8 @@ class Deterministic:
     value: float
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError(f"deterministic value must be > 0, got {self.value}")
+        if not 0 < self.value < math.inf:
+            raise ValueError(f"deterministic value must be finite and > 0, got {self.value}")
 
     @property
     def mean(self) -> float:
@@ -245,7 +247,8 @@ DistributionSpec = Union[Exponential, Gamma, InverseGaussian, Uniform, Determini
 
 def split_spec(text: str, what: str) -> tuple[str, dict[str, float]]:
     """Split a config fragment ``name key=value ...`` into its lower-cased name
-    and finite float parameters; ``what`` names the spec in errors."""
+    and float parameters; ``what`` names the spec in errors. The constructors
+    check the values."""
     parts = text.split()
     if not parts:
         raise ValueError(f"empty {what} spec")
@@ -257,8 +260,6 @@ def split_spec(text: str, what: str) -> tuple[str, dict[str, float]]:
         if key in kwargs:
             raise ValueError(f"repeated parameter {key!r} in {text!r}")
         kwargs[key] = float(val)
-        if not np.isfinite(kwargs[key]):
-            raise ValueError(f"parameter {key!r} must be finite, got {val!r} in {text!r}")
     return parts[0].lower(), kwargs
 
 

@@ -56,6 +56,8 @@ _MAX_PACKETS = 10**9
 # packets cost about 4x more; 1e6 bounds the wall time lost either way to
 # about 1.3x.
 _POOL_BREAK_EVEN = 10**6
+# Expected packets, summed over its replications, that one config may draw.
+_PACKET_BUDGET = 10**9
 
 # per-packet: the discrete update U <- U + eta(U) * X
 # continuous:  accumulate raw input and apply the tanh transform
@@ -69,6 +71,14 @@ class UnreachableThresholdError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run: its laws, battery, threshold, replications, seed and non-linear rule.
+
+    Construction refuses, in this order, replications < 1, a seed < 0, a
+    threshold outside (0, capacity), an unknown rule and more than
+    ``_PACKET_BUDGET`` ``expected_packets``, each with a ValueError before
+    anything runs.
+    """
+
     arrival: ArrivalProcess
     packet: DistributionSpec
     battery: BatteryModel
@@ -80,12 +90,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         cap = self.battery.capacity
         # the level is capped at capacity, so it can never exceed u = capacity
         if not 0.0 < self.threshold < cap:
             raise ValueError(f"threshold {self.threshold} outside (0, {cap})")
         if self.nonlinear_rule not in (PER_PACKET, CONTINUOUS):
             raise ValueError(f"unknown nonlinear rule {self.nonlinear_rule!r}")
+        work = self.expected_packets
+        if work > _PACKET_BUDGET:
+            raise ValueError(
+                f"u = {self.threshold:g} with packet mean {self.packet.mean:g} needs about "
+                f"{work:.2g} packets over {self.replications} replications, more than the "
+                f"budget of {_PACKET_BUDGET:.0e}"
+            )
 
     @property
     def expected_packets(self) -> float:

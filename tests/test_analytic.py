@@ -14,7 +14,6 @@ from rechargetime.analytic import (
     per_packet_cdf,
     poisson_cdf_exp_exact,
     poisson_cdf_normal,
-    poisson_mean_tau,
     renewal_cdf_clt,
     renewal_mean_tau,
     renewal_var_tau,
@@ -123,32 +122,30 @@ class TestPoissonExactSeries:
             assert p5 >= p10 >= p20
 
 
+def quadrature_mean(cdf, horizon: float) -> float:
+    """E[tau] = int_0^inf (1 - P(tau <= t)) dt, cut at a horizon past the tail."""
+    return quad(lambda t: 1.0 - cdf(t), 0, horizon, limit=400)[0]
+
+
 class TestPoissonMean:
-    def test_tiny_threshold_is_one_arrival(self):
-        # sigma_X well below Xbar so the n >= 1 normal terms vanish at u -> 0
-        assert poisson_mean_tau(1e-6, 2.0, 1.0, 0.2) == pytest.approx(0.5, rel=1e-4)
-
-    def test_rate_scaling(self):
-        m1 = poisson_mean_tau(20.0, 1.0, 1.0, 1.0)
-        m2 = poisson_mean_tau(20.0, 2.0, 1.0, 1.0)
-        assert m2 == pytest.approx(m1 / 2.0, rel=1e-12)
-
     @pytest.mark.parametrize("u", [5.0, 10.0, 20.0])
     def test_mean_consistency_with_exact_cdf_quadrature(self, u):
-        # E[tau] = int_0^inf (1 - P(tau <= t)) dt on the exact formula
-        m_quad = quad(lambda t: 1.0 - poisson_cdf_exp_exact(u, t, 1.0, 1.0), 0, 60 + 10 * u, limit=400)[0]
-        m_series = poisson_mean_tau(u, 1.0, 1.0, 1.0)
-        assert abs(m_series - m_quad) / m_quad < 0.01
+        # exponential packets of mean 1 cross after 1 + Poisson(u) packets, so
+        # E[tau] = (1 + u / Xbar) / lam; quad's absolute tolerance is 1.5e-8
+        m_quad = quadrature_mean(lambda t: poisson_cdf_exp_exact(u, t, 1.0, 1.0), 60 + 10 * u)
+        assert m_quad == pytest.approx(1.0 + u, rel=1e-8)
 
     def test_deterministic_packets(self):
         # ceil-counting: E[tau] = (1 + floor(u/c)) / lam
-        assert poisson_mean_tau(20.0, 1.0, 3.0, 0.0) == pytest.approx(7.0)
+        def mean(mode):
+            return quadrature_mean(lambda t: poisson_cdf_normal(20.0, t, 1.0, 3.0, 0.0, mode=mode), 100.0)
+
+        assert mean(Mode.EQUILIBRIUM) == pytest.approx(7.0)
         # pure mode: the packet at the origin is one of the seven
-        assert poisson_mean_tau(20.0, 1.0, 3.0, 0.0, mode=Mode.PURE) == pytest.approx(6.0)
+        assert mean(Mode.PURE) == pytest.approx(6.0)
 
     def test_pure_mode_first_packet_crosses(self):
         # the packet at the origin already lifts the level above u: tau = 0
-        assert poisson_mean_tau(2.0, 1.0, 3.0, 0.0, mode=Mode.PURE) == 0.0
         curve = poisson_cdf_normal(2.0, [0.0, 5.0], 1.0, 3.0, 0.0, mode=Mode.PURE)
         np.testing.assert_array_equal(curve, 1.0)
 
@@ -339,13 +336,21 @@ class TestPacketSumGuards:
         # unchecked, the series would double its length without end
         with pytest.raises(ValueError, match="packet"):
             poisson_cdf_normal(20.0, 1.0, 1.0, Xbar, sigmaX)
-        with pytest.raises(ValueError, match="packet"):
-            poisson_mean_tau(20.0, 1.0, Xbar, sigmaX)
 
     @pytest.mark.parametrize("Xbar", [math.inf, math.nan, 0.0, -1.0])
     def test_bad_exact_packet_mean_rejected(self, Xbar):
         with pytest.raises(ValueError, match="packet mean"):
             poisson_cdf_exp_exact(20.0, 1.0, 1.0, Xbar)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_rate_rejected(self, lam):
+        # unchecked, lam = -1 gave the curve [0, nan, nan] and lam = inf an
+        # all-NaN curve
+        t = [0.0, 5.0, 30.0]
+        with pytest.raises(ValueError, match="arrival rate"):
+            poisson_cdf_normal(20.0, t, lam, 1.0, 1.0)
+        with pytest.raises(ValueError, match="arrival rate"):
+            poisson_cdf_exp_exact(20.0, t, lam, 1.0)
 
 
 class TestPoissonMixtureOracle:

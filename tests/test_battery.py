@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -158,6 +159,18 @@ def test_validation():
         NonLinearBattery(umax=0.0, beta=1.1)
     with pytest.raises(ValueError):
         LinearBattery(umax=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "battery, field",
+    [(LinearBattery(umax=25.0), "umax"), (NL, "umax"), (NL, "beta")],
+    ids=["linear-umax", "nonlinear-umax", "nonlinear-beta"],
+)
+def test_non_finite_parameter_rejected(battery, field, bad):
+    # write LinearBattery() for an uncapped battery; umax = inf is refused
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(battery, **{field: bad})
 
 
 def test_parse_battery():

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -147,6 +150,22 @@ def test_validation_rejects_bad_parameters():
         Gamma(0.0, 1.0)
     with pytest.raises(ValueError):
         InverseGaussian(1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        pytest.param(spec, f.name, id=f"{type(spec).__name__}-{f.name}")
+        for spec in [Exponential(1.0), Gamma(1.0, 2.0), InverseGaussian(1.0, 2.0), Uniform(0.0, 1.0), Deterministic(3.0)]
+        for f in dataclasses.fields(spec)
+    ],
+)
+def test_non_finite_parameter_rejected(spec, field, bad):
+    # unchecked, Uniform(0, inf) packets gave renewal_mean_tau = nan and
+    # Exponential(inf) arrivals a ZeroDivisionError in renewal_cdf_clt
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(spec, **{field: bad})
 
 
 def test_parse_distribution():

@@ -355,6 +355,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             cfg(nonlinear_rule="midpoint")
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            cfg(seed=-1)
+
+    def test_past_the_packet_budget(self):
+        # 4e7 packets a replication, 8e10 in all: refused before anything runs
+        with pytest.raises(ValueError, match=r"u = 20 with packet mean 5e-07 .* budget of 1e\+09"):
+            cfg(packet=Uniform(0.0, 1e-6))
+
     def test_packet_limit_names_the_config(self, monkeypatch):
         # 2001 packets of 0.01 to pass u = 20, past a limit of two blocks
         monkeypatch.setattr(engine, "_MAX_PACKETS", 128)
