@@ -21,7 +21,7 @@ normal or step epoch CDFs against the law of the packet count (one term for
 ``renewal_cdf_clt``).
 
 The non-linear battery has two formulas. ``nonlinear_cdf`` maps the threshold
-through the tanh transform, which is exact for the continuous charging rule.
+through the tanh transform: the continuous model is the linear battery at u'.
 ``per_packet_cdf`` matches the per-packet rule U <- min(U + eta(U) X, umax):
 it propagates the level on a grid to get the law of the packet count N and
 mixes it with the law of the N-th arrival epoch. For Poisson arrivals that
@@ -241,9 +241,10 @@ def nonlinear_cdf(u: float, t, model: BatteryModel, linear_cdf):
     u' and evaluates the supplied linear formula there:
     ``linear_cdf(u_prime, t)``, with t a scalar or an array. For a linear
     model u' = u and this is the identity wrapper. The result is exact (as
-    exact as ``linear_cdf``) for the linear battery and for the continuous
-    non-linear rule. For the per-packet rule U <- min(U + eta(U) X, umax) it
-    is only the small-packet limit; use ``per_packet_cdf`` for that rule.
+    exact as ``linear_cdf``) for ``LinearBattery()`` at u', whose taus are
+    those of the continuous non-linear model. For the per-packet rule
+    U <- min(U + eta(U) X, umax), which the engine simulates, it is only the
+    small-packet limit; use ``per_packet_cdf`` for that rule.
     """
     u_prime = model.input_for_level(u)
     return linear_cdf(u_prime, t)

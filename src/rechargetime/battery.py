@@ -4,11 +4,11 @@ The non-linear model has a state-dependent conversion efficiency
 eta(U) = 1 - ((U - a)/b)^2 with a = umax/2 and b = beta*umax/2, beta > 1.
 Integrating dU/dX = eta(U) from an empty battery yields the logistic-type
 law U = a + b*tanh((X - C)/b) with C = b*artanh(1/beta), which converts a
-cumulative raw-input total into a stored level and back. The per-packet
-discrete rule U <- U + eta(U)*X is what simulations use by default; its
-recharge-time CDF is ``analytic.per_packet_cdf``. The threshold transform
-(``analytic.nonlinear_cdf``) is exact only for the continuous rule, which
-applies the tanh law to the cumulative input.
+cumulative raw-input total into a stored level and back. The engine simulates
+the per-packet rule U <- U + eta(U)*X; its recharge-time CDF is
+``analytic.per_packet_cdf``. The continuous model applies the tanh law to the
+cumulative input, so its recharge time is that of ``LinearBattery()`` at
+``input_for_level(u)``, which ``analytic.nonlinear_cdf`` evaluates.
 """
 
 from __future__ import annotations

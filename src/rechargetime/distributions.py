@@ -13,7 +13,8 @@ Both are spelled out as keyword arguments on the constructors so experiment
 configs are unambiguous.
 
 All laws have non-negative support and finite first three raw moments; the
-constructors refuse a non-finite or out-of-range parameter.
+constructors refuse a non-finite or out-of-range parameter, and one whose mean,
+variance or third raw moment is not a finite float.
 Specs are immutable; random streams (``numpy.random.Generator``) are passed
 in by the caller and never stored.
 """
@@ -43,6 +44,17 @@ def _as_array(x):
     return np.asarray(x, dtype=float)
 
 
+def _check_moments(law) -> None:
+    """ValueError unless the law's mean, variance and third raw moment are finite floats."""
+    for name in ("mean", "variance", "third_raw_moment"):
+        try:
+            value = getattr(law, name)
+        except ArithmeticError:  # float overflow, or division by an underflowed 0
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{law.config_str()} has no finite {name} in floating point")
+
+
 @dataclass(frozen=True)
 class Exponential:
     """Exponential law with given rate (mean = 1/rate)."""
@@ -52,6 +64,7 @@ class Exponential:
     def __post_init__(self):
         if not 0 < self.rate < math.inf:
             raise ValueError(f"exponential rate must be finite and > 0, got {self.rate}")
+        _check_moments(self)
 
     @property
     def mean(self) -> float:
@@ -86,6 +99,7 @@ class Gamma:
     def __post_init__(self):
         if not (0 < self.shape < math.inf and 0 < self.scale < math.inf):
             raise ValueError(f"gamma needs finite shape > 0 and scale > 0, got {self}")
+        _check_moments(self)
 
     @property
     def mean(self) -> float:
@@ -126,6 +140,7 @@ class InverseGaussian:
     def __post_init__(self):
         if not (0 < self.mean_ < math.inf and 0 < self.shape < math.inf):
             raise ValueError(f"inverse gaussian needs finite mean > 0 and shape > 0, got {self}")
+        _check_moments(self)
 
     @property
     def mean(self) -> float:
@@ -176,6 +191,7 @@ class Uniform:
     def __post_init__(self):
         if not 0 <= self.lo < self.hi < math.inf:
             raise ValueError(f"uniform needs finite lo and hi with 0 <= lo < hi, got {self}")
+        _check_moments(self)
 
     @property
     def mean(self) -> float:
@@ -213,6 +229,7 @@ class Deterministic:
     def __post_init__(self):
         if not 0 < self.value < math.inf:
             raise ValueError(f"deterministic value must be finite and > 0, got {self.value}")
+        _check_moments(self)
 
     @property
     def mean(self) -> float:

@@ -13,13 +13,17 @@ replications. So results are bitwise reproducible for a given seed across
 worker counts, configs that share a seed see common random numbers, and a
 longer run starts with the taus of a shorter one.
 
-Each drawn block of packets is checked once, under every rule, before the
-levels take it in; under the per-packet rule each packet column then steps
-unchecked and in place (``advance``). ``workers`` is an upper bound, and one
-pool policy serves the CLI and library callers alike: ``worker_pool`` opens a
-pool only when ``pool_size`` allows two processes or more and its configs'
-``expected_packets`` reach ``_POOL_BREAK_EVEN``, where a pool starts to pay;
-``run`` applies the same rule to its own config.
+Each drawn block of packets is checked once, before the levels take it in.
+The battery type picks the path: a linear battery's levels are a running sum
+of its packets, and a non-linear one steps per packet, U <- U + eta(U) X, each
+column unchecked and in place (``advance``). The continuous model, the tanh
+law applied to the cumulative input, needs no path of its own: its taus are
+those of ``LinearBattery()`` at ``battery.input_for_level(u)``, same seed.
+``workers`` is an upper bound, and one pool policy serves the CLI and library
+callers alike: ``worker_pool`` opens a pool only when ``pool_size`` allows two
+processes or more and its configs' ``expected_packets`` reach
+``_POOL_BREAK_EVEN``, where a pool starts to pay; ``run`` applies the same
+rule to its own config.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .battery import BatteryModel, LinearBattery, NonLinearBattery, check_packets
+from .battery import BatteryModel, NonLinearBattery, check_packets
 from .distributions import DistributionSpec
 from .renewal import ArrivalProcess
 from .stats import CdfCurve, ecdf
@@ -59,11 +63,6 @@ _POOL_BREAK_EVEN = 10**6
 # Expected packets, summed over its replications, that one config may draw.
 _PACKET_BUDGET = 10**9
 
-# per-packet: the discrete update U <- U + eta(U) * X
-# continuous:  accumulate raw input and apply the tanh transform
-PER_PACKET = "per_packet"
-CONTINUOUS = "continuous"
-
 
 class UnreachableThresholdError(RuntimeError):
     pass
@@ -71,10 +70,10 @@ class UnreachableThresholdError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One run: its laws, battery, threshold, replications, seed and non-linear rule.
+    """One run: its laws, battery, threshold, replications and seed.
 
     Construction refuses, in this order, replications < 1, a seed < 0, a
-    threshold outside (0, capacity), an unknown rule and more than
+    threshold outside (0, capacity) and more than
     ``_PACKET_BUDGET`` ``expected_packets``, each with a ValueError before
     anything runs.
     """
@@ -85,7 +84,6 @@ class ExperimentConfig:
     threshold: float
     replications: int = 2000
     seed: int = 0
-    nonlinear_rule: str = PER_PACKET
 
     def __post_init__(self):
         if self.replications < 1:
@@ -96,8 +94,6 @@ class ExperimentConfig:
         # the level is capped at capacity, so it can never exceed u = capacity
         if not 0.0 < self.threshold < cap:
             raise ValueError(f"threshold {self.threshold} outside (0, {cap})")
-        if self.nonlinear_rule not in (PER_PACKET, CONTINUOUS):
-            raise ValueError(f"unknown nonlinear rule {self.nonlinear_rule!r}")
         work = self.expected_packets
         if work > _PACKET_BUDGET:
             raise ValueError(
@@ -112,7 +108,7 @@ class ExperimentConfig:
 
         A replication needs about 1 + x(u) / Xbar packets, with x(u) =
         ``battery.input_for_level(u)`` the raw input that lifts an empty
-        battery to u under the continuous rule (u itself for a linear
+        battery to u under the continuous model (u itself for a linear
         battery). That is Wald's identity with the overshoot left out. It is
         an estimate, not a bound; on small packets it matches the per-packet
         rule to 1e-4.
@@ -171,13 +167,7 @@ def _simulate_chunk(config: ExperimentConfig, rng: np.random.Generator, rows: in
     """
     battery = config.battery
     u = config.threshold
-    linear = isinstance(battery, LinearBattery)
-    per_packet = not linear and config.nonlinear_rule == PER_PACKET
-    if not linear and config.nonlinear_rule == CONTINUOUS:
-        # crossing in stored units <=> raw cumulative sum crossing the
-        # transformed threshold, which is a linear problem
-        u = battery.input_for_level(u)
-
+    per_packet = isinstance(battery, NonLinearBattery)
     arr = config.arrival
     t = arr.residual_sample(rng, width)[:rows]  # epoch of each row's next packet
     level = np.zeros(rows)

@@ -119,12 +119,13 @@ def test_criterion_4_nonlinear_panels(arrival, packet, linear_fn):
 
 @pytest.mark.parametrize("arrival,packet,linear_fn", list(_nonlinear_panel_cases()))
 def test_criterion_4_companion_continuous_rule(arrival, packet, linear_fn):
-    # companion check (not a stated criterion): with the continuous-transform
-    # update the simulation is the exact linear problem at the shifted
-    # threshold, and the same budget holds for every configuration
+    # companion check (not a stated criterion): the continuous model, the tanh
+    # law on the cumulative input, is the linear problem at the shifted
+    # threshold u' = x(20), so it is simulated as the linear battery there, and
+    # the same budget holds for every configuration
     config = ExperimentConfig(
-        arrival=arrival, packet=packet, battery=NONLINEAR,
-        threshold=20.0, replications=2000, seed=5, nonlinear_rule="continuous",
+        arrival=arrival, packet=packet, battery=LinearBattery(),
+        threshold=NONLINEAR.input_for_level(20.0), replications=2000, seed=5,
     )
     ks = mc_vs_curve(config, lambda t: nonlinear_cdf(20.0, t, NONLINEAR, linear_fn))
     label = f"continuous rule, arrivals {arrival.interarrival.config_str()}, packets {packet.config_str()}"

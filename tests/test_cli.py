@@ -345,11 +345,14 @@ class TestMain:
             ("packets = deterministic value=inf\nu = 5\nreplications = 100", [], "packets"),
             ("arrivals = exponential rate=inf\nu = 5\nreplications = 100", [], "arrivals"),
             ("battery = nonlinear umax=25 beta=inf\nu = 5\nreplications = 100", [], "battery"),
+            # finite, but its variance divides by an underflowed 0
+            ("arrivals = exponential rate=1e-200\nu = 5\nreplications = 100", [], "arrivals"),
             ("grid = 0:1e-7:1e3", [], "grid"),
         ],
         ids=[
             "threshold", "replications", "replication-override", "uniform-hi-inf", "nonlinear-umax-inf",
-            "deterministic-inf", "exponential-rate-inf", "nonlinear-beta-inf", "grid-too-fine",
+            "deterministic-inf", "exponential-rate-inf", "nonlinear-beta-inf", "exponential-rate-underflow",
+            "grid-too-fine",
         ],
     )
     def test_bad_run_config_fails_before_writing(self, tmp_path, capsys, lines, override, key):

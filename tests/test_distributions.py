@@ -168,6 +168,28 @@ def test_non_finite_parameter_rejected(spec, field, bad):
         dataclasses.replace(spec, **{field: bad})
 
 
+@pytest.mark.parametrize(
+    "law, args, moment",
+    [
+        pytest.param(law, args, moment, id=f"{law.__name__}{args}")
+        for law, args, moment in [
+            (Exponential, (1e-200,), "variance"),  # rate**2 underflows to 0
+            (Exponential, (1e200,), "variance"),
+            (Uniform, (0.0, 1e300), "variance"),
+            (Deterministic, (1e200,), "third_raw_moment"),
+            (InverseGaussian, (1e200, 1.0), "variance"),
+            (InverseGaussian, (1.0, 1e-300), "third_raw_moment"),
+            (Gamma, (1e200, 1e200), "mean"),  # inf, not an exception
+        ]
+    ],
+)
+def test_moment_outside_float_range_rejected(law, args, moment):
+    # finite parameters whose moments overflow, or divide by an underflowed 0,
+    # in float arithmetic; the moments feed every analytic formula
+    with pytest.raises(ValueError, match=f"no finite {moment}"):
+        law(*args)
+
+
 def test_parse_distribution():
     assert parse_distribution("exponential rate=1.0") == Exponential(1.0)
     assert parse_distribution("gamma shape=1.0 scale=2.0") == Gamma(1.0, 2.0)

@@ -8,8 +8,6 @@ from rechargetime.battery import LinearBattery, NonLinearBattery
 from rechargetime.distributions import Deterministic, Exponential, Gamma, InverseGaussian, Uniform
 from rechargetime.engine import (
     CHUNK,
-    CONTINUOUS,
-    PER_PACKET,
     ExperimentConfig,
     pool_size,
     run,
@@ -76,16 +74,13 @@ def replay_chunk_0(c):
 
     The draws follow the kernel's schedule: the residual waits of the chunk,
     then [CHUNK, 64] blocks of inter-arrivals and packets. Within a block a
-    row's epoch is its carried epoch plus a running sum of its gaps. Its level
-    is stepped by ``step_update`` under the per-packet rule; otherwise it is
-    the carried level plus a running sum of the block's packets, crossing the
-    transformed threshold under the continuous rule. A block's last level and
-    its gap total carry over to the next block.
+    row's epoch is its carried epoch plus a running sum of its gaps. A
+    non-linear battery's level is stepped by ``step_update``; a linear one's
+    is the carried level plus a running sum of the block's packets. A block's
+    last level and its gap total carry over to the next block.
     """
-    per_packet = isinstance(c.battery, NonLinearBattery) and c.nonlinear_rule == PER_PACKET
+    per_packet = isinstance(c.battery, NonLinearBattery)
     u = c.threshold
-    if isinstance(c.battery, NonLinearBattery) and not per_packet:
-        u = c.battery.input_for_level(u)
     rng = np.random.default_rng(np.random.SeedSequence(c.seed).spawn(1)[0])
     t = c.arrival.residual_sample(rng, CHUNK)
     level = np.zeros(CHUNK)
@@ -112,22 +107,17 @@ def replay_chunk_0(c):
 
 class TestKernelOracle:
     @pytest.mark.parametrize(
-        "battery, rule, u",
-        [
-            (LinearBattery(), PER_PACKET, 35.0),
-            (NonLinearBattery(umax=25.0, beta=1.1), PER_PACKET, 20.0),
-            (NonLinearBattery(umax=25.0, beta=1.1), CONTINUOUS, 20.0),
-        ],
-        ids=["linear", "per-packet", "continuous"],
+        "battery, u",
+        [(LinearBattery(), 35.0), (NonLinearBattery(umax=25.0, beta=1.1), 20.0)],
+        ids=["linear", "per-packet"],
     )
-    def test_taus_equal_a_row_by_row_replay(self, battery, rule, u):
+    def test_taus_equal_a_row_by_row_replay(self, battery, u):
         # about 71 and 60 packets a row, so some rows cross in the first block
         # and some in the second, in a chunk cut to 200 of its 256 rows
         c = cfg(
             arrival=ArrivalProcess(Gamma(1.5, 2.0)),
             packet=Uniform(0.0, 1.0),
             battery=battery,
-            nonlinear_rule=rule,
             threshold=u,
             replications=200,
             seed=9,
@@ -136,16 +126,12 @@ class TestKernelOracle:
         assert taus.tobytes() == replay_chunk_0(c).tobytes()
 
     @pytest.mark.parametrize(
-        "battery, rule, u",
-        [
-            (LinearBattery(), PER_PACKET, 20.0),
-            (NonLinearBattery(umax=25.0, beta=1.1), PER_PACKET, 10.0),
-            (NonLinearBattery(umax=25.0, beta=1.1), CONTINUOUS, 10.0),
-        ],
-        ids=["linear", "per-packet", "continuous"],
+        "battery, u",
+        [(LinearBattery(), 20.0), (NonLinearBattery(umax=25.0, beta=1.1), 10.0)],
+        ids=["linear", "per-packet"],
     )
     @pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["negative", "nan"])
-    def test_packet_check_covers_the_whole_block(self, battery, rule, u, bad):
+    def test_packet_check_covers_the_whole_block(self, battery, u, bad):
         class PoisonedPackets:
             """Packets of 0.25, with one bad column in the second block."""
 
@@ -164,10 +150,10 @@ class TestKernelOracle:
             def config_str(self):
                 return "poisoned"
 
-        # every row crosses with its 81st (linear, u = 20), 75th (per-packet)
-        # or 74th (continuous) packet, so the kernel never uses the bad
-        # column, the 105th packet
-        c = cfg(packet=PoisonedPackets(), battery=battery, nonlinear_rule=rule, threshold=u, replications=CHUNK)
+        # every row crosses with its 81st (linear, u = 20) or 75th
+        # (per-packet) packet, so the kernel never uses the bad column, the
+        # 105th packet
+        c = cfg(packet=PoisonedPackets(), battery=battery, threshold=u, replications=CHUNK)
         with pytest.raises(ValueError, match="packet energy must be >= 0"):
             run(c)
 
@@ -219,12 +205,17 @@ class TestChunkedRun:
         arrival=st.sampled_from(LAWS),
         packet=st.sampled_from(LAWS),
         u=st.floats(0.5, 150.0),
-        rule=st.sampled_from([PER_PACKET, CONTINUOUS]),
+        rule=st.sampled_from(["per_packet", "continuous"]),
     )
     def test_nonlinear_taus_at_least_linear(self, seed, arrival, packet, u, rule):
-        base = dict(arrival=ArrivalProcess(arrival), packet=packet, threshold=u, replications=PARTIAL, seed=seed)
-        lin = run(cfg(**base)).taus
-        non = run(cfg(battery=NonLinearBattery(umax=160.0, beta=1.1), nonlinear_rule=rule, **base)).taus
+        base = dict(arrival=ArrivalProcess(arrival), packet=packet, replications=PARTIAL, seed=seed)
+        lin = run(cfg(threshold=u, **base)).taus
+        battery = NonLinearBattery(umax=160.0, beta=1.1)
+        if rule == "per_packet":
+            non = run(cfg(battery=battery, threshold=u, **base)).taus
+        else:
+            # the continuous model is the linear battery at the shifted threshold
+            non = run(cfg(threshold=battery.input_for_level(u), **base)).taus
         assert np.all(non >= lin)
 
     @pytest.mark.parametrize(
@@ -350,10 +341,6 @@ class TestValidation:
     def test_bad_replications(self):
         with pytest.raises(ValueError):
             cfg(replications=0)
-
-    def test_bad_rule(self):
-        with pytest.raises(ValueError):
-            cfg(nonlinear_rule="midpoint")
 
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
