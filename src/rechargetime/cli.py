@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -183,23 +184,37 @@ def _configs(parsed: ParsedConfig) -> List[ExperimentConfig]:
 
     ``ExperimentConfig`` checks the replications, the seed, the threshold
     against the battery's capacity and the expected packets, in that order;
-    its ValueError becomes a ConfigError naming the key. ``parse_config``
-    calls this to check a config, and ``main`` again after its overrides.
+    its ValueError becomes a ConfigError naming the key. A curve whose
+    asymptotic mean or variance of tau at u' is not a finite float, which the
+    manifest could not hold as JSON, is refused with its CSV's name.
+    ``parse_config`` calls this to check a config, and ``main`` again after
+    its overrides.
     """
     configs = []
     for u, arrival, packet in itertools.product(parsed.thresholds, parsed.arrivals, parsed.packets):
         try:
-            configs.append(ExperimentConfig(
+            config = ExperimentConfig(
                 arrival=ArrivalProcess(arrival, parsed.mode),
                 packet=packet,
                 battery=parsed.battery,
                 threshold=u,
                 replications=parsed.replications,
                 seed=parsed.seed,
-            ))
+            )
         except ValueError as exc:
             key = "replications" if parsed.replications < 1 else "seed" if parsed.seed < 0 else "u"
             raise ConfigError(f"{key}: {exc}") from None
+        u_prime = parsed.battery.input_for_level(u)
+        try:
+            moments = [f(u_prime, config.arrival, packet) for f in (renewal_mean_tau, renewal_var_tau)]
+        except ArithmeticError:  # float overflow, or division by an underflowed 0
+            moments = [math.inf]
+        if not all(map(math.isfinite, moments)):
+            raise ConfigError(
+                f"{_curve_name(u, arrival, packet)}: the asymptotic mean or variance of tau "
+                "is not a finite float for these laws"
+            )
+        configs.append(config)
     return configs
 
 
@@ -300,7 +315,7 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
         "breached": breached,
         "curves": curves,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return manifest
 
 

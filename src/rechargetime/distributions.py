@@ -203,7 +203,8 @@ class Uniform:
 
     @property
     def third_raw_moment(self) -> float:
-        return (self.hi**4 - self.lo**4) / (4.0 * (self.hi - self.lo))
+        # (hi^4 - lo^4) / (4 (hi - lo)), factored so that hi^4 cannot overflow
+        return (self.hi * self.hi + self.lo * self.lo) * (self.hi + self.lo) / 4.0
 
     def sample(self, rng: np.random.Generator, size=None):
         return self.lo + (self.hi - self.lo) * rng.random(size)

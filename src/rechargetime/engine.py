@@ -4,9 +4,10 @@ Each replication replays an arrival stream against a battery model and
 records the first epoch at which the stored energy strictly exceeds the
 threshold. ``run`` is the one entry point, and one kernel serves it: it
 advances a chunk of ``CHUNK`` replications as arrays. A single replication is
-a run of one. Chunk c draws from its own stream, child c of SeedSequence(seed):
-the residual first wait of every row, then [CHUNK, 64] blocks of
-inter-arrivals and packets, drawn whole until every row has crossed. A
+a run of one. Chunk c draws from its own generator, child c of
+SeedSequence(seed): the residual first wait of every row, then [CHUNK, 64]
+blocks of inter-arrivals and packets, drawn whole until every row has crossed
+the top threshold. A
 replication's draws thus depend only on the seed, its chunk and the block
 index, not on the threshold, the battery, the worker count or the number of
 replications. So results are bitwise reproducible for a given seed across
@@ -19,11 +20,21 @@ of its packets, and a non-linear one steps per packet, U <- U + eta(U) X, each
 column unchecked and in place (``advance``). The continuous model, the tanh
 law applied to the cumulative input, needs no path of its own: its taus are
 those of ``LinearBattery()`` at ``battery.input_for_level(u)``, same seed.
+
+A stream is the configs that differ only in their threshold: they draw the
+same values and their levels follow the same paths. Under both rules a level
+never falls, in floating point too (a linear level adds non-negative packets;
+a per-packet step adds eta(U) X >= 0 and caps at umax >= U), so the
+thresholds a row has crossed by a block's end are a prefix of the sorted
+thresholds. The kernel thus takes a stream's ascending levels and finds the
+passage times of all of them in one pass, each bit for bit what a run at that
+level alone gives.
+
 ``workers`` is an upper bound, and one pool policy serves the CLI and library
 callers alike: ``worker_pool`` opens a pool only when ``pool_size`` allows two
-processes or more and its configs' ``expected_packets`` reach
-``_POOL_BREAK_EVEN``, where a pool starts to pay; ``run`` applies the same
-rule to its own config.
+processes or more and the ``expected_packets`` of its streams' top
+thresholds reach ``_POOL_BREAK_EVEN``, where a pool starts to pay; ``run``
+applies the same rule to its own config.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ from .stats import CdfCurve, ecdf
 __all__ = [
     "ExperimentConfig",
     "PassageSamples",
+    "Streams",
     "SummaryStats",
     "UnreachableThresholdError",
     "pool_size",
@@ -141,62 +153,70 @@ CHUNK = 256
 _BLOCK = 64
 
 
-def _packet_path(battery: NonLinearBattery, level: np.ndarray, packets: np.ndarray, u: float) -> np.ndarray:
+def _packet_path(battery: NonLinearBattery, level: np.ndarray, packets: np.ndarray, top: float) -> np.ndarray:
     """Levels after each packet of a checked block, one in-place vector step per packet.
 
     Each column of a contiguous transposed copy steps unchecked. The level
     never falls, so the block stops early, with fewer columns, once every row
-    is above u.
+    is above ``top``.
     """
     columns = np.ascontiguousarray(packets.T)
     path = np.empty_like(columns)
     for j, x in enumerate(columns):
         level = battery.advance(level, x, path[j])
-        if level.min() > u:
+        if level.min() > top:
             return path[: j + 1].T
     return path.T
 
 
-def _simulate_chunk(config: ExperimentConfig, rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
-    """Passage times of the first ``rows`` replications of a chunk of ``width``.
+def _simulate_chunk(
+    config: ExperimentConfig, levels: np.ndarray, rng: np.random.Generator, rows: int, width: int
+) -> np.ndarray:
+    """[levels, rows] passage times of the first ``rows`` replications of a chunk of ``width``.
 
-    The chunk draws the residual wait of all ``width`` rows, then [width, 64]
-    blocks of inter-arrivals and packets until each of its first ``rows`` rows
-    has crossed. Blocks are drawn whole, for crossed rows too, so every row's
-    draws depend only on the stream and the block index.
+    ``levels`` ascend. The chunk draws the residual wait of all ``width``
+    rows, then [width, 64] blocks of inter-arrivals and packets until each of
+    its first ``rows`` rows is above the top level. Blocks are drawn whole,
+    for finished rows too, so every row's draws depend only on ``rng`` and
+    the block index. A row's level never falls, so the levels it has crossed
+    by a block's end are a prefix of ``levels``, read off its last column.
     """
     battery = config.battery
-    u = config.threshold
+    top = levels[-1]
     per_packet = isinstance(battery, NonLinearBattery)
     arr = config.arrival
     t = arr.residual_sample(rng, width)[:rows]  # epoch of each row's next packet
     level = np.zeros(rows)
-    taus = np.empty(rows)
-    active = np.arange(rows)  # rows not yet crossed; t and level follow them
+    taus = np.empty((levels.size, rows))
+    passed = np.zeros(rows, dtype=np.intp)  # levels each active row has crossed
+    active = np.arange(rows)  # rows not yet above the top; t, level and passed follow them
     pick = slice(rows)  # the same rows of a drawn block; a view while all are active
     for _ in range(0, _MAX_PACKETS, _BLOCK):
         gaps = arr.interarrival.sample(rng, (width, _BLOCK))[pick]
         packets = check_packets(config.packet.sample(rng, (width, _BLOCK))[pick])
         if per_packet:
-            path = _packet_path(battery, level, packets, u)
+            path = _packet_path(battery, level, packets, top)
         else:
-            # no capacity clip: u < capacity, so a clip would move no crossing
-            # and leave every row still below u as it is
+            # no capacity clip: every level < capacity, so a clip would move no
+            # crossing and leave every row still below the top as it is
             path = np.cumsum(packets, axis=1, out=packets)
             path += level[:, None]
-        over = path > u
-        hit = over.any(axis=1)
-        if hit.any():
-            crossed = np.flatnonzero(hit)
-            first = over[crossed].argmax(axis=1)
+        now = np.searchsorted(levels, path[:, -1])  # levels strictly below each row's last level
+        crossed = np.flatnonzero(now > passed)
+        if crossed.size:
             since_t = np.zeros((crossed.size, _BLOCK))  # each packet's epoch less t
             np.cumsum(gaps[crossed, :-1], axis=1, out=since_t[:, 1:])
-            taus[active[crossed]] = since_t[np.arange(crossed.size), first] + t[crossed]
-            left = ~hit
+            was, now_c = passed[crossed], now[crossed]
+            for k in range(was.min(), now_c.max()):
+                new = np.flatnonzero((was <= k) & (k < now_c))  # of crossed, those passing level k
+                rows_k = crossed[new]
+                first = (path[rows_k] > levels[k]).argmax(axis=1)
+                taus[k, active[rows_k]] = since_t[new, first] + t[rows_k]
+            left = now < levels.size
             if not left.any():
                 return taus
             active = pick = active[left]
-            level, t, gaps = path[left, -1], t[left], gaps[left]
+            level, t, gaps, passed = path[left, -1], t[left], gaps[left], now[left]
         else:
             level = path[:, -1]
         t = t + gaps.sum(axis=1)
@@ -209,8 +229,8 @@ def _n_chunks(replications: int) -> int:
     return -(-replications // CHUNK)
 
 
-def _run_range(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
-    """Passage times of chunks [start, stop); chunk c draws from child c of the seed.
+def _run_range(config: ExperimentConfig, levels: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """[levels, rows] passage times of chunks [start, stop); chunk c draws from child c of the seed.
 
     The last chunk of the run is cut to the replications left but draws as
     a full chunk, so a longer run starts with the taus of a shorter one.
@@ -219,10 +239,24 @@ def _run_range(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
     children = np.random.SeedSequence(config.seed).spawn(stop)[start:]
     return np.concatenate(
         [
-            _simulate_chunk(config, np.random.default_rng(child), min(CHUNK, n - c * CHUNK), CHUNK)
+            _simulate_chunk(config, levels, np.random.default_rng(child), min(CHUNK, n - c * CHUNK), CHUNK)
             for c, child in zip(range(start, stop), children)
-        ]
+        ],
+        axis=1,
     )
+
+
+def _simulate(
+    config: ExperimentConfig, levels: np.ndarray, workers: int, executor: Optional[ProcessPoolExecutor]
+) -> np.ndarray:
+    """[levels, replications] passage times of ``config``'s stream, split over ``executor`` if open."""
+    n = config.replications
+    chunks = _n_chunks(n)
+    if executor is None:
+        return _run_range(config, levels, 0, chunks)
+    bounds = np.linspace(0, chunks, pool_size(workers, n) + 1).astype(int)
+    parts = executor.map(_run_range, repeat(config), repeat(levels), bounds[:-1], bounds[1:])
+    return np.concatenate(list(parts), axis=1)
 
 
 def pool_size(workers: int, replications: int) -> int:
@@ -230,42 +264,71 @@ def pool_size(workers: int, replications: int) -> int:
     return max(1, min(workers, _n_chunks(replications), os.cpu_count() or 1))
 
 
+def _stream(config: ExperimentConfig) -> tuple:
+    """What fixes a config's draws and level paths: all of it but the threshold."""
+    return config.arrival, config.packet, config.battery, config.replications, config.seed
+
+
+class Streams:
+    """The runs of a ``worker_pool``: its process pool and the taus of its streams.
+
+    A stream is the configs that differ only in their threshold. The first
+    ``run`` of a stream simulates every threshold of it in one pass, and
+    holds the others' taus until their own ``run`` reads them, once.
+    """
+
+    def __init__(self, executor: Optional[ProcessPoolExecutor], configs: Sequence[ExperimentConfig]):
+        self.executor = executor  # None when one process suffices
+        self._pending = {}  # stream -> its thresholds not yet simulated
+        for c in configs:
+            self._pending.setdefault(_stream(c), set()).add(c.threshold)
+        self._held = {}  # (stream, threshold) -> taus simulated but not yet read
+
+    def taus(self, config: ExperimentConfig, workers: int) -> np.ndarray:
+        """``config``'s taus: held, simulated with its stream's, or alone if outside ``configs``."""
+        key = _stream(config)
+        if config.threshold in self._pending.get(key, ()):
+            levels = sorted(self._pending.pop(key))
+            taus = _simulate(config, np.array(levels), workers, self.executor)
+            self._held.update(zip([(key, u) for u in levels], taus))
+        held = self._held.pop((key, config.threshold), None)
+        if held is not None:
+            return held
+        return _simulate(config, np.array([config.threshold]), workers, self.executor)[0]
+
+
 @contextmanager
-def worker_pool(workers: int, configs: Sequence[ExperimentConfig]) -> Iterator[Optional[ProcessPoolExecutor]]:
-    """A process pool for the runs of ``configs``; None when one process suffices.
+def worker_pool(workers: int, configs: Sequence[ExperimentConfig]) -> Iterator[Streams]:
+    """The ``Streams`` of ``configs``, with a process pool when one pays.
 
     One process suffices when ``pool_size`` allows fewer than two or when the
-    configs expect fewer than ``_POOL_BREAK_EVEN`` packets in all. Open it
-    once and pass it to the ``run`` of each config.
+    streams of the configs expect fewer than ``_POOL_BREAK_EVEN`` packets in
+    all; a stream expects the packets of its top threshold. Open it once and
+    pass it to the ``run`` of each config.
     """
+    top = {}  # stream -> expected packets of its top threshold
+    for c in configs:
+        key = _stream(c)
+        top[key] = max(top.get(key, 0.0), c.expected_packets)
     size = pool_size(workers, max(c.replications for c in configs))
-    if size < 2 or sum(c.expected_packets for c in configs) < _POOL_BREAK_EVEN:
-        yield None
+    if size < 2 or sum(top.values()) < _POOL_BREAK_EVEN:
+        yield Streams(None, configs)
         return
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        yield pool
+    with ProcessPoolExecutor(max_workers=size) as executor:
+        yield Streams(executor, configs)
 
 
-def run(
-    config: ExperimentConfig, workers: int = 1, pool: Optional[ProcessPoolExecutor] = None
-) -> PassageSamples:
+def run(config: ExperimentConfig, workers: int = 1, pool: Optional[Streams] = None) -> PassageSamples:
     """Run all replications; output is identical for any worker count.
 
-    ``pool`` is an open ``worker_pool`` shared across runs. Without one, the
-    run opens its own for the call when ``worker_pool`` finds that one pays.
+    ``pool`` is an open ``worker_pool`` shared across runs; a config of its
+    ``configs`` reads its taus from its stream's one pass. Without one, the
+    run opens its own for the call, with a process pool when one pays.
     """
     if pool is None:
         with worker_pool(workers, [config]) as pool:
-            if pool is not None:
-                return run(config, workers, pool)
-    n = config.replications
-    chunks = _n_chunks(n)
-    if pool is None:
-        taus = _run_range(config, 0, chunks)
-    else:
-        bounds = np.linspace(0, chunks, pool_size(workers, n) + 1).astype(int)
-        taus = np.concatenate(list(pool.map(_run_range, repeat(config), bounds[:-1], bounds[1:])))
-    return PassageSamples(taus=taus)
+            return run(config, workers, pool)
+    return PassageSamples(taus=pool.taus(config, workers))
 
 
 def summarize(samples: PassageSamples, time_grid) -> Tuple[SummaryStats, CdfCurve]:

@@ -1,13 +1,17 @@
-"""The benchmark's tracer rebinds names of the package; each must exist where it looks.
+"""The benchmark's hooks into the package; each must hold where it looks.
 
 ``perfbench/tracing.py`` swaps each ``CLI_HOOKS`` name in ``rechargetime.cli``'s
-module dict and some methods in their own class ``__dict__``. A name deleted or
-moved there breaks only the traced bench run, which is outside this suite.
+module dict and some methods in their own class ``__dict__``, and
+``perfbench/run.py`` records each ``cli.run`` call as one curve. A name deleted
+or moved there, or calls that stop matching the curves, break only the bench
+run, which is outside this suite.
 """
 
 import importlib.util
+import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rechargetime import battery, cli, distributions, renewal
@@ -45,3 +49,28 @@ def test_traced_layers_restore_every_name():
     with tracing.traced_layers(tracing.Tracer(0)):
         assert vars(cli)["run"] is not before["run"]
     assert vars(cli) == before
+
+
+def test_one_run_call_per_curve_in_curve_order(tmp_path, monkeypatch):
+    # what the bench's check_run asserts of every pass: one cli.run call per
+    # curve of the manifest, in order, each with all its replications' taus
+    calls = []
+    inner = cli.run
+
+    def recorded_run(config, *args, **kwargs):
+        samples = inner(config, *args, **kwargs)
+        calls.append((config, samples.taus))
+        return samples
+
+    monkeypatch.setattr(cli, "run", recorded_run)
+    parsed = cli.parse_config(
+        "packets = uniform lo=0 hi=1; deterministic value=3\nu = 10, 20\nreplications = 300\ngrid = 0:0.5:60\n"
+    )
+    manifest = cli.run_experiment(parsed, tmp_path)
+    combos = list(itertools.product(parsed.thresholds, parsed.arrivals, parsed.packets))
+    assert len(manifest["curves"]) == len(calls) == len(combos) == 4
+    for (u, arrival, packet), curve, (config, taus) in zip(combos, manifest["curves"], calls):
+        assert (config.threshold, config.arrival.interarrival, config.packet) == (u, arrival, packet)
+        assert (curve["u"], curve["arrivals"], curve["packets"]) == (u, arrival.config_str(), packet.config_str())
+        assert taus.size == parsed.replications
+        assert np.all(np.isfinite(taus) & (taus > 0))

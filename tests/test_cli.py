@@ -234,6 +234,26 @@ class TestRunExperiment:
         for name in sorted(f.name for f in (tmp_path / "w1").iterdir()):
             assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
 
+    def test_one_simulation_per_stream(self, tmp_path, monkeypatch):
+        # six curves, and three streams: the packet laws differ, the two
+        # thresholds of each law share its stream
+        levels_run = []
+        inner = engine._run_range
+
+        def recorded(config, levels, start, stop):
+            levels_run.append((config.packet, levels.tolist()))
+            return inner(config, levels, start, stop)
+
+        monkeypatch.setattr(engine, "_run_range", recorded)
+        text = (
+            "packets = uniform lo=0 hi=1; deterministic value=3; exponential rate=1\n"
+            "u = 10, 20\nreplications = 100\ngrid = 0:0.5:60\n"
+        )
+        parsed = parse_config(text)
+        manifest = run_experiment(parsed, tmp_path)
+        assert len(manifest["curves"]) == 6
+        assert levels_run == [(packet, [10.0, 20.0]) for packet in parsed.packets]
+
     def test_tolerance_breach_flag(self, tmp_path):
         p = parse_config(PANEL_A_LINEAR + "ks_tolerance = 1e-9")
         manifest = run_experiment(p, tmp_path)
@@ -348,11 +368,17 @@ class TestMain:
             # finite, but its variance divides by an underflowed 0
             ("arrivals = exponential rate=1e-200\nu = 5\nreplications = 100", [], "arrivals"),
             ("grid = 0:1e-7:1e3", [], "grid"),
+            # each law's moments are finite, but the variance of tau overflows
+            (
+                "arrivals = exponential rate=1e-100\npackets = uniform lo=0 hi=1e70\nu = 20\nreplications = 100",
+                [],
+                "curve_u20__exponential_rate_1e_100__uniform_lo_0_hi_1e_70.csv",
+            ),
         ],
         ids=[
             "threshold", "replications", "replication-override", "uniform-hi-inf", "nonlinear-umax-inf",
             "deterministic-inf", "exponential-rate-inf", "nonlinear-beta-inf", "exponential-rate-underflow",
-            "grid-too-fine",
+            "grid-too-fine", "variance-of-tau-overflow",
         ],
     )
     def test_bad_run_config_fails_before_writing(self, tmp_path, capsys, lines, override, key):

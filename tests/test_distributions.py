@@ -190,6 +190,17 @@ def test_moment_outside_float_range_rejected(law, args, moment):
         law(*args)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.5, 2.0), (0.1, 0.3), (3.0, 7.5), (1e-8, 1e8)])
+def test_uniform_third_moment_matches_the_unfactored_formula(lo, hi):
+    old = (hi**4 - lo**4) / (4.0 * (hi - lo))
+    assert Uniform(lo, hi).third_raw_moment == pytest.approx(old, rel=1e-15)
+
+
+def test_uniform_third_moment_past_the_fourth_power_range():
+    # hi^4 = 1e400 overflows, but the moment itself, hi^3 / 4, is a float
+    assert Uniform(0.0, 1e100).third_raw_moment == pytest.approx(2.5e299, rel=1e-15)
+
+
 def test_parse_distribution():
     assert parse_distribution("exponential rate=1.0") == Exponential(1.0)
     assert parse_distribution("gamma shape=1.0 scale=2.0") == Gamma(1.0, 2.0)

@@ -1,3 +1,6 @@
+import dataclasses
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,23 +110,33 @@ def replay_chunk_0(c):
 
 class TestKernelOracle:
     @pytest.mark.parametrize(
-        "battery, u",
-        [(LinearBattery(), 35.0), (NonLinearBattery(umax=25.0, beta=1.1), 20.0)],
-        ids=["linear", "per-packet"],
+        "battery, packet, u, lower",
+        [
+            (LinearBattery(), Uniform(0.0, 1.0), 35.0, 10.0),
+            (NonLinearBattery(umax=25.0, beta=1.1), Uniform(0.0, 1.0), 20.0, 8.0),
+            (LinearBattery(), Deterministic(1.0), 128.0, 64.0),
+        ],
+        ids=["linear", "per-packet", "linear-ties"],
     )
-    def test_taus_equal_a_row_by_row_replay(self, battery, u):
+    def test_taus_equal_a_row_by_row_replay(self, battery, packet, u, lower):
         # about 71 and 60 packets a row, so some rows cross in the first block
-        # and some in the second, in a chunk cut to 200 of its 256 rows
+        # and some in the second, in a chunk cut to 200 of its 256 rows; the
+        # lower level of the same stream, about 21 and 33 packets, reads its
+        # taus from the same pass. Unit packets end blocks 0 and 1 exactly on
+        # both levels, which every row passes with the next packet.
         c = cfg(
             arrival=ArrivalProcess(Gamma(1.5, 2.0)),
-            packet=Uniform(0.0, 1.0),
+            packet=packet,
             battery=battery,
             threshold=u,
             replications=200,
             seed=9,
         )
-        taus = run(c).taus
+        low = dataclasses.replace(c, threshold=lower)
+        with worker_pool(1, [c, low]) as streams:
+            taus, low_taus = (run(x, pool=streams).taus for x in (c, low))
         assert taus.tobytes() == replay_chunk_0(c).tobytes()
+        assert low_taus.tobytes() == replay_chunk_0(low).tobytes()
 
     @pytest.mark.parametrize(
         "battery, u",
@@ -264,22 +277,94 @@ class TestWorkerPool:
 
     def test_pool_once_the_summed_estimate_reaches_the_break_even(self, fake_pools, monkeypatch):
         # 600 replications at u = 20 and u = 40 of unit-mean packets: 12 600
-        # and 24 600 expected packets
-        lo, hi = cfg(replications=600), cfg(replications=600, threshold=40.0)
+        # and 24 600 expected packets, on two seeds, so two streams
+        lo, hi = cfg(replications=600), cfg(replications=600, threshold=40.0, seed=1)
         assert (lo.expected_packets, hi.expected_packets) == (12_600, 24_600)
         monkeypatch.setattr(engine, "_POOL_BREAK_EVEN", 12_600 + 24_600)
-        with worker_pool(2, [lo, hi]) as pool:
-            assert pool is fake_pools[0]
-        with worker_pool(2, [hi]) as pool:
-            assert pool is None
+        with worker_pool(2, [lo, hi]) as streams:
+            assert streams.executor is fake_pools[0]
+        with worker_pool(2, [hi]) as streams:
+            assert streams.executor is None
         run(hi, workers=2)
         assert len(fake_pools) == 1
+
+    def test_thresholds_of_one_stream_count_once(self, fake_pools, monkeypatch):
+        # one stream simulates u = 20 on its way to u = 40, so it expects the
+        # 24 600 packets of its top threshold, not 12 600 + 24 600
+        lo, hi = cfg(replications=600), cfg(replications=600, threshold=40.0)
+        monkeypatch.setattr(engine, "_POOL_BREAK_EVEN", 24_600 + 1)
+        with worker_pool(2, [lo, hi]) as streams:
+            assert streams.executor is None
+        monkeypatch.setattr(engine, "_POOL_BREAK_EVEN", 24_600)
+        with worker_pool(2, [lo, hi]) as streams:
+            assert streams.executor is fake_pools[0]
 
     def test_pool_size(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 4)
         assert pool_size(1, 10**6) == 1
         assert pool_size(100_000, 10**6) == 4
         assert pool_size(100_000, CHUNK + 1) == 2
+
+
+# (battery, packet law, four ascending levels) of a stream: of Uniform(0, 1)
+# packets a row needs about 5 to 120 (linear) and 15 to 75 (per-packet), so
+# the lowest level is crossed in block 0 and the top one mostly in later
+# blocks. Unit packets end blocks 0 and 1 exactly on 64 and 128, which the
+# strict crossing U > u does not yet pass.
+STREAMS = {
+    "linear": (LinearBattery(), Uniform(0.0, 1.0), (2.0, 10.0, 35.0, 60.0)),
+    "per-packet": (NonLinearBattery(umax=25.0, beta=1.1), Uniform(0.0, 1.0), (2.0, 8.0, 20.0, 24.0)),
+    "linear-ties": (LinearBattery(), Deterministic(1.0), (3.0, 64.0, 100.0, 128.0)),
+}
+LEVEL_PICKS = {1: (3,), 2: (0, 3), 3: (0, 2, 3), 4: (0, 1, 2, 3)}
+
+
+def stream_configs(case, n_levels):
+    """The configs of one stream, in an order that is not ascending."""
+    battery, packet, levels = STREAMS[case]
+    levels = [levels[i] for i in LEVEL_PICKS[n_levels]]
+    base = dict(arrival=ArrivalProcess(Gamma(1.5, 2.0)), packet=packet, battery=battery, replications=600, seed=9)
+    return [cfg(threshold=u, **base) for u in levels[1:] + levels[:1]]
+
+
+class TestSharedStreams:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_levels", sorted(LEVEL_PICKS))
+    @pytest.mark.parametrize("case", sorted(STREAMS))
+    def test_each_threshold_equals_a_separate_run(self, case, n_levels, workers, fake_pools, pool_always_pays):
+        # 600 replications: two full chunks and one cut to 88 of its 256 rows
+        configs = stream_configs(case, n_levels)
+        with worker_pool(workers, configs) as streams:
+            shared = [run(c, workers, streams).taus for c in configs]
+        assert [p.maps for p in fake_pools] == ([1] if workers == 2 else [])
+        for c, taus in zip(configs, shared):
+            assert np.array_equal(taus, run(c).taus)
+
+    def test_two_real_processes(self, monkeypatch, pool_always_pays):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        configs = stream_configs("per-packet", 4)
+        with worker_pool(2, configs) as streams:
+            assert isinstance(streams.executor, ProcessPoolExecutor)
+            shared = [run(c, 2, streams).taus for c in configs]
+        for c, taus in zip(configs, shared):
+            assert np.array_equal(taus, run(c).taus)
+
+    def test_held_taus_are_read_once(self, monkeypatch):
+        levels_run = []
+        inner = engine._run_range
+
+        def recorded(config, levels, start, stop):
+            levels_run.append(levels.tolist())
+            return inner(config, levels, start, stop)
+
+        monkeypatch.setattr(engine, "_run_range", recorded)
+        lo, hi, outside = (cfg(threshold=u, replications=300) for u in (5.0, 10.0, 7.0))
+        with worker_pool(1, [lo, hi]) as streams:
+            taus = [run(c, pool=streams).taus for c in (hi, lo, lo, outside)]
+        # hi simulates the stream; lo reads its held taus, then runs alone;
+        # a config outside the pool's configs runs alone
+        assert levels_run == [[5.0, 10.0], [5.0], [7.0]]
+        np.testing.assert_array_equal(taus[1], taus[2])
 
 
 class TestPathwiseProperties:
