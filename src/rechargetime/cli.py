@@ -12,13 +12,15 @@ Config files are flat key-value lines, e.g.::
 
 Semicolons in ``arrivals`` / ``packets`` list several laws; the runner emits
 one curve (CSV of t, ecdf, analytic_cdf) per combination plus a JSON
-manifest with KS distances and moment summaries. Each analytic curve is one
-call of its formula on the whole grid. The Poisson series have no truncation
+manifest with KS distances and moment summaries. The table ``_FORMULAS`` alone
+says which laws each formula needs. Each analytic curve, of ``run`` and
+``compare`` alike, is one call of its formula on the whole grid at u' =
+``battery.input_for_level(u)``. The Poisson series have no truncation
 setting: they stop where the packet-sum CDF falls below 1e-12. Each curve is
 one ``ExperimentConfig``, which checks its threshold, replications, seed and
 expected packets, as the laws and the battery check their parameters; the CLI
 checks only its own keys and prefixes every refusal with its key. The
-engine's ``worker_pool`` decides from the packet estimates whether one process
+engine's ``worker_pool`` plans from the packet estimates whether one process
 pool for all curves pays. ``workers`` is an upper bound. Exit codes: 0 ok,
 1 validation error, 2 KS tolerance breach, 3 I/O error.
 """
@@ -33,7 +35,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,13 +60,39 @@ _KNOWN_KEYS = {
     "arrivals", "packets", "battery", "u", "replications", "seed", "grid",
     "mode", "formula", "ks_tolerance", "workers",
 }
-_FORMULAS = {"auto", "poisson_normal", "poisson_exact", "clt"}
 # Points a configured grid may hold; each curve writes one CSV row per point.
 _MAX_GRID_POINTS = 10**6
 
 
 class ConfigError(ValueError):
     pass
+
+
+class _Formula(NamedTuple):
+    arrivals: type  # the inter-arrival law the formula needs
+    packets: type  # the packet law it needs
+    needs: str  # the refusal of a forced formula whose laws do not fit
+    cdf: Callable  # (u', t, arrival process, packet law) -> P(tau <= t) at the linear threshold u'
+
+    def fits(self, arrival: DistributionSpec, packet: DistributionSpec) -> bool:
+        return isinstance(arrival, self.arrivals) and isinstance(packet, self.packets)
+
+
+# Every formula, in the order ``auto`` tries them. Each CDF looks its series up
+# in this module when it is called, so a name rebound here is the one called.
+_FORMULAS = {
+    "poisson_exact": _Formula(
+        Exponential, Exponential, "needs exponential arrivals and packets",
+        lambda u, t, a, x: poisson_cdf_exp_exact(u, t, 1.0 / a.interarrival.mean, x.mean, mode=a.mode),
+    ),
+    "poisson_normal": _Formula(
+        Exponential, object, "needs exponential inter-arrival times",
+        lambda u, t, a, x: poisson_cdf_normal(
+            u, t, 1.0 / a.interarrival.mean, x.mean, math.sqrt(x.variance), mode=a.mode
+        ),
+    ),
+    "clt": _Formula(object, object, "", lambda u, t, a, x: renewal_cdf_clt(u, t, a, x)),
+}
 
 
 @dataclass
@@ -145,14 +173,10 @@ def parse_config(text: str) -> ParsedConfig:
     except ValueError:
         raise ConfigError(f"mode must be equilibrium or pure, got {mode_txt!r}") from None
     formula = values.get("formula", "auto").lower()
-    if formula not in _FORMULAS:
-        raise ConfigError(f"formula must be one of {sorted(_FORMULAS)}, got {formula!r}")
-    exp_arrivals = all(isinstance(a, Exponential) for a in arrivals)
-    exp_packets = all(isinstance(p, Exponential) for p in packets)
-    if formula == "poisson_normal" and not exp_arrivals:
-        raise ConfigError("poisson_normal needs exponential inter-arrival times")
-    if formula == "poisson_exact" and not (exp_arrivals and exp_packets):
-        raise ConfigError("poisson_exact needs exponential arrivals and packets")
+    if formula != "auto" and formula not in _FORMULAS:
+        raise ConfigError(f"formula must be one of {sorted(['auto', *_FORMULAS])}, got {formula!r}")
+    if formula != "auto" and not all(_FORMULAS[formula].fits(*laws) for laws in itertools.product(arrivals, packets)):
+        raise ConfigError(f"{formula} {_FORMULAS[formula].needs}")
     if ks_tol is not None and not 0.0 < ks_tol <= 1.0:
         raise ConfigError(f"ks_tolerance must be a finite value in (0, 1], got {ks_tol}")
     names = [_curve_name(*combo) for combo in itertools.product(thresholds, arrivals, packets)]
@@ -187,8 +211,8 @@ def _configs(parsed: ParsedConfig) -> List[ExperimentConfig]:
     its ValueError becomes a ConfigError naming the key. A curve whose
     asymptotic mean or variance of tau at u' is not a finite float, which the
     manifest could not hold as JSON, is refused with its CSV's name.
-    ``parse_config`` calls this to check a config, and ``main`` again after
-    its overrides.
+    ``parse_config`` calls this to check a config, and ``run_experiment``
+    and ``compare_formulas`` again, since a caller may change it after.
     """
     configs = []
     for u, arrival, packet in itertools.product(parsed.thresholds, parsed.arrivals, parsed.packets):
@@ -219,26 +243,19 @@ def _configs(parsed: ParsedConfig) -> List[ExperimentConfig]:
 
 
 def _pick_formula(formula: str, arrival: DistributionSpec, packet: DistributionSpec) -> str:
-    if formula != "auto":
-        return formula
-    if isinstance(arrival, Exponential):
-        return "poisson_exact" if isinstance(packet, Exponential) else "poisson_normal"
-    return "clt"
+    """The forced formula, or under ``auto`` the first of ``_FORMULAS`` that fits the laws."""
+    return formula if formula != "auto" else next(name for name, f in _FORMULAS.items() if f.fits(arrival, packet))
 
 
-def _linear_cdf_fn(
-    name: str, arrival: ArrivalProcess, packet: DistributionSpec
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Linear-threshold CDF (u, t) -> p for the chosen formula; t may be the whole grid.
-
-    ``parse_config`` has already checked that the formula fits the laws.
-    """
-    lam, Xbar, sigmaX = 1.0 / arrival.interarrival.mean, packet.mean, float(np.sqrt(packet.variance))
-    if name == "poisson_normal":
-        return lambda u, t: poisson_cdf_normal(u, t, lam, Xbar, sigmaX, mode=arrival.mode)
-    if name == "poisson_exact":
-        return lambda u, t: poisson_cdf_exp_exact(u, t, lam, Xbar, mode=arrival.mode)
-    return lambda u, t: renewal_cdf_clt(u, t, arrival, packet)
+def _analytic_cdf(parsed: ParsedConfig, formula: str, config: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """The grid, by default 201 points to 3 E[tau(u')], and ``formula`` on it at u' = ``input_for_level(u)``."""
+    u, arrival, packet = config.threshold, config.arrival, config.packet
+    grid = parsed.grid
+    if grid is None:
+        grid = np.linspace(0.0, 3.0 * renewal_mean_tau(parsed.battery.input_for_level(u), arrival, packet), 201)
+    cdf = _FORMULAS[formula].cdf
+    values = nonlinear_cdf(u, grid, parsed.battery, lambda level, t: cdf(level, t, arrival, packet))
+    return grid, np.clip(np.maximum.accumulate(values), 0, 1)
 
 
 def _slug(spec: DistributionSpec) -> str:
@@ -248,11 +265,6 @@ def _slug(spec: DistributionSpec) -> str:
 def _curve_name(u: float, arrival: DistributionSpec, packet: DistributionSpec) -> str:
     """File name of one curve's CSV."""
     return f"curve_u{u:g}__{_slug(arrival)}__{_slug(packet)}.csv"
-
-
-def _default_grid(arrival: ArrivalProcess, packet: DistributionSpec, u_eff: float) -> np.ndarray:
-    horizon = 3.0 * renewal_mean_tau(u_eff, arrival, packet)
-    return np.linspace(0.0, horizon, 201)
 
 
 def _write_csv(path: Path, grid: np.ndarray, emp: Sequence[float], ana: Sequence[float]) -> None:
@@ -265,28 +277,26 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
     """Run every (arrival, packet, threshold) combination; write CSVs + manifest.
 
     Returns the manifest dict; manifest["breached"] is True when any curve's
-    KS distance exceeds the configured tolerance. One ``worker_pool`` serves
-    every curve; the output is the same for any worker count.
+    KS distance exceeds the configured tolerance. A refused config raises
+    before ``out_dir`` exists. One ``worker_pool`` serves every curve, each
+    ``run`` call one curve, in curve order; the output is the same for any
+    worker count.
     """
+    configs = _configs(parsed)
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = []
     breached = False
-    configs = _configs(parsed)
     with worker_pool(parsed.workers, configs) as pool:
         for config in configs:
             u, arrival, packet = config.threshold, config.arrival.interarrival, config.packet
             formula = _pick_formula(parsed.formula, arrival, packet)
-            u_prime = parsed.battery.input_for_level(u)
-            grid = parsed.grid if parsed.grid is not None else _default_grid(config.arrival, packet, u_prime)
-            samples = run(config, workers=parsed.workers, pool=pool)
-            summary, emp = summarize(samples, grid)
-            linear_cdf = _linear_cdf_fn(formula, config.arrival, packet)
-            ana_vals = nonlinear_cdf(u, grid, parsed.battery, linear_cdf)
-            ana = CdfCurve(grid, np.clip(np.maximum.accumulate(ana_vals), 0, 1), formula)
+            ana = CdfCurve(*_analytic_cdf(parsed, formula, config))
+            summary, emp = summarize(run(config, pool=pool), ana.grid)
             ks = ks_distance(emp, ana)
+            u_prime = parsed.battery.input_for_level(u)
             band = dkw_band(parsed.replications, 0.01)
             name = _curve_name(u, arrival, packet)
-            _write_csv(out_dir / name, grid, emp.values, ana.values)
+            _write_csv(out_dir / name, ana.grid, emp.values, ana.values)
             tol = parsed.ks_tolerance
             curve_breach = tol is not None and ks > tol
             breached = breached or curve_breach
@@ -322,21 +332,21 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
 def compare_formulas(parsed: ParsedConfig) -> dict:
     """Max gap between the normal-approximation and exact Poisson series.
 
-    Only defined for exponential arrivals and exponential packets (the exact
-    formula's domain); tabulated per configured threshold over the grid. The
-    two curves are those ``run`` draws with ``formula = poisson_normal`` and
-    ``formula = poisson_exact``.
+    Only defined for one arrival and one packet law that fit the exact
+    formula; tabulated per configured threshold over the grid. The two curves
+    are those ``run`` draws with ``formula = poisson_normal`` and ``formula =
+    poisson_exact``, so a non-linear battery's gap is the one at u'.
     """
-    if len(parsed.arrivals) != 1 or not isinstance(parsed.arrivals[0], Exponential):
+    configs = _configs(parsed)
+    exact = _FORMULAS["poisson_exact"]
+    if len(parsed.arrivals) != 1 or not isinstance(parsed.arrivals[0], exact.arrivals):
         raise ConfigError("compare needs a single exponential arrivals law")
-    if len(parsed.packets) != 1 or not isinstance(parsed.packets[0], Exponential):
+    if len(parsed.packets) != 1 or not isinstance(parsed.packets[0], exact.packets):
         raise ConfigError("compare needs a single exponential packets law")
-    arrival, packet = ArrivalProcess(parsed.arrivals[0], parsed.mode), parsed.packets[0]
-    approx, exact = (_linear_cdf_fn(name, arrival, packet) for name in ("poisson_normal", "poisson_exact"))
     rows = []
-    for u in parsed.thresholds:
-        grid = parsed.grid if parsed.grid is not None else _default_grid(arrival, packet, u)
-        rows.append({"u": u, "max_abs_gap": float(np.max(np.abs(approx(u, grid) - exact(u, grid))))})
+    for config in configs:  # one per threshold
+        approx, exact_cdf = (_analytic_cdf(parsed, f, config)[1] for f in ("poisson_normal", "poisson_exact"))
+        rows.append({"u": config.threshold, "max_abs_gap": float(np.max(np.abs(approx - exact_cdf)))})
     return {"tool_version": __version__, "rows": rows}
 
 
@@ -365,7 +375,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parsed.seed = args.seed
         if args.replications is not None:
             parsed.replications = args.replications
-        _configs(parsed)
         if args.command == "compare":
             report = compare_formulas(parsed)
             for row in report["rows"]:

@@ -30,18 +30,18 @@ thresholds. The kernel thus takes a stream's ascending levels and finds the
 passage times of all of them in one pass, each bit for bit what a run at that
 level alone gives.
 
-``workers`` is an upper bound, and one pool policy serves the CLI and library
-callers alike: ``worker_pool`` opens a pool only when ``pool_size`` allows two
-processes or more and the ``expected_packets`` of its streams' top
-thresholds reach ``_POOL_BREAK_EVEN``, where a pool starts to pay; ``run``
-applies the same rule to its own config.
+``workers`` is an upper bound, and one stream plan serves the CLI and library
+callers alike: ``Streams`` groups a ``worker_pool``'s configs into streams
+once and decides there whether a pool pays, how many processes it gets and
+how each stream's chunks are split over them. ``worker_pool`` only opens the
+pool the plan asks for; ``run`` without one plans for its own config alone.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, Optional, Sequence, Tuple
@@ -169,13 +169,11 @@ def _packet_path(battery: NonLinearBattery, level: np.ndarray, packets: np.ndarr
     return path.T
 
 
-def _simulate_chunk(
-    config: ExperimentConfig, levels: np.ndarray, rng: np.random.Generator, rows: int, width: int
-) -> np.ndarray:
-    """[levels, rows] passage times of the first ``rows`` replications of a chunk of ``width``.
+def _simulate_chunk(config: ExperimentConfig, levels: np.ndarray, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """[levels, rows] passage times of the first ``rows`` replications of a chunk.
 
-    ``levels`` ascend. The chunk draws the residual wait of all ``width``
-    rows, then [width, 64] blocks of inter-arrivals and packets until each of
+    ``levels`` ascend. The chunk draws the residual wait of all ``CHUNK``
+    rows, then [CHUNK, 64] blocks of inter-arrivals and packets until each of
     its first ``rows`` rows is above the top level. Blocks are drawn whole,
     for finished rows too, so every row's draws depend only on ``rng`` and
     the block index. A row's level never falls, so the levels it has crossed
@@ -185,15 +183,15 @@ def _simulate_chunk(
     top = levels[-1]
     per_packet = isinstance(battery, NonLinearBattery)
     arr = config.arrival
-    t = arr.residual_sample(rng, width)[:rows]  # epoch of each row's next packet
+    t = arr.residual_sample(rng, CHUNK)[:rows]  # epoch of each row's next packet
     level = np.zeros(rows)
     taus = np.empty((levels.size, rows))
     passed = np.zeros(rows, dtype=np.intp)  # levels each active row has crossed
     active = np.arange(rows)  # rows not yet above the top; t, level and passed follow them
     pick = slice(rows)  # the same rows of a drawn block; a view while all are active
     for _ in range(0, _MAX_PACKETS, _BLOCK):
-        gaps = arr.interarrival.sample(rng, (width, _BLOCK))[pick]
-        packets = check_packets(config.packet.sample(rng, (width, _BLOCK))[pick])
+        gaps = arr.interarrival.sample(rng, (CHUNK, _BLOCK))[pick]
+        packets = check_packets(config.packet.sample(rng, (CHUNK, _BLOCK))[pick])
         if per_packet:
             path = _packet_path(battery, level, packets, top)
         else:
@@ -239,24 +237,11 @@ def _run_range(config: ExperimentConfig, levels: np.ndarray, start: int, stop: i
     children = np.random.SeedSequence(config.seed).spawn(stop)[start:]
     return np.concatenate(
         [
-            _simulate_chunk(config, levels, np.random.default_rng(child), min(CHUNK, n - c * CHUNK), CHUNK)
+            _simulate_chunk(config, levels, np.random.default_rng(child), min(CHUNK, n - c * CHUNK))
             for c, child in zip(range(start, stop), children)
         ],
         axis=1,
     )
-
-
-def _simulate(
-    config: ExperimentConfig, levels: np.ndarray, workers: int, executor: Optional[ProcessPoolExecutor]
-) -> np.ndarray:
-    """[levels, replications] passage times of ``config``'s stream, split over ``executor`` if open."""
-    n = config.replications
-    chunks = _n_chunks(n)
-    if executor is None:
-        return _run_range(config, levels, 0, chunks)
-    bounds = np.linspace(0, chunks, pool_size(workers, n) + 1).astype(int)
-    parts = executor.map(_run_range, repeat(config), repeat(levels), bounds[:-1], bounds[1:])
-    return np.concatenate(list(parts), axis=1)
 
 
 def pool_size(workers: int, replications: int) -> int:
@@ -270,65 +255,71 @@ def _stream(config: ExperimentConfig) -> tuple:
 
 
 class Streams:
-    """The runs of a ``worker_pool``: its process pool and the taus of its streams.
+    """The stream plan of a ``worker_pool``'s configs, and the taus of its streams.
 
-    A stream is the configs that differ only in their threshold. The first
-    ``run`` of a stream simulates every threshold of it in one pass, and
-    holds the others' taus until their own ``run`` reads them, once.
+    A stream is the configs that differ only in their threshold. The plan
+    gives ``processes`` = ``pool_size`` when the streams' top thresholds
+    expect ``_POOL_BREAK_EVEN`` packets in all, where a pool starts to pay,
+    and 1 otherwise; each stream's chunks are split over them. The first
+    ``run`` of a stream simulates all its thresholds in one pass and holds
+    the others' taus until their own ``run`` reads them, once.
     """
 
-    def __init__(self, executor: Optional[ProcessPoolExecutor], configs: Sequence[ExperimentConfig]):
-        self.executor = executor  # None when one process suffices
-        self._pending = {}  # stream -> its thresholds not yet simulated
+    def __init__(self, workers: int, configs: Sequence[ExperimentConfig]):
+        groups = {}  # stream -> its configs
         for c in configs:
-            self._pending.setdefault(_stream(c), set()).add(c.threshold)
+            groups.setdefault(_stream(c), []).append(c)
+        top = sum(max(c.expected_packets for c in group) for group in groups.values())
+        size = pool_size(workers, max(c.replications for c in configs))
+        self.processes = size if top >= _POOL_BREAK_EVEN else 1
+        self.executor: Optional[ProcessPoolExecutor] = None  # the pool ``worker_pool`` opens, if any
+        self._pending = {key: {c.threshold for c in group} for key, group in groups.items()}  # not simulated yet
         self._held = {}  # (stream, threshold) -> taus simulated but not yet read
 
-    def taus(self, config: ExperimentConfig, workers: int) -> np.ndarray:
+    def _simulate(self, config: ExperimentConfig, levels: np.ndarray) -> np.ndarray:
+        """[levels, replications] passage times of ``config``'s stream, its chunks split over the processes."""
+        chunks = _n_chunks(config.replications)
+        bounds = np.linspace(0, chunks, min(self.processes, chunks) + 1).astype(int)
+        run_ranges = map if self.executor is None else self.executor.map
+        parts = run_ranges(_run_range, repeat(config), repeat(levels), bounds[:-1], bounds[1:])
+        return np.concatenate(list(parts), axis=1)
+
+    def taus(self, config: ExperimentConfig) -> np.ndarray:
         """``config``'s taus: held, simulated with its stream's, or alone if outside ``configs``."""
         key = _stream(config)
         if config.threshold in self._pending.get(key, ()):
             levels = sorted(self._pending.pop(key))
-            taus = _simulate(config, np.array(levels), workers, self.executor)
-            self._held.update(zip([(key, u) for u in levels], taus))
+            self._held.update(zip([(key, u) for u in levels], self._simulate(config, np.array(levels))))
         held = self._held.pop((key, config.threshold), None)
         if held is not None:
             return held
-        return _simulate(config, np.array([config.threshold]), workers, self.executor)[0]
+        return self._simulate(config, np.array([config.threshold]))[0]
 
 
 @contextmanager
 def worker_pool(workers: int, configs: Sequence[ExperimentConfig]) -> Iterator[Streams]:
-    """The ``Streams`` of ``configs``, with a process pool when one pays.
+    """The ``Streams`` of ``configs``, with the process pool its plan asks for, if any.
 
-    One process suffices when ``pool_size`` allows fewer than two or when the
-    streams of the configs expect fewer than ``_POOL_BREAK_EVEN`` packets in
-    all; a stream expects the packets of its top threshold. Open it once and
-    pass it to the ``run`` of each config.
+    Open it once and pass it to the ``run`` of each config.
     """
-    top = {}  # stream -> expected packets of its top threshold
-    for c in configs:
-        key = _stream(c)
-        top[key] = max(top.get(key, 0.0), c.expected_packets)
-    size = pool_size(workers, max(c.replications for c in configs))
-    if size < 2 or sum(top.values()) < _POOL_BREAK_EVEN:
-        yield Streams(None, configs)
-        return
-    with ProcessPoolExecutor(max_workers=size) as executor:
-        yield Streams(executor, configs)
+    streams = Streams(workers, configs)
+    pool = ProcessPoolExecutor(max_workers=streams.processes) if streams.processes > 1 else nullcontext()
+    with pool as streams.executor:
+        yield streams
 
 
 def run(config: ExperimentConfig, workers: int = 1, pool: Optional[Streams] = None) -> PassageSamples:
     """Run all replications; output is identical for any worker count.
 
     ``pool`` is an open ``worker_pool`` shared across runs; a config of its
-    ``configs`` reads its taus from its stream's one pass. Without one, the
-    run opens its own for the call, with a process pool when one pays.
+    ``configs`` reads its taus from its stream's one pass, and the pool's
+    plan, not ``workers``, sets the processes. Without one, the run opens its
+    own for the call, planned for ``config`` alone.
     """
     if pool is None:
         with worker_pool(workers, [config]) as pool:
-            return run(config, workers, pool)
-    return PassageSamples(taus=pool.taus(config, workers))
+            return run(config, pool=pool)
+    return PassageSamples(taus=pool.taus(config))
 
 
 def summarize(samples: PassageSamples, time_grid) -> Tuple[SummaryStats, CdfCurve]:

@@ -17,14 +17,11 @@ __all__ = ["CdfCurve", "ecdf", "ks_distance", "dkw_band"]
 class CdfCurve:
     """A CDF evaluated on an ordered time grid.
 
-    grid and values are read-only float arrays copied from the input. kind is
-    "empirical(n)" for an ECDF over n samples, or the name of the analytic
-    formula that produced the values.
+    grid and values are read-only float arrays copied from the input.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    kind: str
 
     def __post_init__(self):
         g = np.array(self.grid, dtype=float)
@@ -46,7 +43,7 @@ def ecdf(samples, grid) -> CdfCurve:
     if samples.size == 0:
         raise ValueError("need at least one sample")
     counts = np.searchsorted(samples, np.asarray(grid, dtype=float), side="right")
-    return CdfCurve(grid, counts / samples.size, f"empirical({samples.size})")
+    return CdfCurve(grid, counts / samples.size)
 
 
 def ks_distance(a: CdfCurve, b: CdfCurve) -> float:

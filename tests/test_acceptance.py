@@ -48,7 +48,7 @@ def mc_vs_curve(config, analytic_fn, n_grid=500):
     grid = np.linspace(1e-9, float(np.max(taus)) * 1.1, n_grid)
     emp = ecdf(taus, grid)
     vals = np.clip(np.maximum.accumulate([analytic_fn(float(t)) for t in grid]), 0.0, 1.0)
-    ana = CdfCurve(tuple(grid), tuple(vals), "analytic")
+    ana = CdfCurve(tuple(grid), tuple(vals))
     return ks_distance(emp, ana)
 
 

@@ -74,3 +74,19 @@ def test_one_run_call_per_curve_in_curve_order(tmp_path, monkeypatch):
         assert (curve["u"], curve["arrivals"], curve["packets"]) == (u, arrival.config_str(), packet.config_str())
         assert taus.size == parsed.replications
         assert np.all(np.isfinite(taus) & (taus > 0))
+
+
+def test_formula_table_calls_the_names_the_tracer_rebinds(tmp_path):
+    # a table that held the series' function objects would bypass the traced
+    # names, and the bench's analytic.points.* would read 0
+    text = (
+        "arrivals = exponential rate=1; gamma shape=2 scale=0.5\n"
+        "packets = exponential rate=1; uniform lo=0 hi=2\nu = 5\nreplications = 100\ngrid = 0:0.5:30\n"
+    )
+    with tracing.traced_layers(tracing.Tracer(0)) as tracer:
+        cli.run_experiment(cli.parse_config(text), tmp_path)
+    calls = {name: tracer.total(f"analytic.{name}").calls for name in ("poisson_exact", "poisson_normal", "clt")}
+    assert calls == {"poisson_exact": 1, "poisson_normal": 1, "clt": 2}
+    with tracing.traced_layers(tracing.Tracer(1)) as tracer:
+        cli.compare_formulas(cli.parse_config("u = 5, 10\n"))
+    assert [tracer.total(f"analytic.{name}").calls for name in ("poisson_exact", "poisson_normal")] == [2, 2]

@@ -254,6 +254,14 @@ class TestRunExperiment:
         assert len(manifest["curves"]) == 6
         assert levels_run == [(packet, [10.0, 20.0]) for packet in parsed.packets]
 
+    def test_refused_config_writes_nothing(self, tmp_path):
+        # a library caller, with no check by main before it
+        parsed = dataclasses.replace(parse_config("u = 20\nreplications = 100"), replications=0)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="^replications: replications must be >= 1, got 0$"):
+            run_experiment(parsed, out)
+        assert not out.exists()
+
     def test_tolerance_breach_flag(self, tmp_path):
         p = parse_config(PANEL_A_LINEAR + "ks_tolerance = 1e-9")
         manifest = run_experiment(p, tmp_path)
@@ -296,6 +304,19 @@ class TestCompareFormulas:
 
         vals = [poisson_cdf_exp_exact(20.0, t, 1.0, 1.0) for t in (5.0, 20.0)]
         assert max(abs(a - b) for a, b in zip(vals, vals)) == 0.0
+
+    @pytest.mark.parametrize("grid", ["grid = 0:0.5:80\n", ""], ids=["grid", "default-grid"])
+    def test_gap_is_the_one_between_the_curves_run_draws(self, tmp_path, grid):
+        # on a non-linear battery run draws both series at u' = 29.345, not u = 20
+        text = "battery = nonlinear umax=25 beta=1.1\nu = 20\nreplications = 100\n" + grid
+        (row,) = compare_formulas(parse_config(text))["rows"]
+        columns = []
+        for formula in ("poisson_normal", "poisson_exact"):
+            out = tmp_path / formula
+            run_experiment(parse_config(text + f"formula = {formula}\n"), out)
+            (csv,) = out.glob("*.csv")
+            columns.append(np.loadtxt(csv, delimiter=",", skiprows=1)[:, 2])
+        assert row["max_abs_gap"] == pytest.approx(np.max(np.abs(columns[0] - columns[1])), abs=1e-12)
 
     def test_rejects_non_exponential(self):
         p = parse_config("arrivals = uniform lo=0 hi=1\npackets = exponential rate=1\nu = 20")

@@ -133,7 +133,7 @@ def test_sampling_matches_cdf_ks(spec):
     draws = spec.sample(rng, n)
     grid = np.linspace(1e-9, float(np.max(draws)) * 1.01, 600)
     emp = ecdf(draws, grid)
-    ana = CdfCurve(tuple(grid), tuple(np.clip(spec.cdf(grid), 0, 1)), "analytic")
+    ana = CdfCurve(tuple(grid), tuple(np.clip(spec.cdf(grid), 0, 1)))
     assert ks_distance(emp, ana) < dkw_band(n, 0.01)
 
 

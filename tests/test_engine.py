@@ -299,6 +299,14 @@ class TestWorkerPool:
         with worker_pool(2, [lo, hi]) as streams:
             assert streams.executor is fake_pools[0]
 
+    def test_the_pools_plan_sets_the_processes(self, fake_pools, pool_always_pays):
+        # three chunks over the pool's two processes, whatever workers the run passes
+        c = cfg(replications=3 * CHUNK)
+        with worker_pool(2, [c]) as streams:
+            taus = run(c, workers=1, pool=streams).taus
+        assert [(p.max_workers, p.tasks) for p in fake_pools] == [(2, [2])]
+        np.testing.assert_array_equal(taus, run(c).taus)
+
     def test_pool_size(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 4)
         assert pool_size(1, 10**6) == 1

@@ -60,7 +60,7 @@ class TestResidualSampling:
         draws = proc.residual_sample(rng, 10**5)
         grid = np.linspace(1e-9, draws.max() * 1.01, 400)
         emp = ecdf(draws, grid)
-        ana = CdfCurve(tuple(grid), tuple(Exponential(0.5).cdf(grid)), "exp")
+        ana = CdfCurve(tuple(grid), tuple(Exponential(0.5).cdf(grid)))
         assert ks_distance(emp, ana) < dkw_band(10**5, 0.01)
 
     def test_deterministic_gives_uniform(self):
@@ -70,7 +70,7 @@ class TestResidualSampling:
         assert np.all((draws >= 0) & (draws < 1))
         grid = np.linspace(1e-6, 0.9999, 400)
         emp = ecdf(draws, grid)
-        ana = CdfCurve(tuple(grid), tuple(grid), "uniform")
+        ana = CdfCurve(tuple(grid), tuple(grid))
         assert ks_distance(emp, ana) < dkw_band(10**5, 0.01)
 
     @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ class TestEcdf:
         draws = Exponential(1.0).sample(rng, n)
         grid = np.linspace(1e-9, 15.0, 500)
         emp = ecdf(draws, grid)
-        ana = CdfCurve(tuple(grid), tuple(Exponential(1.0).cdf(grid)), "exp")
+        ana = CdfCurve(tuple(grid), tuple(Exponential(1.0).cdf(grid)))
         assert ks_distance(emp, ana) < dkw_band(n, 0.01)
 
     def test_empty_rejected(self):
@@ -35,22 +35,20 @@ class TestKsDistance:
 
     def test_opposite_steps(self):
         grid = (0.0, 1.0)
-        a = CdfCurve(grid, (1.0, 1.0), "early")
-        b = CdfCurve(grid, (0.0, 0.0), "never")
+        a = CdfCurve(grid, (1.0, 1.0))
+        b = CdfCurve(grid, (0.0, 0.0))
         assert ks_distance(a, b) == 1.0
 
     def test_disjoint_grids_rejected(self):
-        a = CdfCurve((0.0, 1.0), (0.0, 1.0), "a")
-        b = CdfCurve((5.0, 6.0), (0.0, 1.0), "b")
+        a = CdfCurve((0.0, 1.0), (0.0, 1.0))
+        b = CdfCurve((5.0, 6.0), (0.0, 1.0))
         with pytest.raises(ValueError):
             ks_distance(a, b)
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(1)
         grid = tuple(np.linspace(0, 1, 50))
-        curves = [
-            CdfCurve(grid, tuple(np.sort(rng.random(50))), f"c{i}") for i in range(5)
-        ]
+        curves = [CdfCurve(grid, tuple(np.sort(rng.random(50)))) for _ in range(5)]
         # force valid CDF ranges
         for a in curves:
             for b in curves:
@@ -94,7 +92,7 @@ def test_dkw_empirical_pass_rate():
     rng = np.random.default_rng(2)
     n = 2000
     grid = np.linspace(1e-9, 12.0, 300)
-    ana = CdfCurve(tuple(grid), tuple(Exponential(1.0).cdf(grid)), "exp")
+    ana = CdfCurve(tuple(grid), tuple(Exponential(1.0).cdf(grid)))
     band = dkw_band(n, 0.01)
     passes = sum(
         ks_distance(ecdf(Exponential(1.0).sample(rng, n), grid), ana) < band
@@ -105,7 +103,7 @@ def test_dkw_empirical_pass_rate():
 
 def test_cdf_curve_holds_read_only_copies():
     grid, values = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 1.0])
-    c = CdfCurve(grid, values, "c")
+    c = CdfCurve(grid, values)
     grid[1], values[1] = 1.5, 0.25
     np.testing.assert_array_equal(c.grid, [0.0, 1.0, 2.0])
     np.testing.assert_array_equal(c.values, [0.0, 0.5, 1.0])
@@ -116,10 +114,10 @@ def test_cdf_curve_holds_read_only_copies():
 
 def test_cdf_curve_validation():
     with pytest.raises(ValueError):
-        CdfCurve((0.0, 1.0), (0.5,), "bad")
+        CdfCurve((0.0, 1.0), (0.5,))
     with pytest.raises(ValueError):
-        CdfCurve((1.0, 0.5), (0.0, 1.0), "bad")
+        CdfCurve((1.0, 0.5), (0.0, 1.0))
     with pytest.raises(ValueError):
-        CdfCurve((0.0, 1.0), (0.8, 0.2), "bad")
+        CdfCurve((0.0, 1.0), (0.8, 0.2))
     with pytest.raises(ValueError):
-        CdfCurve((0.0, 1.0), (0.0, 1.5), "bad")
+        CdfCurve((0.0, 1.0), (0.0, 1.5))
