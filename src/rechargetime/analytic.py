@@ -31,14 +31,24 @@ serves all four Poisson curves; other laws use the normal epoch mixture.
 
 Poisson weights are always computed in log space; the naive (lambda*t)^n/n!
 overflows for lambda*t beyond a few hundred.
+
+The curves need three special functions, computed here without scipy so that
+importing this module loads numpy alone:
+
+* the normal CDF Phi(z) = erfc(-z / sqrt 2) / 2, by ``math.erfc`` on each
+  element (within about z^2 unit roundoffs, relative, as scipy's ``ndtr``),
+  for the normal packet-sum CDF and the normal epoch mixture;
+* log n! = ``math.lgamma(n + 1)``, for the Poisson log weights;
+* the Erlang CDF gammainc(n, y) = P(Poisson(y) >= n) at integer n, for the
+  exact series, summed from the same Poisson log weights (``_erlang_cdf``).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
-from scipy import special
 
 from .battery import BatteryModel
 from .distributions import DistributionSpec, Exponential
@@ -66,6 +76,61 @@ _MAX_PACKETS = 10_000
 # laws. A block has as many grid points as fit, 123 at the 265 terms of
 # u = 150, so memory does not grow with the number of terms times a block.
 _MIX_CELLS = 1 << 15
+# Terms of the log n! table kept for the process (32 KB). math.lgamma takes
+# about 0.2 us a term; recomputing the table per series cost about 5% of a
+# compare pass.
+_LOG_FACT_HEAD = 1 << 12
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_cdf(z) -> np.ndarray:
+    """Phi(z) = erfc(-z / sqrt 2) / 2 elementwise, as a float array; ``math.erfc`` on each element."""
+    return 0.5 * np.asarray(_erfc(np.multiply(z, -math.sqrt(0.5))), dtype=float)
+
+
+def _lgamma(lo: int, hi: int) -> np.ndarray:
+    """lgamma(m) for the integers m = lo, ..., hi - 1."""
+    return np.fromiter(map(math.lgamma, range(lo, hi)), dtype=float, count=hi - lo)
+
+
+@functools.cache
+def _log_factorial_head() -> np.ndarray:
+    """log n! for n < _LOG_FACT_HEAD, computed once: every series of the CLI's curves fits in it."""
+    head = _lgamma(1, _LOG_FACT_HEAD + 1)
+    head.setflags(write=False)
+    return head
+
+
+def _log_factorial(size: int) -> np.ndarray:
+    """log n! = lgamma(n + 1) for n = 0, ..., size - 1; a read-only view up to _LOG_FACT_HEAD terms."""
+    head = _log_factorial_head()
+    if size <= head.size:
+        return head[:size]
+    return np.concatenate((head, _lgamma(head.size + 1, size + 1)))
+
+
+def _erlang_cdf(size: int, y: float) -> np.ndarray:
+    """gammainc(n, y) = P(Poisson(y) >= n), the CDF at y of n unit-mean exponentials, for n < size.
+
+    Each F_n sums the smaller side of the Poisson(y) weights
+    exp(k log y - log k! - y), small terms first: 1 - sum_{k<n} from the
+    bottom for n <= y, where F_n is about 1/2 or more (so F_0 = 1 exactly),
+    and sum_{k>=n} from the top otherwise. The top is
+    K = max(size - 1, 2 ceil(y)) + 64: past 2y each weight is at most half
+    the one before, so w_K is below e^-44 of a weight in every F_n, and the
+    dropped tail k > K weighs less than w_K, below 1e-16 of F_n. F does not
+    increase with n. y >= 0.
+    """
+    k = np.arange(max(size - 1, 2 * math.ceil(y)) + 65, dtype=float)
+    w = k * math.log(y) if y > 0.0 else np.full(k.size, -np.inf)
+    w -= _log_factorial(k.size)
+    w -= y
+    w[0] = -y
+    np.exp(w, out=w)
+    below = np.cumsum(w[: size - 1])  # sum_{k<n} w_k for n = 1, ..., size - 1
+    above = np.cumsum(w[::-1])[::-1][:size]  # sum_{k>=n} w_k
+    F = np.where(k[:size] <= y, 1.0 - np.concatenate(([0.0], below)), above)
+    return np.minimum.accumulate(F)
 
 
 def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None, mode: Mode) -> np.ndarray:
@@ -91,12 +156,12 @@ def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None, mode: Mode) -> 
     while True:
         n = np.arange(size, dtype=float)
         if sigmaX is None:
-            F = special.gammainc(n, u / Xbar)  # gammainc(0, x > 0) = 1
+            F = _erlang_cdf(size, u / Xbar)
         elif sigmaX == 0.0:
             F = (n * Xbar <= u) * 1.0
         else:
             with np.errstate(divide="ignore", over="ignore"):
-                F = special.ndtr((u - n * Xbar) / (sigmaX * np.sqrt(n)))
+                F = _normal_cdf((u - n * Xbar) / (sigmaX * np.sqrt(n)))
         (small,) = np.nonzero(F < _SERIES_TOL)
         if small.size:
             return F[start : small[0]]
@@ -137,7 +202,7 @@ def _poisson_mixture(F: np.ndarray, lam: float, t) -> np.ndarray | float:
     if not 0.0 < lam < np.inf:
         raise ValueError(f"arrival rate {lam} must be finite and > 0")
     n = np.arange(F.size, dtype=float)
-    log_fact = special.gammaln(n + 1.0)
+    log_fact = _log_factorial(F.size)
 
     def poisson_weights(tb, w):
         x = lam * tb
@@ -215,7 +280,7 @@ def _normal_epoch_mixture(t, pmf: np.ndarray, mean: np.ndarray, var: np.ndarray)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.subtract(tb, mean, out=w)
             w /= sd
-            special.ndtr(w, out=w)
+            w[...] = _normal_cdf(w)
         w[:, step] = tb >= mean[step]
 
     return np.clip(_mixture(t, pmf, epoch_cdfs), 0.0, 1.0)[()]

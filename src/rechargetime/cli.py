@@ -173,10 +173,6 @@ def parse_config(text: str) -> ParsedConfig:
     except ValueError:
         raise ConfigError(f"mode must be equilibrium or pure, got {mode_txt!r}") from None
     formula = values.get("formula", "auto").lower()
-    if formula != "auto" and formula not in _FORMULAS:
-        raise ConfigError(f"formula must be one of {sorted(['auto', *_FORMULAS])}, got {formula!r}")
-    if formula != "auto" and not all(_FORMULAS[formula].fits(*laws) for laws in itertools.product(arrivals, packets)):
-        raise ConfigError(f"{formula} {_FORMULAS[formula].needs}")
     if ks_tol is not None and not 0.0 < ks_tol <= 1.0:
         raise ConfigError(f"ks_tolerance must be a finite value in (0, 1], got {ks_tol}")
     names = [_curve_name(*combo) for combo in itertools.product(thresholds, arrivals, packets)]
@@ -206,14 +202,22 @@ def parse_config(text: str) -> ParsedConfig:
 def _configs(parsed: ParsedConfig) -> List[ExperimentConfig]:
     """The run of each (threshold, arrival, packet) combination, in curve order.
 
-    ``ExperimentConfig`` checks the replications, the seed, the threshold
-    against the battery's capacity and the expected packets, in that order;
-    its ValueError becomes a ConfigError naming the key. A curve whose
-    asymptotic mean or variance of tau at u' is not a finite float, which the
-    manifest could not hold as JSON, is refused with its CSV's name.
+    A forced ``formula`` must be a row of ``_FORMULAS`` that fits every
+    arrival and packet law. ``ExperimentConfig`` checks the replications, the
+    seed, the threshold against the battery's capacity and the expected
+    packets, in that order; its ValueError becomes a ConfigError naming the
+    key. A curve whose asymptotic mean or variance of tau at u' is not a
+    finite float, which the manifest could not hold as JSON, is refused with
+    its CSV's name.
     ``parse_config`` calls this to check a config, and ``run_experiment``
     and ``compare_formulas`` again, since a caller may change it after.
     """
+    formula = parsed.formula
+    if formula != "auto" and formula not in _FORMULAS:
+        raise ConfigError(f"formula must be one of {sorted(['auto', *_FORMULAS])}, got {formula!r}")
+    pairs = itertools.product(parsed.arrivals, parsed.packets)
+    if formula != "auto" and not all(_FORMULAS[formula].fits(*laws) for laws in pairs):
+        raise ConfigError(f"{formula} {_FORMULAS[formula].needs}")
     configs = []
     for u, arrival, packet in itertools.product(parsed.thresholds, parsed.arrivals, parsed.packets):
         try:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "Exponential",
@@ -123,6 +122,8 @@ class Gamma:
         return rng.gamma(self.shape + 1.0, self.scale, size=size)
 
     def cdf(self, x):
+        from scipy import special  # here, not at import: the CLI's formulas never read this CDF
+
         x = _as_array(x)
         return np.where(x < 0, 0.0, special.gammainc(self.shape, np.maximum(x, 0.0) / self.scale))[()]
 
@@ -171,6 +172,8 @@ class InverseGaussian:
         return s * (x / self.mean_ - 1.0), -s * (x / self.mean_ + 1.0)
 
     def cdf(self, x):
+        from scipy import special  # here, not at import: the CLI's formulas never read this CDF
+
         x = _as_array(x)
         pos = np.maximum(x, 1e-300)
         a, b = self._phi_args(pos)

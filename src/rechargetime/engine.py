@@ -300,12 +300,16 @@ class Streams:
 def worker_pool(workers: int, configs: Sequence[ExperimentConfig]) -> Iterator[Streams]:
     """The ``Streams`` of ``configs``, with the process pool its plan asks for, if any.
 
-    Open it once and pass it to the ``run`` of each config.
+    Open it once and pass it to the ``run`` of each config. Once the block
+    exits, the streams drop the shut pool and simulate in this process.
     """
     streams = Streams(workers, configs)
     pool = ProcessPoolExecutor(max_workers=streams.processes) if streams.processes > 1 else nullcontext()
     with pool as streams.executor:
-        yield streams
+        try:
+            yield streams
+        finally:
+            streams.executor = None
 
 
 def run(config: ExperimentConfig, workers: int = 1, pool: Optional[Streams] = None) -> PassageSamples:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,9 @@ from scipy import special, stats
 from scipy.integrate import quad
 
 from rechargetime.analytic import (
+    _erlang_cdf,
+    _log_factorial,
+    _normal_cdf,
     nonlinear_cdf,
     packet_count_pmf,
     per_packet_cdf,
@@ -451,3 +455,51 @@ class TestCdfRangeProperties:
         assert poisson_cdf_normal(20.0, 0.0, 1.0, 1.0, 1.0) == 0.0
         assert poisson_cdf_exp_exact(20.0, 0.0, 1.0, 1.0) == 0.0
         assert renewal_cdf_clt(20.0, 0.0, *EXP_EXP) < 1e-3
+
+
+# unit roundoff of a double
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+class TestSpecialFunctions:
+    """The normal CDF, log n! and the Erlang CDF that the curves read, against mpmath and scipy."""
+
+    def test_normal_cdf(self):
+        z = np.linspace(-38.0, 9.0, 941)
+        with mp.workdps(40):
+            ref = np.array([float(mp.ncdf(v)) for v in z])
+        got = _normal_cdf(z)
+        normal = ref >= np.finfo(float).tiny  # below, Phi is subnormal: z < -37.5
+        # -z / sqrt 2 is rounded, and d log Phi / dz is about |z| at z << 0, so
+        # Phi carries a relative error of about z^2 times the unit roundoff
+        rtol = 1e-15 + 4.0 * z[normal] ** 2 * UNIT_ROUNDOFF
+        for other in (ref, special.ndtr(z)):
+            assert np.all(np.abs(got[normal] / other[normal] - 1.0) <= rtol)
+        np.testing.assert_allclose(got[~normal], ref[~normal], rtol=0.0, atol=1e-310)
+        np.testing.assert_array_equal(_normal_cdf(np.array([-np.inf, np.inf, np.nan])), [0.0, 1.0, np.nan])
+
+    def test_log_factorial(self):
+        got = _log_factorial(100_001)
+        assert got.shape == (100_001,) and got[0] == got[1] == 0.0
+        n = np.arange(100_001.0)
+        np.testing.assert_allclose(got, special.gammaln(n + 1.0), rtol=8 * UNIT_ROUNDOFF, atol=0.0)
+        picks = np.r_[2:300, 1000:1010, 99_990:100_001]
+        with mp.workdps(40):
+            ref = np.array([float(mp.loggamma(int(k) + 1)) for k in picks])
+        np.testing.assert_allclose(got[picks], ref, rtol=8 * UNIT_ROUNDOFF, atol=0.0)
+
+    @pytest.mark.parametrize("y", [0.5, 20.0, 150.0, 1000.0])
+    def test_erlang_cdf(self, y):
+        F = _erlang_cdf(int(2 * y) + 100, y)
+        assert F[0] == 1.0 and F[-1] < 1e-12
+        assert np.all(np.diff(F) <= 0.0)
+        n = np.flatnonzero(F >= 1e-12)
+        with mp.workdps(40):
+            ref = np.array([1.0] + [float(mp.gammainc(int(k), 0, y, regularized=True)) for k in n[1:]])
+        # each log weight k log y - log k! - y sums terms up to about
+        # L = n log y + log n! at the last n, each rounded, so a weight and a
+        # sum of weights are off by about 3 L unit roundoffs, relative
+        last = n[-1]
+        rtol = 1e-14 + 3.0 * (last * abs(math.log(y)) + math.lgamma(last + 1.0)) * UNIT_ROUNDOFF
+        for other in (ref, special.gammainc(n, y)):
+            assert np.all(np.abs(F[n] / other - 1.0) <= rtol)

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,22 @@ class TestRunExperiment:
             run_experiment(parsed, out)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "formula, message",
+        [("poisson_exact", "poisson_exact needs exponential arrivals and packets"), ("simpson", "formula must be one of")],
+    )
+    def test_forced_formula_checked_by_every_entry_point(self, tmp_path, formula, message):
+        # a library caller changes the formula after parse_config; forced on
+        # uniform packets, poisson_exact would draw them as exponential
+        uniform = parse_config("packets = uniform lo=0 hi=1\nu = 5\nreplications = 100\ngrid = 0:1:20")
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(dataclasses.replace(uniform, formula=formula), out)
+        assert not out.exists()
+        if formula == "simpson":
+            with pytest.raises(ConfigError, match=message):
+                compare_formulas(dataclasses.replace(parse_config("u = 5\ngrid = 0:1:20"), formula=formula))
+
     def test_tolerance_breach_flag(self, tmp_path):
         p = parse_config(PANEL_A_LINEAR + "ks_tolerance = 1e-9")
         manifest = run_experiment(p, tmp_path)
@@ -425,3 +445,37 @@ class TestMain:
         assert main(["compare", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "max |normal - exact|" in out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# Parses a config, then runs it (or compares, for "compare"), in a fresh
+# interpreter, and prints whether scipy was loaded after each step.
+SCIPY_PROBE = """
+import sys
+from pathlib import Path
+from rechargetime.cli import compare_formulas, parse_config, run_experiment
+config, command, out = sys.argv[1:]
+parsed = parse_config(Path(config).read_text())
+loaded = ["scipy" in sys.modules]
+parsed.replications = 100
+if command == "compare":
+    compare_formulas(parsed)
+else:
+    run_experiment(parsed, Path(out))
+loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+
+
+@pytest.mark.parametrize("config", sorted((ROOT / "perfbench" / "workloads").glob("*.cfg")), ids=lambda p: p.stem)
+def test_cli_path_never_imports_scipy(config, tmp_path):
+    # scipy.special takes most of the import time of rechargetime.cli; the
+    # curves compute their special functions without it
+    command = "compare" if config.stem.startswith("compare") else "run"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(config), command, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[False, False]"

@@ -357,6 +357,18 @@ class TestSharedStreams:
         for c, taus in zip(configs, shared):
             assert np.array_equal(taus, run(c).taus)
 
+    def test_a_closed_pool_leaves_the_run_in_this_process(self, monkeypatch, pool_always_pays):
+        # after its block the pool is shut down; a run that must simulate
+        # (here a stream whose held taus were read) no longer schedules on it
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        c = cfg(replications=600)
+        with worker_pool(2, [c]) as streams:
+            assert isinstance(streams.executor, ProcessPoolExecutor)
+            pooled = run(c, pool=streams).taus
+        assert streams.executor is None
+        np.testing.assert_array_equal(run(c, pool=streams).taus, pooled)
+        np.testing.assert_array_equal(pooled, run(c).taus)
+
     def test_held_taus_are_read_once(self, monkeypatch):
         levels_run = []
         inner = engine._run_range
