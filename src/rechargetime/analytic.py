@@ -1,36 +1,37 @@
 """Closed-form and asymptotic recharge-time formulas.
 
-Poisson-arrival results condition on the number of arrivals by time t, which
-turns the level-crossing probability into a Poisson-weighted series over
-F_n(u) = P(S_n <= u), the CDF of the n-packet sum:
-P(tau <= t) = 1 - sum_n w_n(lam t) F_n(u), for a rate lam in (0, inf).
-F_n(u) is the normal approximation of the n-fold convolution (general packet
-law) or the exact Erlang/incomplete-gamma form (exponential packets). It does
-not depend on t and falls with n, so one cut serves every t: the series stops
-before the first n with F_n(u) < 1e-12, which bounds the dropped mass by
-1e-12. In pure mode an arrival, and so a packet, sits at the origin, and the
-series runs over F_{n+1}(u) instead. General inter-arrival laws use
-renewal-theoretic asymptotics plus a CLT approximation (large threshold),
-which read their moments from the arrival process and the packet law.
+Poisson-arrival results condition on the number of arrivals by time t: each
+is one mixture P(tau <= t) = 1 - sum_n w_n(lam t) P(N > n) over the law of
+the packet count N, with w_n the Poisson(lam t) weights and lam in (0, inf).
+For a linear battery P(N > n) = F_n(u) = P(S_n <= u), the CDF of the n-packet
+sum: the exact Erlang law for exponential packets, or the normal
+approximation of the n-fold convolution. Three routines build every such
+series. ``_poisson_weights`` computes the weights in log space, as the naive
+x^n / n! overflows for x beyond a few hundred; the mixture and the Erlang law
+both call it, with the log n! table passed in once per series.
+``_tail_sums`` gives P(N >= n), each from its smaller side, for the Erlang
+F_n and for the count law of ``per_packet_cdf``. ``_poisson_mixture`` is the
+one place that shifts a series for pure mode, where an arrival, and so a
+packet, sits at the origin and the series runs over P(N > n + 1). F_n does
+not depend on t and falls with n, so one cut serves every t: a series stops
+before its first term below 1e-12, which bounds the dropped mass by 1e-12.
+Each series is sized once, to a length that holds its cut. General
+inter-arrival laws use renewal-theoretic asymptotics plus a CLT approximation
+(large threshold), which read their moments from the arrival process and the
+packet law.
 
 Every CDF accepts a scalar t (float result) or an array of t >= 0. One
 blocked mixture serves them all: each block of t fills one [block, n] buffer,
 which is summed against the weights row by row. The Poisson series fill it
-with log weights, exponentiated in place, against F; the CLT curves with
-normal or step epoch CDFs against the law of the packet count (one term for
+with Poisson weights against P(N > n); the CLT curves with normal or step
+epoch CDFs against the law of the packet count (one term for
 ``renewal_cdf_clt``).
 
 The non-linear battery has two formulas. ``nonlinear_cdf`` maps the threshold
 through the tanh transform: the continuous model is the linear battery at u'.
 ``per_packet_cdf`` matches the per-packet rule U <- min(U + eta(U) X, umax):
-it propagates the level on a grid to get the law of the packet count N and
-mixes it with the law of the N-th arrival epoch. For Poisson arrivals that
-mixture is the Poisson series above with F_n(u) read as P(N > n), the chance
-that n packets leave the level at or below u, so one Poisson-epoch law
-serves all four Poisson curves; other laws use the normal epoch mixture.
-
-Poisson weights are always computed in log space; the naive (lambda*t)^n/n!
-overflows for lambda*t beyond a few hundred.
+it propagates the level on a grid to get the law of N and mixes it with the
+law of the N-th arrival epoch, Poisson or normal.
 
 The curves need three special functions, computed here without scipy so that
 importing this module loads numpy alone:
@@ -38,9 +39,9 @@ importing this module loads numpy alone:
 * the normal CDF Phi(z) = erfc(-z / sqrt 2) / 2, by ``math.erfc`` on each
   element (within about z^2 unit roundoffs, relative, as scipy's ``ndtr``),
   for the normal packet-sum CDF and the normal epoch mixture;
-* log n! = ``math.lgamma(n + 1)``, for the Poisson log weights;
+* log n! = ``math.lgamma(n + 1)``, for the Poisson weights;
 * the Erlang CDF gammainc(n, y) = P(Poisson(y) >= n) at integer n, for the
-  exact series, summed from the same Poisson log weights (``_erlang_cdf``).
+  exact series: the tail sums of the Poisson(y) weights.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ __all__ = [
 
 # The Poisson series stops where the packet-sum CDF falls below this.
 _SERIES_TOL = 1e-12
+# The normal series is sized to 2 terms past this argument of Phi (about 6e-13).
+_NORMAL_CUT_Z = -7.1
 # Level-grid step of the per-packet transfer operator. At 0.02 the CDF of N
 # stays within about 1e-3 of a ten times finer grid.
 _LEVEL_STEP = 0.02
@@ -109,63 +112,64 @@ def _log_factorial(size: int) -> np.ndarray:
     return np.concatenate((head, _lgamma(head.size + 1, size + 1)))
 
 
-def _erlang_cdf(size: int, y: float) -> np.ndarray:
-    """gammainc(n, y) = P(Poisson(y) >= n), the CDF at y of n unit-mean exponentials, for n < size.
+def _poisson_weights(x, n: np.ndarray, log_fact: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The Poisson(x) weights at the counts n, written into ``out``: exp(n log x - log n! - x).
 
-    Each F_n sums the smaller side of the Poisson(y) weights
-    exp(k log y - log k! - y), small terms first: 1 - sum_{k<n} from the
-    bottom for n <= y, where F_n is about 1/2 or more (so F_0 = 1 exactly),
-    and sum_{k>=n} from the top otherwise. The top is
-    K = max(size - 1, 2 ceil(y)) + 64: past 2y each weight is at most half
-    the one before, so w_K is below e^-44 of a weight in every F_n, and the
-    dropped tail k > K weighs less than w_K, below 1e-16 of F_n. F does not
-    increase with n. y >= 0.
+    log_fact holds log n!. x is a scalar or a column of rates >= 0. At x = 0
+    the log is -inf, so the weight is 0 for n > 0; column 0 is set to -x
+    apart, which makes the corner exact (weight 1 at n = 0).
     """
-    k = np.arange(max(size - 1, 2 * math.ceil(y)) + 65, dtype=float)
-    w = k * math.log(y) if y > 0.0 else np.full(k.size, -np.inf)
-    w -= _log_factorial(k.size)
-    w -= y
-    w[0] = -y
-    np.exp(w, out=w)
-    below = np.cumsum(w[: size - 1])  # sum_{k<n} w_k for n = 1, ..., size - 1
-    above = np.cumsum(w[::-1])[::-1][:size]  # sum_{k>=n} w_k
-    F = np.where(k[:size] <= y, 1.0 - np.concatenate(([0.0], below)), above)
-    return np.minimum.accumulate(F)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(np.log(x), n, out=out)
+    out -= log_fact
+    out -= x
+    out[..., :1] = -x
+    return np.exp(out, out=out)
 
 
-def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None, mode: Mode) -> np.ndarray:
-    """F_n(u) = P(S_n <= u) for n = k, k + 1, ..., N - 1, with S_n a sum of n packets.
+def _tail_sums(pmf: np.ndarray) -> np.ndarray:
+    """sum_{k>=n} pmf_k for n = 0, ..., pmf.size - 1, not increasing in n.
+
+    Each sum takes its smaller side, small terms first: 1 - sum_{k<n} from
+    the bottom while that side holds less mass (so the sum at n = 0 is 1
+    exactly), and sum_{k>=n} from the top after. Mass the law drops past its
+    last entry is not counted.
+    """
+    below = np.concatenate(([0.0], np.cumsum(pmf[:-1])))  # sum_{k<n}
+    above = np.cumsum(pmf[::-1])[::-1]
+    return np.minimum.accumulate(np.where(below < above, 1.0 - below, above))
+
+
+def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None) -> np.ndarray:
+    """F_n(u) = P(S_n <= u), with S_n a sum of n packets, for n = 0, 1, ... up to the cut.
 
     sigmaX = None gives the exact Erlang law of exponential packets of mean
-    Xbar, gammainc(n, u / Xbar). A number gives the normal approximation
-    Phi((u - n Xbar) / (sigmaX sqrt(n))), which is the indicator
-    n Xbar <= u at sigmaX = 0. F_0 = 1 because u > 0. F_n does not depend on
-    t and does not increase with n, so the vector ends before the first
-    n with F_n < 1e-12 and every term it drops weighs less than that.
-    The vector starts at k = 0 in equilibrium mode. In pure mode it starts at
-    k = 1: the arrival at the origin brings a packet, so n arrivals in (0, t]
-    make n + 1 packets. ValueError for a non-finite or non-positive Xbar, or
-    a non-finite or negative sigmaX: F would be NaN or never small.
+    Xbar, gammainc(n, y) with y = u / Xbar, over 2 ceil(y) + 65 Poisson(y)
+    weights: past 2y each weight is at most half the one before, so the last
+    is below e^-44 of a kept F_n. A number gives the normal approximation
+    Phi((u - n Xbar) / (sigmaX sqrt(n))) to 2 terms past its first argument
+    at or below _NORMAL_CUT_Z; at sigmaX = 0 the indicator n Xbar <= u, over
+    floor(y) + 3 terms as (floor(y) + 1) Xbar may round to u. F does not
+    increase, and ends before its first term below 1e-12 (IndexError if the
+    size missed it). ValueError for a non-finite or non-positive Xbar, or a
+    non-finite or negative sigmaX.
     """
     if u <= 0:
         raise ValueError("threshold must be > 0")
     if not (0.0 < Xbar < np.inf and (sigmaX is None or 0.0 <= sigmaX < np.inf)):
         raise ValueError(f"packet mean {Xbar} and sd {sigmaX} must be finite, mean > 0, sd >= 0")
-    start = 1 if mode is Mode.PURE else 0
-    size = int(u / Xbar) + 64
-    while True:
-        n = np.arange(size, dtype=float)
-        if sigmaX is None:
-            F = _erlang_cdf(size, u / Xbar)
-        elif sigmaX == 0.0:
-            F = (n * Xbar <= u) * 1.0
-        else:
-            with np.errstate(divide="ignore", over="ignore"):
-                F = _normal_cdf((u - n * Xbar) / (sigmaX * np.sqrt(n)))
-        (small,) = np.nonzero(F < _SERIES_TOL)
-        if small.size:
-            return F[start : small[0]]
-        size *= 2
+    y = u / Xbar
+    if sigmaX is None:
+        n = np.arange(2 * math.ceil(y) + 65, dtype=float)
+        F = _tail_sums(_poisson_weights(y, n, _log_factorial(n.size), np.empty(n.size)))
+    elif sigmaX == 0.0:
+        F = (np.arange(math.floor(y) + 3) * Xbar <= u) * 1.0
+    else:
+        b = -_NORMAL_CUT_Z * sigmaX  # sqrt(n) at the cut solves Xbar s^2 - b s - u = 0
+        n = np.arange(math.ceil(((b + math.sqrt(b * b + 4.0 * Xbar * u)) / (2.0 * Xbar)) ** 2) + 2, dtype=float)
+        with np.errstate(divide="ignore", over="ignore"):
+            F = _normal_cdf((u - n * Xbar) / (sigmaX * np.sqrt(n)))
+    return F[: np.flatnonzero(F < _SERIES_TOL)[0]]
 
 
 def _mixture(t, weights: np.ndarray, fill) -> np.ndarray:
@@ -192,31 +196,22 @@ def _mixture(t, weights: np.ndarray, fill) -> np.ndarray:
     return out.reshape(t.shape)
 
 
-def _poisson_mixture(F: np.ndarray, lam: float, t) -> np.ndarray | float:
-    """1 - sum_n w_n(lam t) F_n, with w_n the Poisson(lam t) weights: P(tau <= t).
+def _poisson_mixture(survival: np.ndarray, lam: float, t, mode: Mode) -> np.ndarray | float:
+    """P(tau <= t) = 1 - sum_n w_n(lam t) P(N > n + s), with w_n the Poisson(lam t) weights.
 
-    The weights fill each block of ``_mixture`` as the log weights
-    n log(lam t) - log n! - lam t, exponentiated in place. ValueError for a
+    survival holds P(N > n) for n = 0, 1, ... The shift s is 1 in pure mode,
+    where the arrival at the origin brings a packet (the series is empty when
+    that packet always crosses), and 0 in equilibrium mode. ValueError for a
     rate lam outside (0, inf), whose weights would be NaN or all at n = 0.
     """
     if not 0.0 < lam < np.inf:
         raise ValueError(f"arrival rate {lam} must be finite and > 0")
-    n = np.arange(F.size, dtype=float)
-    log_fact = _log_factorial(F.size)
-
-    def poisson_weights(tb, w):
-        x = lam * tb
-        # at lam t = 0 the log is -inf: exp gives weight 0 for n > 0, and
-        # column 0 is set apart, so the corner is exact (weight 1 at n = 0).
-        # A slice, as F is empty in pure mode when one packet always crosses.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(np.log(x), n, out=w)
-        w -= log_fact
-        w -= x
-        w[:, :1] = -x
-        np.exp(w, out=w)
-
-    return np.clip(1.0 - _mixture(t, F, poisson_weights), 0.0, 1.0)[()]
+    if mode is Mode.PURE:
+        survival = survival[1:]
+    n = np.arange(survival.size, dtype=float)
+    log_fact = _log_factorial(survival.size)
+    fill = lambda tb, w: _poisson_weights(lam * tb, n, log_fact, w)
+    return np.clip(1.0 - _mixture(t, survival, fill), 0.0, 1.0)[()]
 
 
 def poisson_cdf_normal(
@@ -230,7 +225,7 @@ def poisson_cdf_normal(
     Phi((u - (n + 1) Xbar) / (sigmaX sqrt(n + 1))). t is a scalar (float
     result) or an array.
     """
-    return _poisson_mixture(_packet_sum_cdf(u, Xbar, sigmaX, mode), lam, t)
+    return _poisson_mixture(_packet_sum_cdf(u, Xbar, sigmaX), lam, t, mode)
 
 
 def poisson_cdf_exp_exact(u: float, t, lam: float, Xbar: float, *, mode: Mode = Mode.EQUILIBRIUM):
@@ -241,7 +236,7 @@ def poisson_cdf_exp_exact(u: float, t, lam: float, Xbar: float, *, mode: Mode = 
     n-packet sum); pure mode uses P(n + 1, u/Xbar). t is a scalar (float
     result) or an array.
     """
-    return _poisson_mixture(_packet_sum_cdf(u, Xbar, None, mode), lam, t)
+    return _poisson_mixture(_packet_sum_cdf(u, Xbar, None), lam, t, mode)
 
 
 def renewal_mean_tau(u: float, arrival: ArrivalProcess, packet: DistributionSpec) -> float:
@@ -363,18 +358,15 @@ def per_packet_cdf(u: float, t, arrival: ArrivalProcess, packet: DistributionSpe
     inter-arrivals. For exponential inter-arrivals this is the Poisson
     mixture of the linear formulas: the n-th arrival epoch is Erlang, so
     P = P(N <= K) = 1 - sum_k w_k(lam t) P(N > k), with K the arrivals in
-    (0, t]. In pure mode the arrival at the origin brings one more packet,
-    and the survival starts at k = 1. Other laws use the normal epoch
-    mixture of ``renewal_cdf_clt``, with mean E[A0] + (n-1) mu_A and
-    variance V[A0] + (n-1) sigma_A^2; a zero variance gives a step at the
+    (0, t]; ``_poisson_mixture`` shifts it in pure mode. Other laws use the
+    normal epoch mixture of ``renewal_cdf_clt``, with mean E[A0] + (n-1) mu_A
+    and variance V[A0] + (n-1) sigma_A^2; a zero variance gives a step at the
     mean. t >= 0 is a scalar (float result) or an array.
     """
     pmf = packet_count_pmf(u, packet, battery)
     a = arrival.interarrival
     if isinstance(a, Exponential):
-        survival = 1.0 - np.concatenate(([0.0], np.cumsum(pmf)[:-1]))  # P(N > k), k = 0, 1, ...
-        start = 1 if arrival.mode is Mode.PURE else 0
-        return _poisson_mixture(survival[start:], a.rate, t)
+        return _poisson_mixture(_tail_sums(pmf), a.rate, t, arrival.mode)  # P(N > k) = P(N >= k + 1)
     gaps = np.arange(pmf.size)  # n - 1
     mean0, var0 = arrival.residual_moments()
     return _normal_epoch_mixture(t, pmf, mean0 + gaps * a.mean, var0 + gaps * a.variance)

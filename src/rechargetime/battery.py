@@ -119,16 +119,12 @@ class NonLinearBattery:
             raise ValueError(f"level {u} outside (0, {self.umax}]")
         return self.input_offset + self.b * math.atanh((u - self.a) / self.b)
 
-    def step_update(self, U, x_packet):
-        """Per-packet rule U <- min(U + eta(U) X, umax), elementwise over arrays.
-
-        ValueError for a state outside [0, umax] or a negative or NaN packet.
-        """
-        U, x = _check_state(U, self.umax), check_packets(x_packet)
-        return self.advance(U, x, np.empty(np.broadcast_shapes(U.shape, x.shape)))[()]
-
     def advance(self, U, x, out):
-        """``step_update`` of checked arrays, written into ``out`` (neither U nor x)."""
+        """Per-packet rule U <- min(U + eta(U) X, umax) elementwise, written into ``out`` (neither U nor x).
+
+        U and x are not checked: the caller keeps U in [0, umax] and refuses
+        negative or NaN packets (``check_packets``).
+        """
         self._eta(U, out)
         out *= x
         out += U

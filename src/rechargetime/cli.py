@@ -208,7 +208,8 @@ def _configs(parsed: ParsedConfig) -> List[ExperimentConfig]:
     packets, in that order; its ValueError becomes a ConfigError naming the
     key. A curve whose asymptotic mean or variance of tau at u' is not a
     finite float, which the manifest could not hold as JSON, is refused with
-    its CSV's name.
+    its CSV's name, as is one without a grid whose mean is not positive: the
+    default grid would end at or before t = 0.
     ``parse_config`` calls this to check a config, and ``run_experiment``
     and ``compare_formulas`` again, since a caller may change it after.
     """
@@ -241,6 +242,11 @@ def _configs(parsed: ParsedConfig) -> List[ExperimentConfig]:
             raise ConfigError(
                 f"{_curve_name(u, arrival, packet)}: the asymptotic mean or variance of tau "
                 "is not a finite float for these laws"
+            )
+        if parsed.grid is None and not moments[0] > 0.0:
+            raise ConfigError(
+                f"{_curve_name(u, arrival, packet)}: the default grid ends at 3 times the asymptotic "
+                f"mean of tau, {moments[0]:.6g}, which is not positive; set a grid"
             )
         configs.append(config)
     return configs

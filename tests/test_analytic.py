@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from scipy import special, stats
 from scipy.integrate import quad
 
+from rechargetime import analytic
 from rechargetime.analytic import (
-    _erlang_cdf,
     _log_factorial,
     _normal_cdf,
+    _packet_sum_cdf,
+    _poisson_weights,
+    _tail_sums,
     nonlinear_cdf,
     packet_count_pmf,
     per_packet_cdf,
@@ -231,7 +234,7 @@ class TestPerPacketCdf:
         # oracle: replay the battery's own update rule packet by packet
         level, n = 0.0, 0
         while level <= 20.0:
-            level = self.NL.step_update(level, 3.0)
+            level = float(self.NL.advance(level, 3.0, np.empty(())))
             n += 1
         assert n == 11
         pmf = packet_count_pmf(20.0, Deterministic(3.0), self.NL)
@@ -355,6 +358,51 @@ class TestPacketSumGuards:
             poisson_cdf_normal(20.0, t, lam, 1.0, 1.0)
         with pytest.raises(ValueError, match="arrival rate"):
             poisson_cdf_exp_exact(20.0, t, lam, 1.0)
+
+
+def erlang_tails(y, size):
+    """gammainc(n, y) for n < size: the tail sums of the first size Poisson(y) weights."""
+    return _tail_sums(_poisson_weights(y, np.arange(size, dtype=float), _log_factorial(size), np.empty(size)))
+
+
+class TestSeriesSizing:
+    """Each Poisson series is sized once, to a length that holds its 1e-12 cut."""
+
+    def test_normal_series_evaluates_phi_once_per_kept_term(self, monkeypatch):
+        # packet mean and sd 1e-4 at u = 20: about 2e5 kept terms. Sizing by
+        # doubling from u / Xbar + 64 evaluated Phi on 2e5 + 64, then on 4e5 + 128
+        u, Xbar, sigmaX = 20.0, 1e-4, 1e-4
+        seen = []
+        normal_cdf = analytic._normal_cdf
+        monkeypatch.setattr(analytic, "_normal_cdf", lambda z: seen.append(np.size(z)) or normal_cdf(z))
+        poisson_cdf_normal(u, 10.0, 1.0, Xbar, sigmaX)
+        n = np.arange(1.0, 4e5)
+        kept = 1 + np.flatnonzero(stats.norm.cdf((u - n * Xbar) / (sigmaX * np.sqrt(n))) < 1e-12)[0]
+        assert kept > 2e5
+        assert sum(seen) <= kept + 64
+
+    def test_erlang_cut_falls_inside_its_size(self):
+        for y in np.geomspace(1e-6, 1e5, 120):
+            size = 2 * math.ceil(y) + 65
+            tails = erlang_tails(y, size)
+            F = _packet_sum_cdf(y, 1.0, None)
+            assert F.size < size and tails[F.size] < 1e-12
+            assert F[-1] >= 1e-12
+            np.testing.assert_array_equal(F, tails[: F.size])
+
+    @pytest.mark.parametrize("sigmaX", [None, 0.0, 1.0], ids=["erlang", "step", "normal"])
+    def test_cut_raises_when_no_term_is_small(self, monkeypatch, sigmaX):
+        # an empty series would read 1 at every t, a silently wrong curve
+        monkeypatch.setattr(analytic, "_SERIES_TOL", 0.0)
+        with pytest.raises(IndexError):
+            _packet_sum_cdf(20.0, 1.0, sigmaX)
+
+    def test_step_series_holds_a_sum_that_rounds_to_u(self):
+        # 17 / 0.34 rounds to 49.999..., but 50 * 0.34 rounds to 17.0 <= u, so
+        # 51 packets are needed and the series keeps 51 terms, n = 0, ..., 50
+        assert _packet_sum_cdf(17.0, 0.34, 0.0).size == 51
+        t = np.linspace(0.0, 100.0, 101)
+        np.testing.assert_allclose(poisson_cdf_normal(17.0, t, 1.0, 0.34, 0.0), special.gammainc(51, t), rtol=0, atol=1e-12)
 
 
 class TestPoissonMixtureOracle:
@@ -490,7 +538,8 @@ class TestSpecialFunctions:
 
     @pytest.mark.parametrize("y", [0.5, 20.0, 150.0, 1000.0])
     def test_erlang_cdf(self, y):
-        F = _erlang_cdf(int(2 * y) + 100, y)
+        size = int(2 * y) + 100
+        F = erlang_tails(y, size)
         assert F[0] == 1.0 and F[-1] < 1e-12
         assert np.all(np.diff(F) <= 0.0)
         n = np.flatnonzero(F >= 1e-12)

@@ -430,6 +430,19 @@ class TestMain:
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not out.exists()
 
+    def test_default_grid_with_a_negative_horizon_fails_before_writing(self, tmp_path, capsys):
+        # pure mode, packets of 3 at u = 1: the first packet crosses, and the
+        # asymptotic mean u / Xbar + E[X^2] / (2 Xbar^2) - 1 = -1/6 would end
+        # the default grid at a negative time
+        cfg = tmp_path / "pure.cfg"
+        cfg.write_text("packets = deterministic value=3\nu = 1\nmode = pure")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: curve_u1__exponential_rate_1__deterministic_value_3.csv: ")
+        assert "set a grid" in err
+        assert not out.exists()
+
     def test_replication_override_past_the_packet_budget_rejected(self, tmp_path, capsys):
         # 4e5 packets a replication: 8e8 in all at 2000 replications, 4e9 at 10 000
         cfg = tmp_path / "fine.cfg"

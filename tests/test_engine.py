@@ -78,7 +78,7 @@ def replay_chunk_0(c):
     The draws follow the kernel's schedule: the residual waits of the chunk,
     then [CHUNK, 64] blocks of inter-arrivals and packets. Within a block a
     row's epoch is its carried epoch plus a running sum of its gaps. A
-    non-linear battery's level is stepped by ``step_update``; a linear one's
+    non-linear battery's level is stepped by ``advance``; a linear one's
     is the carried level plus a running sum of the block's packets. A block's
     last level and its gap total carry over to the next block.
     """
@@ -95,7 +95,7 @@ def replay_chunk_0(c):
             epoch, added, U = 0.0, 0.0, level[r]
             for k in range(64):
                 if per_packet:
-                    U = c.battery.step_update(U, packets[r, k])
+                    U = float(c.battery.advance(U, packets[r, k], np.empty(())))
                 else:
                     added += packets[r, k]
                     U = level[r] + added
