@@ -10,18 +10,26 @@ Config files are flat key-value lines, e.g.::
     seed = 42
     grid = 0:0.5:60
 
-Semicolons in ``arrivals`` / ``packets`` list several laws; the runner emits
-one curve (CSV of t, ecdf, analytic_cdf) per combination plus a JSON
-manifest with KS distances and moment summaries. The table ``_FORMULAS`` alone
-says which laws each formula needs. Each analytic curve, of ``run`` and
-``compare`` alike, is one call of its formula on the whole grid at u' =
-``battery.input_for_level(u)``. The Poisson series have no truncation
-setting: they stop where the packet-sum CDF falls below 1e-12. Each curve is
-one ``ExperimentConfig``, which checks its threshold, replications, seed and
-expected packets, as the laws and the battery check their parameters; the CLI
-checks only its own keys and prefixes every refusal with its key. The
-engine's ``worker_pool`` plans from the packet estimates whether one process
-pool for all curves pays. ``workers`` is an upper bound. Exit codes: 0 ok,
+Semicolons in ``arrivals`` / ``packets`` list several laws. ``run`` emits one
+curve (CSV of t, ecdf, analytic_cdf) per (threshold, arrival, packet)
+combination plus a JSON manifest with KS distances and moment summaries;
+``compare`` tabulates the gap between the two Poisson series per threshold.
+
+``parse_config`` reads the text: it types each value and checks the keys and
+the grid's ``start:step:stop``. ``_curves`` is the one check of a
+``ParsedConfig`` and makes each curve's decisions once: its
+``ExperimentConfig`` (which checks the threshold, replications, seed and
+expected packets, as the laws and the battery check their parameters), CSV
+name, formula, grid and asymptotic moments of tau at u' =
+``battery.input_for_level(u)``. ``parse_config``, ``run_experiment`` and
+``compare_formulas`` each call it, so a config changed after parsing is
+checked again before anything is written; every refusal starts with its key.
+The table ``_FORMULAS`` alone says which laws each formula needs. Each
+analytic curve, of ``run`` and ``compare`` alike, is one call of its formula
+on the whole grid at u'. The Poisson series have no truncation setting: they
+stop where the packet-sum CDF falls below 1e-12. The engine's
+``worker_pool`` plans from the packet estimates whether one process pool for
+all curves pays. ``workers`` is an upper bound. Exit codes: 0 ok,
 1 validation error, 2 KS tolerance breach, 3 I/O error.
 """
 
@@ -35,7 +43,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -133,7 +141,7 @@ def _number(key: str, text: str, kind: type):
 
 
 def parse_config(text: str) -> ParsedConfig:
-    """Parse and validate a config file's text."""
+    """Type a config file's values and check its keys, then check the config with ``_curves``."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -173,14 +181,6 @@ def parse_config(text: str) -> ParsedConfig:
     except ValueError:
         raise ConfigError(f"mode must be equilibrium or pure, got {mode_txt!r}") from None
     formula = values.get("formula", "auto").lower()
-    if ks_tol is not None and not 0.0 < ks_tol <= 1.0:
-        raise ConfigError(f"ks_tolerance must be a finite value in (0, 1], got {ks_tol}")
-    names = [_curve_name(*combo) for combo in itertools.product(thresholds, arrivals, packets)]
-    for name in names:
-        if names.count(name) > 1:
-            raise ConfigError(f"two curves would both write {name}; list each threshold and law once")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
     parsed = ParsedConfig(
         arrivals=arrivals,
         packets=packets,
@@ -195,32 +195,60 @@ def parse_config(text: str) -> ParsedConfig:
         workers=workers,
         raw_text=text,
     )
-    _configs(parsed)
+    _curves(parsed)
     return parsed
 
 
-def _configs(parsed: ParsedConfig) -> List[ExperimentConfig]:
-    """The run of each (threshold, arrival, packet) combination, in curve order.
+class _Curve(NamedTuple):
+    """One curve's plan, made by ``_curves``."""
 
-    A forced ``formula`` must be a row of ``_FORMULAS`` that fits every
-    arrival and packet law. ``ExperimentConfig`` checks the replications, the
-    seed, the threshold against the battery's capacity and the expected
-    packets, in that order; its ValueError becomes a ConfigError naming the
-    key. A curve whose asymptotic mean or variance of tau at u' is not a
-    finite float, which the manifest could not hold as JSON, is refused with
-    its CSV's name, as is one without a grid whose mean is not positive: the
-    default grid would end at or before t = 0.
-    ``parse_config`` calls this to check a config, and ``run_experiment``
-    and ``compare_formulas`` again, since a caller may change it after.
+    config: ExperimentConfig
+    name: str  # its CSV's file name
+    formula: str  # the row of _FORMULAS that draws its analytic CDF
+    grid: np.ndarray
+    mean: float  # asymptotic mean of tau at u'
+    variance: float  # asymptotic variance of tau at u'
+
+
+def _curves(parsed: ParsedConfig) -> List[_Curve]:
+    """Check ``parsed`` and plan each (threshold, arrival, packet) curve, in curve order.
+
+    This is the one check of a config. It refuses, in this order: a
+    ``ks_tolerance`` outside (0, 1]; ``workers`` below 1; a forced
+    ``formula`` that is not a row of ``_FORMULAS`` or does not fit every
+    arrival and packet law; a grid that is not a non-empty, finite,
+    non-negative and strictly increasing 1-D array. Then, curve by curve: a
+    CSV name an earlier curve writes; what ``ExperimentConfig`` refuses (the
+    replications, the seed, the threshold against the battery's capacity and
+    the expected packets, in that order), under the key at fault; an
+    asymptotic mean or variance of tau at u' that is not a finite float,
+    which the manifest could not hold as JSON; and without a grid a mean that
+    is not positive, since the default grid of 201 points ends at 3 times it.
+    Each refusal is a ConfigError that starts with its key or the curve's CSV
+    name. Under ``auto`` a curve takes the first row of ``_FORMULAS`` that
+    fits its laws.
     """
+    tol = parsed.ks_tolerance
+    if tol is not None and not 0.0 < tol <= 1.0:
+        raise ConfigError(f"ks_tolerance: must be a finite value in (0, 1], got {tol}")
+    if parsed.workers < 1:
+        raise ConfigError(f"workers: must be >= 1, got {parsed.workers}")
     formula = parsed.formula
     if formula != "auto" and formula not in _FORMULAS:
         raise ConfigError(f"formula must be one of {sorted(['auto', *_FORMULAS])}, got {formula!r}")
     pairs = itertools.product(parsed.arrivals, parsed.packets)
     if formula != "auto" and not all(_FORMULAS[formula].fits(*laws) for laws in pairs):
         raise ConfigError(f"{formula} {_FORMULAS[formula].needs}")
-    configs = []
+    grid = None if parsed.grid is None else np.asarray(parsed.grid, dtype=float)
+    if grid is not None and not (
+        grid.ndim == 1 and grid.size and np.all(np.isfinite(grid)) and grid[0] >= 0 and np.all(np.diff(grid) > 0)
+    ):
+        raise ConfigError("grid: needs a non-empty, finite, non-negative and strictly increasing array")
+    curves = {}
     for u, arrival, packet in itertools.product(parsed.thresholds, parsed.arrivals, parsed.packets):
+        name = _curve_name(u, arrival, packet)
+        if name in curves:
+            raise ConfigError(f"{name}: two curves would write this file; list each threshold and law once")
         try:
             config = ExperimentConfig(
                 arrival=ArrivalProcess(arrival, parsed.mode),
@@ -235,37 +263,29 @@ def _configs(parsed: ParsedConfig) -> List[ExperimentConfig]:
             raise ConfigError(f"{key}: {exc}") from None
         u_prime = parsed.battery.input_for_level(u)
         try:
-            moments = [f(u_prime, config.arrival, packet) for f in (renewal_mean_tau, renewal_var_tau)]
+            mean, variance = (f(u_prime, config.arrival, packet) for f in (renewal_mean_tau, renewal_var_tau))
         except ArithmeticError:  # float overflow, or division by an underflowed 0
-            moments = [math.inf]
-        if not all(map(math.isfinite, moments)):
+            mean = variance = math.inf
+        if not (math.isfinite(mean) and math.isfinite(variance)):
+            raise ConfigError(f"{name}: the asymptotic mean or variance of tau is not a finite float for these laws")
+        if grid is None and not mean > 0.0:
             raise ConfigError(
-                f"{_curve_name(u, arrival, packet)}: the asymptotic mean or variance of tau "
-                "is not a finite float for these laws"
+                f"{name}: the default grid ends at 3 times the asymptotic mean of tau, {mean:.6g}, "
+                "which is not positive; set a grid"
             )
-        if parsed.grid is None and not moments[0] > 0.0:
-            raise ConfigError(
-                f"{_curve_name(u, arrival, packet)}: the default grid ends at 3 times the asymptotic "
-                f"mean of tau, {moments[0]:.6g}, which is not positive; set a grid"
-            )
-        configs.append(config)
-    return configs
+        picked = formula if formula != "auto" else next(n for n, f in _FORMULAS.items() if f.fits(arrival, packet))
+        curve_grid = np.linspace(0.0, 3.0 * mean, 201) if grid is None else grid
+        curves[name] = _Curve(config, name, picked, curve_grid, mean, variance)
+    return list(curves.values())
 
 
-def _pick_formula(formula: str, arrival: DistributionSpec, packet: DistributionSpec) -> str:
-    """The forced formula, or under ``auto`` the first of ``_FORMULAS`` that fits the laws."""
-    return formula if formula != "auto" else next(name for name, f in _FORMULAS.items() if f.fits(arrival, packet))
-
-
-def _analytic_cdf(parsed: ParsedConfig, formula: str, config: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """The grid, by default 201 points to 3 E[tau(u')], and ``formula`` on it at u' = ``input_for_level(u)``."""
-    u, arrival, packet = config.threshold, config.arrival, config.packet
-    grid = parsed.grid
-    if grid is None:
-        grid = np.linspace(0.0, 3.0 * renewal_mean_tau(parsed.battery.input_for_level(u), arrival, packet), 201)
-    cdf = _FORMULAS[formula].cdf
-    values = nonlinear_cdf(u, grid, parsed.battery, lambda level, t: cdf(level, t, arrival, packet))
-    return grid, np.clip(np.maximum.accumulate(values), 0, 1)
+def _analytic_cdf(curve: _Curve, formula: str) -> np.ndarray:
+    """``formula`` on the curve's grid at u' = ``input_for_level(u)``, made a CDF."""
+    config, cdf = curve.config, _FORMULAS[formula].cdf
+    values = nonlinear_cdf(
+        config.threshold, curve.grid, config.battery, lambda level, t: cdf(level, t, config.arrival, config.packet)
+    )
+    return np.clip(np.maximum.accumulate(values), 0, 1)
 
 
 def _slug(spec: DistributionSpec) -> str:
@@ -292,39 +312,36 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
     ``run`` call one curve, in curve order; the output is the same for any
     worker count.
     """
-    configs = _configs(parsed)
+    curves = _curves(parsed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    curves = []
+    rows = []
     breached = False
-    with worker_pool(parsed.workers, configs) as pool:
-        for config in configs:
-            u, arrival, packet = config.threshold, config.arrival.interarrival, config.packet
-            formula = _pick_formula(parsed.formula, arrival, packet)
-            ana = CdfCurve(*_analytic_cdf(parsed, formula, config))
+    with worker_pool(parsed.workers, [curve.config for curve in curves]) as pool:
+        for curve in curves:
+            config = curve.config
+            ana = CdfCurve(curve.grid, _analytic_cdf(curve, curve.formula))
             summary, emp = summarize(run(config, pool=pool), ana.grid)
             ks = ks_distance(emp, ana)
-            u_prime = parsed.battery.input_for_level(u)
             band = dkw_band(parsed.replications, 0.01)
-            name = _curve_name(u, arrival, packet)
-            _write_csv(out_dir / name, ana.grid, emp.values, ana.values)
+            _write_csv(out_dir / curve.name, ana.grid, emp.values, ana.values)
             tol = parsed.ks_tolerance
             curve_breach = tol is not None and ks > tol
             breached = breached or curve_breach
-            curves.append(
+            rows.append(
                 {
-                    "path": name,
-                    "arrivals": arrival.config_str(),
-                    "packets": packet.config_str(),
+                    "path": curve.name,
+                    "arrivals": config.arrival.interarrival.config_str(),
+                    "packets": config.packet.config_str(),
                     "battery": parsed.battery.config_str(),
-                    "u": u,
-                    "formula": formula,
+                    "u": config.threshold,
+                    "formula": curve.formula,
                     "ks_distance": ks,
                     "dkw_band_99": band,
                     "breach": curve_breach,
                     "mc_mean": summary.mean,
                     "mc_variance": summary.variance,
-                    "analytic_mean": renewal_mean_tau(u_prime, config.arrival, packet),
-                    "analytic_variance": renewal_var_tau(u_prime, config.arrival, packet),
+                    "analytic_mean": curve.mean,
+                    "analytic_variance": curve.variance,
                 }
             )
     manifest = {
@@ -333,7 +350,7 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
         "config": parsed.raw_text,
         "ks_tolerance": parsed.ks_tolerance,
         "breached": breached,
-        "curves": curves,
+        "curves": rows,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return manifest
@@ -347,16 +364,16 @@ def compare_formulas(parsed: ParsedConfig) -> dict:
     are those ``run`` draws with ``formula = poisson_normal`` and ``formula =
     poisson_exact``, so a non-linear battery's gap is the one at u'.
     """
-    configs = _configs(parsed)
+    curves = _curves(parsed)
     exact = _FORMULAS["poisson_exact"]
     if len(parsed.arrivals) != 1 or not isinstance(parsed.arrivals[0], exact.arrivals):
         raise ConfigError("compare needs a single exponential arrivals law")
     if len(parsed.packets) != 1 or not isinstance(parsed.packets[0], exact.packets):
         raise ConfigError("compare needs a single exponential packets law")
     rows = []
-    for config in configs:  # one per threshold
-        approx, exact_cdf = (_analytic_cdf(parsed, f, config)[1] for f in ("poisson_normal", "poisson_exact"))
-        rows.append({"u": config.threshold, "max_abs_gap": float(np.max(np.abs(approx - exact_cdf)))})
+    for curve in curves:  # one per threshold
+        approx, exact_cdf = (_analytic_cdf(curve, f) for f in ("poisson_normal", "poisson_exact"))
+        rows.append({"u": curve.config.threshold, "max_abs_gap": float(np.max(np.abs(approx - exact_cdf)))})
     return {"tool_version": __version__, "rows": rows}
 
 

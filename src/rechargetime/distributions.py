@@ -280,7 +280,10 @@ def split_spec(text: str, what: str) -> tuple[str, dict[str, float]]:
             raise ValueError(f"malformed parameter {tok!r} in {text!r}")
         if key in kwargs:
             raise ValueError(f"repeated parameter {key!r} in {text!r}")
-        kwargs[key] = float(val)
+        try:
+            kwargs[key] = float(val)
+        except ValueError:
+            raise ValueError(f"{key}: expected a number, got {val!r}") from None
     return parts[0].lower(), kwargs
 
 

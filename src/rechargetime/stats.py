@@ -28,10 +28,10 @@ class CdfCurve:
         v = np.array(self.values, dtype=float)
         if g.shape != v.shape:
             raise ValueError("grid and values must have equal length")
-        if np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if np.any(v < 0) or np.any(v > 1) or np.any(np.diff(v) < -1e-12):
-            raise ValueError("values must be a CDF: in [0,1] and non-decreasing")
+        if not np.all(np.isfinite(g)) or np.any(np.diff(g) <= 0):
+            raise ValueError("grid must be finite and strictly increasing")
+        if not np.all(np.isfinite(v)) or np.any(v < 0) or np.any(v > 1) or np.any(np.diff(v) < -1e-12):
+            raise ValueError("values must be a CDF: finite, in [0,1] and non-decreasing")
         for name, arr in (("grid", g), ("values", v)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -71,10 +71,14 @@ class TestParseConfig:
             ("battery = nonlinear umax=inf beta=1.1", "battery"),
             ("battery = nonlinear umax=25 beta=inf", "battery"),
             ("battery = linear umax=inf", "battery"),
+            # a law or battery parameter that is not a number names the parameter too
+            ("packets = exponential rate=abc", "packets: rate"),
+            ("battery = linear umax=", "battery: umax"),
         ],
         ids=[
             "above-capacity", "negative", "no-replications", "both", "uniform-hi-inf", "deterministic-inf",
             "gamma-shape-nan", "exponential-rate-inf", "nonlinear-umax-inf", "nonlinear-beta-inf", "linear-umax-inf",
+            "rate-not-a-number", "umax-empty",
         ],
     )
     def test_run_config_error_names_its_key(self, lines, key):
@@ -101,11 +105,15 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "grid",
-        ["5:0:1", "0:nan:10", "0:inf:10", "0:1:inf", "nan:1:10", "0:x:10", "0:1e-7:1e3", "0:2e-5:60", "0:1:1000000"],
+        [
+            "5:0:1", "0:nan:10", "0:inf:10", "0:1:inf", "nan:1:10", "0:x:10", "0:1e-7:1e3", "0:2e-5:60", "0:1:1000000",
+            "1e16:1:1.00000000000001e16",
+        ],
     )
     def test_bad_grid(self, grid):
         # non-finite ends and steps, and grids of more than 1e6 points, are
-        # refused before any array is built
+        # refused before any array is built; a step below the spacing of
+        # floats at start builds 100 equal points, refused by the array check
         with pytest.raises(ConfigError, match="^grid: "):
             parse_config(f"grid = {grid}")
 
@@ -259,12 +267,25 @@ class TestRunExperiment:
         assert levels_run == [(packet, [10.0, 20.0]) for packet in parsed.packets]
 
     def test_refused_config_writes_nothing(self, tmp_path):
-        # a library caller, with no check by main before it
-        parsed = dataclasses.replace(parse_config("u = 20\nreplications = 100"), replications=0)
+        # a library caller changes a parsed config, with no check by main
+        # before it; every entry point checks it again
+        parsed = parse_config("u = 20\nreplications = 100\ngrid = 0:1:40")
+        grids = ([-1.0, 0.0, 1.0], [5.0, 1.0], [0.0, np.inf], [])
+        changes = [
+            ({"replications": 0}, r"replications: replications must be >= 1, got 0$"),
+            ({"thresholds": [20.0, 20.0]}, r"curve_u20__exponential_rate_1__exponential_rate_1\.csv: "),
+            ({"workers": 0}, "workers: "),
+            ({"ks_tolerance": -1.0}, "ks_tolerance: "),
+            *(({"grid": np.array(grid)}, "grid: ") for grid in grids),
+        ]
         out = tmp_path / "out"
-        with pytest.raises(ConfigError, match="^replications: replications must be >= 1, got 0$"):
-            run_experiment(parsed, out)
-        assert not out.exists()
+        for change, message in changes:
+            changed = dataclasses.replace(parsed, **change)
+            with pytest.raises(ConfigError, match=f"^{message}"):
+                run_experiment(changed, out)
+            assert not out.exists()
+            with pytest.raises(ConfigError, match=f"^{message}"):
+                compare_formulas(changed)
 
     @pytest.mark.parametrize(
         "formula, message",

@@ -121,3 +121,8 @@ def test_cdf_curve_validation():
         CdfCurve((0.0, 1.0), (0.8, 0.2))
     with pytest.raises(ValueError):
         CdfCurve((0.0, 1.0), (0.0, 1.5))
+    # NaN passes every comparison above, and KS of it would read nan
+    with pytest.raises(ValueError, match="finite"):
+        CdfCurve((0.0, 1.0), (np.nan, np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        CdfCurve((0.0, np.inf), (0.0, 1.0))
