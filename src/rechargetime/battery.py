@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import split_spec
+from .distributions import Spec, parse_spec
 
 __all__ = ["LinearBattery", "NonLinearBattery", "BatteryModel", "check_packets", "parse_battery"]
 
@@ -42,9 +42,10 @@ def check_packets(x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LinearBattery:
+class LinearBattery(Spec):
     """Unit-efficiency storage; optionally capped at a capacity."""
 
+    name = "linear"
     umax: Optional[float] = None  # None = unbounded; inf is refused
 
     def __post_init__(self):
@@ -64,12 +65,10 @@ class LinearBattery:
             raise ValueError(f"level {u} outside (0, {self.capacity}]")
         return u
 
-    def config_str(self) -> str:
-        return "linear" if self.umax is None else f"linear umax={self.umax:g}"
-
 
 @dataclass(frozen=True)
-class NonLinearBattery:
+class NonLinearBattery(Spec):
+    name = "nonlinear"
     umax: float
     beta: float
 
@@ -130,23 +129,11 @@ class NonLinearBattery:
         out += U
         return np.minimum(out, self.umax, out=out)
 
-    def config_str(self) -> str:
-        return f"nonlinear umax={self.umax:g} beta={self.beta:g}"
-
 
 BatteryModel = LinearBattery | NonLinearBattery
+_BATTERIES = {battery.name: battery for battery in (LinearBattery, NonLinearBattery)}
 
 
 def parse_battery(text: str) -> BatteryModel:
     """Parse ``linear`` / ``linear umax=25`` / ``nonlinear umax=25 beta=1.1``."""
-    name, kwargs = split_spec(text, "battery")
-    if name == "linear":
-        extra = set(kwargs) - {"umax"}
-        if extra:
-            raise ValueError(f"unknown parameters {sorted(extra)} for linear battery")
-        return LinearBattery(umax=kwargs.get("umax"))
-    if name == "nonlinear":
-        if set(kwargs) != {"umax", "beta"}:
-            raise ValueError("nonlinear battery needs exactly umax=<v> beta=<v>")
-        return NonLinearBattery(umax=kwargs["umax"], beta=kwargs["beta"])
-    raise ValueError(f"unknown battery kind {name!r}")
+    return parse_spec(text, _BATTERIES, "battery")

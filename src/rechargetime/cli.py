@@ -15,13 +15,15 @@ curve (CSV of t, ecdf, analytic_cdf) per (threshold, arrival, packet)
 combination plus a JSON manifest with KS distances and moment summaries;
 ``compare`` tabulates the gap between the two Poisson series per threshold.
 
-``parse_config`` reads the text: it types each value and checks the keys and
-the grid's ``start:step:stop``. ``_curves`` is the one check of a
-``ParsedConfig`` and makes each curve's decisions once: its
-``ExperimentConfig`` (which checks the threshold, replications, seed and
-expected packets, as the laws and the battery check their parameters), CSV
-name, formula, grid and asymptotic moments of tau at u' =
-``battery.input_for_level(u)``. ``parse_config``, ``run_experiment`` and
+``parse_config`` reads the text. The table ``_KEYS`` gives each key's
+``ParsedConfig`` field, the text an absent key reads as and the parser of its
+value, which refuses with a ValueError that ``parse_config`` puts the key in
+front of; a law or battery is read by ``distributions.parse_spec``.
+``_curves`` is the one check of a ``ParsedConfig`` and makes each curve's
+decisions once: its ``ExperimentConfig`` (which checks the threshold,
+replications, seed and expected packets, as the laws and the battery check
+their parameters), CSV name, formula, grid and asymptotic moments of tau at
+u' = ``battery.input_for_level(u)``. ``parse_config``, ``run_experiment`` and
 ``compare_formulas`` each call it, so a config changed after parsing is
 checked again before anything is written; every refusal starts with its key.
 The table ``_FORMULAS`` alone says which laws each formula needs. Each
@@ -64,10 +66,6 @@ from .stats import CdfCurve, dkw_band, ks_distance
 
 __all__ = ["ConfigError", "ParsedConfig", "parse_config", "run_experiment", "compare_formulas", "main"]
 
-_KNOWN_KEYS = {
-    "arrivals", "packets", "battery", "u", "replications", "seed", "grid",
-    "mode", "formula", "ks_tolerance", "workers",
-}
 # Points a configured grid may hold; each curve writes one CSV row per point.
 _MAX_GRID_POINTS = 10**6
 
@@ -122,22 +120,51 @@ class ParsedConfig:
 def _parse_grid(text: str) -> np.ndarray:
     m = re.fullmatch(r"\s*([^:]+):([^:]+):([^:]+)\s*", text)
     if not m:
-        raise ConfigError(f"grid: expected start:step:stop, got {text!r}")
-    start, step, stop = (_number("grid", g, float) for g in m.groups())
+        raise ValueError(f"expected start:step:stop, got {text!r}")
+    start, step, stop = (_number(g) for g in m.groups())
     if not (0.0 < step < np.inf and 0.0 <= start < stop < np.inf):
-        raise ConfigError(f"grid: needs finite start >= 0, step > 0 and stop > start, got {text!r}")
+        raise ValueError(f"needs finite start >= 0, step > 0 and stop > start, got {text!r}")
     if (stop - start) / step + 1 > _MAX_GRID_POINTS:  # before the array is built
-        raise ConfigError(f"grid: {text!r} has more than {_MAX_GRID_POINTS:.0e} points")
+        raise ValueError(f"{text!r} has more than {_MAX_GRID_POINTS:.0e} points")
     return np.arange(start, stop + 0.5 * step, step)
 
 
-def _number(key: str, text: str, kind: type):
-    """``kind(text)``, or a ConfigError that names the key."""
+def _number(text: str, kind: type = float):
+    """``kind(text)``, or a ValueError that says what was expected."""
     try:
         return kind(text)
     except ValueError:
         what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key}: expected {what}, got {text.strip()!r}") from None
+        raise ValueError(f"expected {what}, got {text.strip()!r}") from None
+
+
+def _laws(text: str) -> List[DistributionSpec]:
+    return [parse_distribution(s) for s in text.split(";")]
+
+
+def _mode(text: str) -> Mode:
+    try:
+        return Mode(text.lower())
+    except ValueError:
+        raise ValueError(f"must be equilibrium or pure, got {text.lower()!r}") from None
+
+
+# Every config key, in the order its value is read: the ParsedConfig field it
+# sets, the text an absent key reads as (None leaves the field None), and the
+# parser of its value.
+_KEYS = {
+    "arrivals": ("arrivals", "exponential rate=1", _laws),
+    "packets": ("packets", "exponential rate=1", _laws),
+    "battery": ("battery", "linear", parse_battery),
+    "u": ("thresholds", "20", lambda text: [_number(s) for s in text.split(",")]),
+    "replications": ("replications", "2000", lambda text: _number(text, int)),
+    "seed": ("seed", "0", lambda text: _number(text, int)),
+    "workers": ("workers", "1", lambda text: _number(text, int)),
+    "ks_tolerance": ("ks_tolerance", None, _number),
+    "grid": ("grid", None, _parse_grid),
+    "mode": ("mode", "equilibrium", _mode),
+    "formula": ("formula", "auto", str.lower),
+}
 
 
 def parse_config(text: str) -> ParsedConfig:
@@ -151,50 +178,19 @@ def parse_config(text: str) -> ParsedConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip().lower()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = val.strip()
-
-    def _specs(key: str, default: str) -> List[DistributionSpec]:
+    typed = {}
+    for key, (field, default, parse) in _KEYS.items():
+        value = values.get(key, default)
         try:
-            return [parse_distribution(s) for s in values.get(key, default).split(";")]
+            typed[field] = None if value is None else parse(value)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from None
-
-    arrivals = _specs("arrivals", "exponential rate=1")
-    packets = _specs("packets", "exponential rate=1")
-    try:
-        battery = parse_battery(values.get("battery", "linear"))
-    except ValueError as exc:
-        raise ConfigError(f"battery: {exc}") from None
-    thresholds = [_number("u", s, float) for s in values.get("u", "20").split(",")]
-    replications = _number("replications", values.get("replications", "2000"), int)
-    seed = _number("seed", values.get("seed", "0"), int)
-    workers = _number("workers", values.get("workers", "1"), int)
-    ks_tol = _number("ks_tolerance", values["ks_tolerance"], float) if "ks_tolerance" in values else None
-    grid = _parse_grid(values["grid"]) if "grid" in values else None
-    mode_txt = values.get("mode", "equilibrium").lower()
-    try:
-        mode = Mode(mode_txt)
-    except ValueError:
-        raise ConfigError(f"mode must be equilibrium or pure, got {mode_txt!r}") from None
-    formula = values.get("formula", "auto").lower()
-    parsed = ParsedConfig(
-        arrivals=arrivals,
-        packets=packets,
-        battery=battery,
-        thresholds=thresholds,
-        replications=replications,
-        seed=seed,
-        grid=grid,
-        mode=mode,
-        formula=formula,
-        ks_tolerance=ks_tol,
-        workers=workers,
-        raw_text=text,
-    )
+    parsed = ParsedConfig(**typed, raw_text=text)
     _curves(parsed)
     return parsed
 
@@ -244,9 +240,10 @@ def _curves(parsed: ParsedConfig) -> List[_Curve]:
         grid.ndim == 1 and grid.size and np.all(np.isfinite(grid)) and grid[0] >= 0 and np.all(np.diff(grid) > 0)
     ):
         raise ConfigError("grid: needs a non-empty, finite, non-negative and strictly increasing array")
+    slugs = {law: _slug(law) for law in {*parsed.arrivals, *parsed.packets}}
     curves = {}
     for u, arrival, packet in itertools.product(parsed.thresholds, parsed.arrivals, parsed.packets):
-        name = _curve_name(u, arrival, packet)
+        name = f"curve_u{u:g}__{slugs[arrival]}__{slugs[packet]}.csv"
         if name in curves:
             raise ConfigError(f"{name}: two curves would write this file; list each threshold and law once")
         try:
@@ -289,12 +286,8 @@ def _analytic_cdf(curve: _Curve, formula: str) -> np.ndarray:
 
 
 def _slug(spec: DistributionSpec) -> str:
-    return re.sub(r"[^a-z0-9.]+", "_", spec.config_str().lower()).strip("_")
-
-
-def _curve_name(u: float, arrival: DistributionSpec, packet: DistributionSpec) -> str:
-    """File name of one curve's CSV."""
-    return f"curve_u{u:g}__{_slug(arrival)}__{_slug(packet)}.csv"
+    """A law's part of its curves' CSV names."""
+    return re.sub(r"[^a-z0-9.+-]+", "_", spec.config_str()).strip("_")
 
 
 def _write_csv(path: Path, grid: np.ndarray, emp: Sequence[float], ana: Sequence[float]) -> None:
@@ -362,9 +355,12 @@ def compare_formulas(parsed: ParsedConfig) -> dict:
     Only defined for one arrival and one packet law that fit the exact
     formula; tabulated per configured threshold over the grid. The two curves
     are those ``run`` draws with ``formula = poisson_normal`` and ``formula =
-    poisson_exact``, so a non-linear battery's gap is the one at u'.
+    poisson_exact``, so a non-linear battery's gap is the one at u'. A forced
+    ``formula`` is refused, since both series are drawn.
     """
     curves = _curves(parsed)
+    if parsed.formula != "auto":
+        raise ConfigError(f"formula: compare draws both Poisson series, so it takes auto, got {parsed.formula!r}")
     exact = _FORMULAS["poisson_exact"]
     if len(parsed.arrivals) != 1 or not isinstance(parsed.arrivals[0], exact.arrivals):
         raise ConfigError("compare needs a single exponential arrivals law")

@@ -9,8 +9,12 @@ Parameter conventions (important, the literature is ambiguous):
 * ``Gamma(shape, scale)`` -- shape/scale, so mean = shape * scale.
 * ``InverseGaussian(mean, shape)`` -- mean/shape, so variance = mean**3 / shape.
 
-Both are spelled out as keyword arguments on the constructors so experiment
-configs are unambiguous.
+Every law and battery is a ``Spec``: its ``name`` and its dataclass fields are
+its config keys (so the inverse Gaussian's mean is its field ``mean``).
+``Spec.config_str`` prints every spec and ``parse_spec`` reads every one, as
+``gamma shape=1 scale=2`` for ``Gamma(shape=1, scale=2)``; ``parse_distribution``
+reads the names of ``_LAWS``, which holds the aliases ``exp``, ``ig``,
+``inverse_gaussian`` and ``constant`` too.
 
 All laws have non-negative support and finite first three raw moments; the
 constructors refuse a non-finite or out-of-range parameter, and one whose mean,
@@ -22,8 +26,8 @@ in by the caller and never stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import MISSING, dataclass, fields
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -34,13 +38,64 @@ __all__ = [
     "Uniform",
     "Deterministic",
     "DistributionSpec",
-    "split_spec",
+    "Spec",
+    "parse_spec",
     "parse_distribution",
 ]
 
 
 def _as_array(x):
     return np.asarray(x, dtype=float)
+
+
+class Spec:
+    """A law or battery that a config names by ``name``; its dataclass fields are its parameters."""
+
+    name: ClassVar[str]
+
+    def config_str(self) -> str:
+        """``name key=value ...``, each set parameter the shortest text that reads back to the same float."""
+        words = [self.name]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:  # an optional parameter left unset, as an uncapped battery's umax
+                words.append(f"{f.name}={float(value)!r}".removesuffix(".0"))
+        return " ".join(words)
+
+
+def parse_spec(text: str, kinds: dict[str, type], what: str):
+    """Read ``name key=value ...`` into the spec ``kinds[name.lower()]``; ``what`` names the spec in errors.
+
+    Refuses an empty spec, a token without ``=``, a repeated parameter, a value
+    that is not a number, an unknown name, and parameters that are missing
+    (a field without a default) or not fields of the spec. The constructor
+    checks the values.
+    """
+    parts = text.split()
+    if not parts:
+        raise ValueError(f"empty {what} spec")
+    kwargs = {}
+    for tok in parts[1:]:
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise ValueError(f"malformed parameter {tok!r} in {text!r}")
+        if key in kwargs:
+            raise ValueError(f"repeated parameter {key!r} in {text!r}")
+        try:
+            kwargs[key] = float(val)
+        except ValueError:
+            raise ValueError(f"{key}: expected a number, got {val!r}") from None
+    name = parts[0].lower()
+    if name not in kinds:
+        raise ValueError(f"unknown {what} {name!r}")
+    params = fields(kinds[name])
+    missing = sorted(f.name for f in params if f.name not in kwargs and f.default is MISSING)
+    extra = sorted(set(kwargs) - {f.name for f in params})
+    if missing:
+        raise ValueError(f"missing parameters {missing} for {name!r}")
+    if extra:
+        raise ValueError(f"unknown parameters {extra} for {name!r}")
+    return kinds[name](**kwargs)
 
 
 def _check_moments(law) -> None:
@@ -55,9 +110,10 @@ def _check_moments(law) -> None:
 
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(Spec):
     """Exponential law with given rate (mean = 1/rate)."""
 
+    name = "exponential"
     rate: float
 
     def __post_init__(self):
@@ -84,14 +140,12 @@ class Exponential:
         x = _as_array(x)
         return np.where(x < 0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))[()]
 
-    def config_str(self) -> str:
-        return f"exponential rate={self.rate:g}"
-
 
 @dataclass(frozen=True)
-class Gamma:
+class Gamma(Spec):
     """Gamma law in the shape/scale convention (mean = shape * scale)."""
 
+    name = "gamma"
     shape: float
     scale: float
 
@@ -127,49 +181,43 @@ class Gamma:
         x = _as_array(x)
         return np.where(x < 0, 0.0, special.gammainc(self.shape, np.maximum(x, 0.0) / self.scale))[()]
 
-    def config_str(self) -> str:
-        return f"gamma shape={self.shape:g} scale={self.scale:g}"
-
 
 @dataclass(frozen=True)
-class InverseGaussian:
+class InverseGaussian(Spec):
     """Inverse Gaussian law in the mean/shape convention (variance = mean^3/shape)."""
 
-    mean_: float
+    name = "invgauss"
+    mean: float
     shape: float
 
     def __post_init__(self):
-        if not (0 < self.mean_ < math.inf and 0 < self.shape < math.inf):
+        if not (0 < self.mean < math.inf and 0 < self.shape < math.inf):
             raise ValueError(f"inverse gaussian needs finite mean > 0 and shape > 0, got {self}")
         _check_moments(self)
 
     @property
-    def mean(self) -> float:
-        return self.mean_
-
-    @property
     def variance(self) -> float:
-        return self.mean_**3 / self.shape
+        return self.mean**3 / self.shape
 
     @property
     def third_raw_moment(self) -> float:
         # E[A^3] = mu^3 (1 + 3 mu/shape + 3 mu^2/shape^2)
-        r = self.mean_ / self.shape
-        return self.mean_**3 * (1.0 + 3.0 * r + 3.0 * r**2)
+        r = self.mean / self.shape
+        return self.mean**3 * (1.0 + 3.0 * r + 3.0 * r**2)
 
     def sample(self, rng: np.random.Generator, size=None):
         # Michael-Schucany-Haas transform with rejection
-        return rng.wald(self.mean_, self.shape, size=size)
+        return rng.wald(self.mean, self.shape, size=size)
 
     def length_biased_sample(self, rng: np.random.Generator, size=None):
         # x f(x) / mean is the law of IG(mean, shape) + (mean^2/shape) chi^2_1
         # (Jorgensen, Seshadri & Whitmore, Scand. J. Statist. 18, 1991)
-        ig = rng.wald(self.mean_, self.shape, size=size)
-        return ig + self.mean_**2 / self.shape * rng.standard_normal(size) ** 2
+        ig = rng.wald(self.mean, self.shape, size=size)
+        return ig + self.mean**2 / self.shape * rng.standard_normal(size) ** 2
 
     def _phi_args(self, x):
         s = np.sqrt(self.shape / x)
-        return s * (x / self.mean_ - 1.0), -s * (x / self.mean_ + 1.0)
+        return s * (x / self.mean - 1.0), -s * (x / self.mean + 1.0)
 
     def cdf(self, x):
         from scipy import special  # here, not at import: the CLI's formulas never read this CDF
@@ -177,17 +225,15 @@ class InverseGaussian:
         x = _as_array(x)
         pos = np.maximum(x, 1e-300)
         a, b = self._phi_args(pos)
-        val = special.ndtr(a) + np.exp(2.0 * self.shape / self.mean_ + special.log_ndtr(b))
+        val = special.ndtr(a) + np.exp(2.0 * self.shape / self.mean + special.log_ndtr(b))
         return np.where(x <= 0, 0.0, val)[()]
-
-    def config_str(self) -> str:
-        return f"invgauss mean={self.mean_:g} shape={self.shape:g}"
 
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(Spec):
     """Uniform law on [lo, hi] with lo >= 0."""
 
+    name = "uniform"
     lo: float
     hi: float
 
@@ -220,14 +266,12 @@ class Uniform:
         x = _as_array(x)
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)[()]
 
-    def config_str(self) -> str:
-        return f"uniform lo={self.lo:g} hi={self.hi:g}"
-
 
 @dataclass(frozen=True)
-class Deterministic:
+class Deterministic(Spec):
     """Point mass at a strictly positive value (slotted-time / fixed packets)."""
 
+    name = "deterministic"
     value: float
 
     def __post_init__(self):
@@ -259,55 +303,15 @@ class Deterministic:
         x = _as_array(x)
         return np.where(x >= self.value, 1.0, 0.0)[()]
 
-    def config_str(self) -> str:
-        return f"deterministic value={self.value:g}"
-
 
 DistributionSpec = Union[Exponential, Gamma, InverseGaussian, Uniform, Deterministic]
 
 
-def split_spec(text: str, what: str) -> tuple[str, dict[str, float]]:
-    """Split a config fragment ``name key=value ...`` into its lower-cased name
-    and float parameters; ``what`` names the spec in errors. The constructors
-    check the values."""
-    parts = text.split()
-    if not parts:
-        raise ValueError(f"empty {what} spec")
-    kwargs = {}
-    for tok in parts[1:]:
-        key, eq, val = tok.partition("=")
-        if not eq:
-            raise ValueError(f"malformed parameter {tok!r} in {text!r}")
-        if key in kwargs:
-            raise ValueError(f"repeated parameter {key!r} in {text!r}")
-        try:
-            kwargs[key] = float(val)
-        except ValueError:
-            raise ValueError(f"{key}: expected a number, got {val!r}") from None
-    return parts[0].lower(), kwargs
+# Every name a config may give a law: each law's own, then its aliases.
+_LAWS = {law.name: law for law in (Exponential, Gamma, InverseGaussian, Uniform, Deterministic)}
+_LAWS.update(exp=Exponential, ig=InverseGaussian, inverse_gaussian=InverseGaussian, constant=Deterministic)
 
 
 def parse_distribution(text: str) -> DistributionSpec:
     """Parse a config fragment like ``exponential rate=1.0`` into a spec."""
-    name, kwargs = split_spec(text, "distribution")
-    required = {
-        "exponential": (Exponential, {"rate": "rate"}),
-        "exp": (Exponential, {"rate": "rate"}),
-        "gamma": (Gamma, {"shape": "shape", "scale": "scale"}),
-        "invgauss": (InverseGaussian, {"mean": "mean_", "shape": "shape"}),
-        "inverse_gaussian": (InverseGaussian, {"mean": "mean_", "shape": "shape"}),
-        "ig": (InverseGaussian, {"mean": "mean_", "shape": "shape"}),
-        "uniform": (Uniform, {"lo": "lo", "hi": "hi"}),
-        "deterministic": (Deterministic, {"value": "value"}),
-        "constant": (Deterministic, {"value": "value"}),
-    }
-    if name not in required:
-        raise ValueError(f"unknown distribution {name!r}")
-    cls, params = required[name]
-    missing = sorted(set(params) - set(kwargs))
-    extra = sorted(set(kwargs) - set(params))
-    if missing:
-        raise ValueError(f"missing parameters {missing} for {name!r}")
-    if extra:
-        raise ValueError(f"unknown parameters {extra} for {name!r}")
-    return cls(**{field: kwargs[key] for key, field in params.items()})
+    return parse_spec(text, _LAWS, "distribution")

@@ -43,6 +43,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -114,7 +115,7 @@ class ExperimentConfig:
                 f"budget of {_PACKET_BUDGET:.0e}"
             )
 
-    @property
+    @cached_property
     def expected_packets(self) -> float:
         """Estimated packets that all the replications draw together.
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rechargetime.battery import LinearBattery, NonLinearBattery, parse_battery
 
@@ -179,3 +181,30 @@ def test_parse_battery():
         parse_battery("nonlinear umax=25")
     with pytest.raises(ValueError):
         parse_battery("quadratic umax=25")
+
+
+POSITIVE = st.floats(min_value=1e-30, max_value=1e30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.builds(LinearBattery, st.none() | POSITIVE),
+        st.builds(NonLinearBattery, POSITIVE, st.floats(min_value=1.0, max_value=1e30, exclude_min=True)),
+    )
+)
+def test_config_str_reads_back_to_the_same_battery(battery):
+    assert parse_battery(battery.config_str()) == battery
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("nonlinear umax=25", r"missing parameters \['beta'\] for 'nonlinear'"),
+        ("linear umax=25 beta=1.1", r"unknown parameters \['beta'\] for 'linear'"),
+        ("quadratic umax=25", r"unknown battery 'quadratic'"),
+    ],
+)
+def test_battery_refusals_read_like_law_refusals(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_battery(text)

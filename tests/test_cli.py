@@ -12,6 +12,7 @@ import pytest
 from rechargetime import engine
 from rechargetime.battery import LinearBattery, NonLinearBattery
 from rechargetime.cli import (
+    _KEYS,
     ConfigError,
     compare_formulas,
     main,
@@ -149,6 +150,15 @@ class TestParseConfig:
     def test_curves_sharing_a_csv_name_rejected(self, lines):
         with pytest.raises(ConfigError, match="curve_u20__exponential_rate_1__exponential_rate_1.csv"):
             parse_config(lines)
+
+    @pytest.mark.parametrize("key", [key for key, (_, default, _) in _KEYS.items() if default is not None])
+    def test_every_key_default_parses(self, key):
+        field, default, parse = _KEYS[key]
+        assert getattr(parse_config(""), field) == parse(default)
+
+    def test_unknown_mode_names_its_key(self):
+        with pytest.raises(ConfigError, match="^mode: must be equilibrium or pure, got 'sideways'$"):
+            parse_config("mode = Sideways")
 
     def test_run_past_the_packet_budget_rejected(self):
         # 2000 replications of about 4e7 packets each
@@ -303,6 +313,36 @@ class TestRunExperiment:
             with pytest.raises(ConfigError, match=message):
                 compare_formulas(dataclasses.replace(parse_config("u = 5\ngrid = 0:1:20"), formula=formula))
 
+    @pytest.mark.parametrize(
+        "packets, u",
+        [("exponential rate=1e6; exponential rate=1e-6", 1e-3), ("exponential rate=1.0000001; exponential rate=1.0000002", 20)],
+        ids=["six-digits-apart", "past-six-digits"],
+    )
+    def test_laws_that_differ_past_six_digits_write_two_csvs(self, tmp_path, packets, u):
+        text = f"packets = {packets}\nu = {u}\nreplications = 50\ngrid = 0:1:40"
+        manifest = run_experiment(parse_config(text), tmp_path)
+        assert len(manifest["curves"]) == len(list(tmp_path.glob("*.csv"))) == 2
+
+    def test_input_level_worked_out_once_a_curve_plan(self, tmp_path, monkeypatch):
+        # each of the 4 curves computes u' for its moments and for its
+        # ExperimentConfig's packet estimate, which the pool plan reads again,
+        # and once more for its analytic curve
+        calls = []
+        inner = NonLinearBattery.input_for_level
+
+        def counted(battery, u):
+            calls.append(u)
+            return inner(battery, u)
+
+        text = (
+            "packets = uniform lo=0 hi=1; deterministic value=3\nbattery = nonlinear umax=25 beta=1.1\n"
+            "u = 10, 20\nreplications = 100\ngrid = 0:0.5:60\n"
+        )
+        parsed = parse_config(text)
+        monkeypatch.setattr(NonLinearBattery, "input_for_level", counted)
+        run_experiment(parsed, tmp_path)
+        assert len(calls) == 12
+
     def test_tolerance_breach_flag(self, tmp_path):
         p = parse_config(PANEL_A_LINEAR + "ks_tolerance = 1e-9")
         manifest = run_experiment(p, tmp_path)
@@ -434,7 +474,7 @@ class TestMain:
             (
                 "arrivals = exponential rate=1e-100\npackets = uniform lo=0 hi=1e70\nu = 20\nreplications = 100",
                 [],
-                "curve_u20__exponential_rate_1e_100__uniform_lo_0_hi_1e_70.csv",
+                "curve_u20__exponential_rate_1e-100__uniform_lo_0_hi_1e+70.csv",
             ),
         ],
         ids=[
@@ -472,6 +512,14 @@ class TestMain:
         assert main(["run", str(cfg), "--out", str(out), "--replications", "10000"]) == 1
         assert "budget" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("formula", ["poisson_exact", "poisson_normal", "clt"])
+    def test_compare_refuses_a_forced_formula(self, tmp_path, capsys, formula):
+        # compare draws both Poisson series whatever formula says
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text(f"u = 5\ngrid = 0:1:20\nformula = {formula}")
+        assert main(["compare", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: formula: ")
 
     def test_compare_command(self, tmp_path, capsys):
         cfg = tmp_path / "cmp.cfg"

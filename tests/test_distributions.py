@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -37,7 +39,7 @@ def _law(spec):
     if isinstance(spec, Gamma):
         return stats.gamma(spec.shape, scale=spec.scale)
     if isinstance(spec, InverseGaussian):
-        return stats.invgauss(spec.mean_ / spec.shape, scale=spec.shape)
+        return stats.invgauss(spec.mean / spec.shape, scale=spec.shape)
     if isinstance(spec, Uniform):
         return stats.uniform(spec.lo, spec.hi - spec.lo)
     raise AssertionError(spec)
@@ -96,8 +98,8 @@ def test_special_function_cdf_accuracy(spec):
         else:
             s = mp.sqrt(spec.shape / x)
             phi = lambda z: mp.erfc(-z / mp.sqrt(2)) / 2
-            ref = phi(s * (x / spec.mean_ - 1)) + mp.e ** (2 * spec.shape / spec.mean_) * phi(
-                -s * (x / spec.mean_ + 1)
+            ref = phi(s * (x / spec.mean - 1)) + mp.e ** (2 * spec.shape / spec.mean) * phi(
+                -s * (x / spec.mean + 1)
             )
         assert abs(spec.cdf(x) - float(ref)) < 1e-10
 
@@ -213,3 +215,51 @@ def test_parse_distribution():
         parse_distribution("gamma shape=1")
     with pytest.raises(ValueError, match="unknown parameters"):
         parse_distribution("exponential rate=1 mean=2")
+
+
+# parameters whose every law's moments stay in float range
+POSITIVE = st.floats(min_value=1e-30, max_value=1e30)
+
+
+def _law_of(cls, *params):
+    """``cls`` of drawn parameters, leaving out the draws its constructor refuses (uniform's lo >= hi)."""
+
+    def build(args):
+        try:
+            return cls(*args)
+        except ValueError:
+            return None
+
+    return st.tuples(*params).map(build).filter(lambda law: law is not None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        _law_of(Exponential, POSITIVE),
+        _law_of(Gamma, POSITIVE, POSITIVE),
+        _law_of(InverseGaussian, POSITIVE, POSITIVE),
+        _law_of(Uniform, st.floats(min_value=0.0, max_value=1e30), POSITIVE),
+        _law_of(Deterministic, POSITIVE),
+    )
+)
+def test_config_str_reads_back_to_the_same_law(law):
+    assert parse_distribution(law.config_str()) == law
+
+
+@pytest.mark.parametrize(
+    "name, params, canonical",
+    [
+        ("exponential", "rate=2", "exponential"),
+        ("exp", "rate=2", "exponential"),
+        ("gamma", "shape=1.5 scale=2", "gamma"),
+        ("invgauss", "mean=1 shape=2", "invgauss"),
+        ("inverse_gaussian", "mean=1 shape=2", "invgauss"),
+        ("ig", "mean=1 shape=2", "invgauss"),
+        ("uniform", "lo=0.5 hi=2", "uniform"),
+        ("deterministic", "value=3", "deterministic"),
+        ("constant", "value=3", "deterministic"),
+    ],
+)
+def test_every_law_name_reads_as_its_law(name, params, canonical):
+    assert parse_distribution(f"{name} {params}").config_str() == f"{canonical} {params}"
