@@ -5,14 +5,17 @@ is one mixture P(tau <= t) = 1 - sum_n w_n(lam t) P(N > n) over the law of
 the packet count N, with w_n the Poisson(lam t) weights and lam in (0, inf).
 For a linear battery P(N > n) = F_n(u) = P(S_n <= u), the CDF of the n-packet
 sum: the exact Erlang law for exponential packets, or the normal
-approximation of the n-fold convolution. Three routines build every such
+approximation of the n-fold convolution. Four routines build every such
 series. ``_poisson_weights`` computes the weights in log space, as the naive
 x^n / n! overflows for x beyond a few hundred; the mixture and the Erlang law
 both call it, with the log n! table passed in once per series.
 ``_tail_sums`` gives P(N >= n), each from its smaller side, for the Erlang
 F_n and for the count law of ``per_packet_cdf``. ``_poisson_mixture`` is the
 one place that shifts a series for pure mode, where an arrival, and so a
-packet, sits at the origin and the series runs over P(N > n + 1). F_n does
+packet, sits at the origin and the series runs over P(N > n + 1).
+``_normal_law`` is the one normal law, of the packet sums and of the arrival
+epochs alike: Phi((x - mean) / sd), with its own step x >= mean where the sd
+is 0, so packets or arrivals of zero variance take the general path. F_n does
 not depend on t and falls with n, so one cut serves every t: a series stops
 before its first term below 1e-12, which bounds the dropped mass by 1e-12.
 Each series is sized once, to a length that holds its cut. General
@@ -23,8 +26,8 @@ packet law.
 Every CDF accepts a scalar t (float result) or an array of t >= 0. One
 blocked mixture serves them all: each block of t fills one [block, n] buffer,
 which is summed against the weights row by row. The Poisson series fill it
-with Poisson weights against P(N > n); the CLT curves with normal or step
-epoch CDFs against the law of the packet count (one term for
+with Poisson weights against P(N > n); the CLT curves with the normal law of
+the epochs against the law of the packet count (one term for
 ``renewal_cdf_clt``).
 
 The non-linear battery has two formulas. ``nonlinear_cdf`` maps the threshold
@@ -38,7 +41,7 @@ importing this module loads numpy alone:
 
 * the normal CDF Phi(z) = erfc(-z / sqrt 2) / 2, by ``math.erfc`` on each
   element (within about z^2 unit roundoffs, relative, as scipy's ``ndtr``),
-  for the normal packet-sum CDF and the normal epoch mixture;
+  for ``_normal_law``;
 * log n! = ``math.lgamma(n + 1)``, for the Poisson weights;
 * the Erlang CDF gammainc(n, y) = P(Poisson(y) >= n) at integer n, for the
   exact series: the tail sums of the Poisson(y) weights.
@@ -89,6 +92,19 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 def _normal_cdf(z) -> np.ndarray:
     """Phi(z) = erfc(-z / sqrt 2) / 2 elementwise, as a float array; ``math.erfc`` on each element."""
     return 0.5 * np.asarray(_erfc(np.multiply(z, -math.sqrt(0.5))), dtype=float)
+
+
+def _normal_law(x, mean, sd, out: np.ndarray) -> np.ndarray:
+    """P(X <= x) for X normal of ``mean`` and ``sd``, written into ``out``; the arguments broadcast to it.
+
+    That is Phi((x - mean) / sd), or the step x >= mean where sd is not > 0
+    (0 or NaN): a normal law of zero variance is a point mass at its mean.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.subtract(x, mean, out=out)
+        out /= sd
+        out[...] = _normal_cdf(out)
+    return np.greater_equal(x, mean, out=out, where=np.logical_not(np.greater(sd, 0.0)))
 
 
 def _lgamma(lo: int, hi: int) -> np.ndarray:
@@ -146,13 +162,14 @@ def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None) -> np.ndarray:
     sigmaX = None gives the exact Erlang law of exponential packets of mean
     Xbar, gammainc(n, y) with y = u / Xbar, over 2 ceil(y) + 65 Poisson(y)
     weights: past 2y each weight is at most half the one before, so the last
-    is below e^-44 of a kept F_n. A number gives the normal approximation
-    Phi((u - n Xbar) / (sigmaX sqrt(n))) to 2 terms past its first argument
-    at or below _NORMAL_CUT_Z; at sigmaX = 0 the indicator n Xbar <= u, over
-    floor(y) + 3 terms as (floor(y) + 1) Xbar may round to u. F does not
-    increase, and ends before its first term below 1e-12 (IndexError if the
-    size missed it). ValueError for a non-finite or non-positive Xbar, or a
-    non-finite or negative sigmaX.
+    is below e^-44 of a kept F_n. A number gives the normal law
+    ``_normal_law(u, n Xbar, sigmaX sqrt(n))`` to 2 terms past its first
+    argument of Phi at or below _NORMAL_CUT_Z; at sigmaX = 0 that is the
+    step n Xbar <= u over ceil(y) + 2 terms, which hold its first zero even
+    where (floor(y) + 1) Xbar rounds to u. F does not increase, and ends
+    before its first term below 1e-12 (IndexError if the size missed it).
+    ValueError for a non-finite or non-positive Xbar, or a non-finite or
+    negative sigmaX.
     """
     if u <= 0:
         raise ValueError("threshold must be > 0")
@@ -162,13 +179,10 @@ def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None) -> np.ndarray:
     if sigmaX is None:
         n = np.arange(2 * math.ceil(y) + 65, dtype=float)
         F = _tail_sums(_poisson_weights(y, n, _log_factorial(n.size), np.empty(n.size)))
-    elif sigmaX == 0.0:
-        F = (np.arange(math.floor(y) + 3) * Xbar <= u) * 1.0
     else:
         b = -_NORMAL_CUT_Z * sigmaX  # sqrt(n) at the cut solves Xbar s^2 - b s - u = 0
         n = np.arange(math.ceil(((b + math.sqrt(b * b + 4.0 * Xbar * u)) / (2.0 * Xbar)) ** 2) + 2, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            F = _normal_cdf((u - n * Xbar) / (sigmaX * np.sqrt(n)))
+        F = _normal_law(u, n * Xbar, sigmaX * np.sqrt(n), np.empty(n.size))
     return F[: np.flatnonzero(F < _SERIES_TOL)[0]]
 
 
@@ -266,18 +280,10 @@ def _normal_epoch_mixture(t, pmf: np.ndarray, mean: np.ndarray, var: np.ndarray)
     """sum_n pmf_n P(T_n <= t), with T_n normal of mean_n and var_n; P(tau <= t).
 
     A zero variance makes T_n a step at mean_n. t is a scalar (float result)
-    or an array; the normal or step CDFs fill each block of ``_mixture``.
+    or an array; ``_normal_law`` fills each block of ``_mixture``.
     """
     sd = np.sqrt(np.maximum(var, 0.0))
-    (step,) = np.nonzero(~(var > 0.0))
-
-    def epoch_cdfs(tb, w):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.subtract(tb, mean, out=w)
-            w /= sd
-            w[...] = _normal_cdf(w)
-        w[:, step] = tb >= mean[step]
-
+    epoch_cdfs = lambda tb, w: _normal_law(tb, mean, sd, w)
     return np.clip(_mixture(t, pmf, epoch_cdfs), 0.0, 1.0)[()]
 
 

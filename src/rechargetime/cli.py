@@ -23,9 +23,10 @@ front of; a law or battery is read by ``distributions.parse_spec``.
 decisions once: its ``ExperimentConfig`` (which checks the threshold,
 replications, seed and expected packets, as the laws and the battery check
 their parameters), CSV name, formula, grid and asymptotic moments of tau at
-u' = ``battery.input_for_level(u)``. ``parse_config``, ``run_experiment`` and
-``compare_formulas`` each call it, so a config changed after parsing is
-checked again before anything is written; every refusal starts with its key.
+u' = ``ExperimentConfig.input_threshold``. ``parse_config``,
+``run_experiment`` and ``compare_formulas`` each call it, so a config changed
+after parsing is checked again before anything is written; every refusal
+starts with its key or its curve's CSV name.
 The table ``_FORMULAS`` alone says which laws each formula needs. Each
 analytic curve, of ``run`` and ``compare`` alike, is one call of its formula
 on the whole grid at u'. The Poisson series have no truncation setting: they
@@ -59,7 +60,7 @@ from .analytic import (
     renewal_var_tau,
 )
 from .battery import BatteryModel, parse_battery
-from .distributions import DistributionSpec, Exponential, parse_distribution
+from .distributions import DistributionSpec, Exponential, float_str, parse_distribution
 from .engine import ExperimentConfig, run, summarize, worker_pool
 from .renewal import ArrivalProcess, Mode
 from .stats import CdfCurve, dkw_band, ks_distance
@@ -231,10 +232,10 @@ def _curves(parsed: ParsedConfig) -> List[_Curve]:
         raise ConfigError(f"workers: must be >= 1, got {parsed.workers}")
     formula = parsed.formula
     if formula != "auto" and formula not in _FORMULAS:
-        raise ConfigError(f"formula must be one of {sorted(['auto', *_FORMULAS])}, got {formula!r}")
+        raise ConfigError(f"formula: must be one of {sorted(['auto', *_FORMULAS])}, got {formula!r}")
     pairs = itertools.product(parsed.arrivals, parsed.packets)
     if formula != "auto" and not all(_FORMULAS[formula].fits(*laws) for laws in pairs):
-        raise ConfigError(f"{formula} {_FORMULAS[formula].needs}")
+        raise ConfigError(f"formula: {formula} {_FORMULAS[formula].needs}")
     grid = None if parsed.grid is None else np.asarray(parsed.grid, dtype=float)
     if grid is not None and not (
         grid.ndim == 1 and grid.size and np.all(np.isfinite(grid)) and grid[0] >= 0 and np.all(np.diff(grid) > 0)
@@ -243,7 +244,7 @@ def _curves(parsed: ParsedConfig) -> List[_Curve]:
     slugs = {law: _slug(law) for law in {*parsed.arrivals, *parsed.packets}}
     curves = {}
     for u, arrival, packet in itertools.product(parsed.thresholds, parsed.arrivals, parsed.packets):
-        name = f"curve_u{u:g}__{slugs[arrival]}__{slugs[packet]}.csv"
+        name = f"curve_u{float_str(u)}__{slugs[arrival]}__{slugs[packet]}.csv"
         if name in curves:
             raise ConfigError(f"{name}: two curves would write this file; list each threshold and law once")
         try:
@@ -258,7 +259,7 @@ def _curves(parsed: ParsedConfig) -> List[_Curve]:
         except ValueError as exc:
             key = "replications" if parsed.replications < 1 else "seed" if parsed.seed < 0 else "u"
             raise ConfigError(f"{key}: {exc}") from None
-        u_prime = parsed.battery.input_for_level(u)
+        u_prime = config.input_threshold
         try:
             mean, variance = (f(u_prime, config.arrival, packet) for f in (renewal_mean_tau, renewal_var_tau))
         except ArithmeticError:  # float overflow, or division by an underflowed 0
@@ -363,9 +364,9 @@ def compare_formulas(parsed: ParsedConfig) -> dict:
         raise ConfigError(f"formula: compare draws both Poisson series, so it takes auto, got {parsed.formula!r}")
     exact = _FORMULAS["poisson_exact"]
     if len(parsed.arrivals) != 1 or not isinstance(parsed.arrivals[0], exact.arrivals):
-        raise ConfigError("compare needs a single exponential arrivals law")
+        raise ConfigError("arrivals: compare needs a single exponential law")
     if len(parsed.packets) != 1 or not isinstance(parsed.packets[0], exact.packets):
-        raise ConfigError("compare needs a single exponential packets law")
+        raise ConfigError("packets: compare needs a single exponential law")
     rows = []
     for curve in curves:  # one per threshold
         approx, exact_cdf = (_analytic_cdf(curve, f) for f in ("poisson_normal", "poisson_exact"))

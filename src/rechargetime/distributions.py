@@ -39,6 +39,7 @@ __all__ = [
     "Deterministic",
     "DistributionSpec",
     "Spec",
+    "float_str",
     "parse_spec",
     "parse_distribution",
 ]
@@ -46,6 +47,11 @@ __all__ = [
 
 def _as_array(x):
     return np.asarray(x, dtype=float)
+
+
+def float_str(x) -> str:
+    """The shortest text that reads back to the same float, without a trailing ``.0``."""
+    return f"{float(x)!r}".removesuffix(".0")
 
 
 class Spec:
@@ -59,7 +65,7 @@ class Spec:
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None:  # an optional parameter left unset, as an uncapped battery's umax
-                words.append(f"{f.name}={float(value)!r}".removesuffix(".0"))
+                words.append(f"{f.name}={float_str(value)}")
         return " ".join(words)
 
 

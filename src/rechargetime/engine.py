@@ -28,7 +28,8 @@ a per-packet step adds eta(U) X >= 0 and caps at umax >= U), so the
 thresholds a row has crossed by a block's end are a prefix of the sorted
 thresholds. The kernel thus takes a stream's ascending levels and finds the
 passage times of all of them in one pass, each bit for bit what a run at that
-level alone gives.
+level alone gives: one step per block reads every (row, level) pair the block
+passes and the first packet above each.
 
 ``workers`` is an upper bound, and one stream plan serves the CLI and library
 callers alike: ``Streams`` groups a ``worker_pool``'s configs into streams
@@ -119,15 +120,18 @@ class ExperimentConfig:
     def expected_packets(self) -> float:
         """Estimated packets that all the replications draw together.
 
-        A replication needs about 1 + x(u) / Xbar packets, with x(u) =
-        ``battery.input_for_level(u)`` the raw input that lifts an empty
-        battery to u under the continuous model (u itself for a linear
-        battery). That is Wald's identity with the overshoot left out. It is
-        an estimate, not a bound; on small packets it matches the per-packet
-        rule to 1e-4.
+        A replication needs about 1 + u' / Xbar packets, with u' =
+        ``input_threshold`` the raw input that lifts an empty battery to u
+        under the continuous model (u itself for a linear battery). That is
+        Wald's identity with the overshoot left out. It is an estimate, not a
+        bound; on small packets it matches the per-packet rule to 1e-4.
         """
-        x_u = self.battery.input_for_level(self.threshold)
-        return self.replications * (1.0 + x_u / self.packet.mean)
+        return self.replications * (1.0 + self.input_threshold / self.packet.mean)
+
+    @cached_property
+    def input_threshold(self) -> float:
+        """u' = ``battery.input_for_level(threshold)``, the linear threshold of the continuous model."""
+        return self.battery.input_for_level(self.threshold)
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,8 @@ def _simulate_chunk(config: ExperimentConfig, levels: np.ndarray, rng: np.random
     its first ``rows`` rows is above the top level. Blocks are drawn whole,
     for finished rows too, so every row's draws depend only on ``rng`` and
     the block index. A row's level never falls, so the levels it has crossed
-    by a block's end are a prefix of ``levels``, read off its last column.
+    by a block's end are a prefix of ``levels``, read off its last column;
+    the block passes those past the prefix it had crossed before.
     """
     battery = config.battery
     top = levels[-1]
@@ -187,6 +192,7 @@ def _simulate_chunk(config: ExperimentConfig, levels: np.ndarray, rng: np.random
     t = arr.residual_sample(rng, CHUNK)[:rows]  # epoch of each row's next packet
     level = np.zeros(rows)
     taus = np.empty((levels.size, rows))
+    ks = np.arange(levels.size)
     passed = np.zeros(rows, dtype=np.intp)  # levels each active row has crossed
     active = np.arange(rows)  # rows not yet above the top; t, level and passed follow them
     pick = slice(rows)  # the same rows of a drawn block; a view while all are active
@@ -205,12 +211,11 @@ def _simulate_chunk(config: ExperimentConfig, levels: np.ndarray, rng: np.random
         if crossed.size:
             since_t = np.zeros((crossed.size, _BLOCK))  # each packet's epoch less t
             np.cumsum(gaps[crossed, :-1], axis=1, out=since_t[:, 1:])
-            was, now_c = passed[crossed], now[crossed]
-            for k in range(was.min(), now_c.max()):
-                new = np.flatnonzero((was <= k) & (k < now_c))  # of crossed, those passing level k
-                rows_k = crossed[new]
-                first = (path[rows_k] > levels[k]).argmax(axis=1)
-                taus[k, active[rows_k]] = since_t[new, first] + t[rows_k]
+            # each (row of crossed, level) pair the block passes
+            new, k = np.nonzero((passed[crossed, None] <= ks) & (ks < now[crossed, None]))
+            rows_k = crossed[new]
+            first = (path[rows_k] > levels[k, None]).argmax(axis=1)
+            taus[k, active[rows_k]] = since_t[new, first] + t[rows_k]
             left = now < levels.size
             if not left.any():
                 return taus
@@ -261,9 +266,11 @@ class Streams:
     A stream is the configs that differ only in their threshold. The plan
     gives ``processes`` = ``pool_size`` when the streams' top thresholds
     expect ``_POOL_BREAK_EVEN`` packets in all, where a pool starts to pay,
-    and 1 otherwise; each stream's chunks are split over them. The first
-    ``run`` of a stream simulates all its thresholds in one pass and holds
-    the others' taus until their own ``run`` reads them, once.
+    and 1 otherwise; each stream's chunks are split over them. One rule
+    reads every config: a config whose taus are not held simulates its own
+    threshold together with every threshold of its stream not simulated
+    yet, in one pass, and holds the others' taus until their own ``run``
+    reads them, once.
     """
 
     def __init__(self, workers: int, configs: Sequence[ExperimentConfig]):
@@ -286,15 +293,12 @@ class Streams:
         return np.concatenate(list(parts), axis=1)
 
     def taus(self, config: ExperimentConfig) -> np.ndarray:
-        """``config``'s taus: held, simulated with its stream's, or alone if outside ``configs``."""
+        """``config``'s taus, held or else simulated with the thresholds its stream has not simulated yet."""
         key = _stream(config)
-        if config.threshold in self._pending.get(key, ()):
-            levels = sorted(self._pending.pop(key))
+        if (key, config.threshold) not in self._held:
+            levels = sorted({*self._pending.pop(key, ()), config.threshold})
             self._held.update(zip([(key, u) for u in levels], self._simulate(config, np.array(levels))))
-        held = self._held.pop((key, config.threshold), None)
-        if held is not None:
-            return held
-        return self._simulate(config, np.array([config.threshold]))[0]
+        return self._held.pop((key, config.threshold))
 
 
 @contextmanager
@@ -316,9 +320,9 @@ def worker_pool(workers: int, configs: Sequence[ExperimentConfig]) -> Iterator[S
 def run(config: ExperimentConfig, workers: int = 1, pool: Optional[Streams] = None) -> PassageSamples:
     """Run all replications; output is identical for any worker count.
 
-    ``pool`` is an open ``worker_pool`` shared across runs; a config of its
-    ``configs`` reads its taus from its stream's one pass, and the pool's
-    plan, not ``workers``, sets the processes. Without one, the run opens its
+    ``pool`` is an open ``worker_pool`` shared across runs; every config
+    reads its taus by the one rule of ``Streams.taus``, and the pool's plan,
+    not ``workers``, sets the processes. Without one, the run opens its
     own for the call, planned for ``config`` alone.
     """
     if pool is None:

@@ -13,6 +13,7 @@ from rechargetime import analytic
 from rechargetime.analytic import (
     _log_factorial,
     _normal_cdf,
+    _normal_law,
     _packet_sum_cdf,
     _poisson_weights,
     _tail_sums,
@@ -36,10 +37,15 @@ EXP_EXP = (ArrivalProcess(Exponential(1.0)), Exponential(1.0))
 
 
 def law_with_moments(mean, variance):
-    """The gamma law of this mean and variance, or a point mass at zero variance."""
-    if variance == 0.0:
+    """The gamma law of this mean and variance, or a point mass where its shape is not a finite float.
+
+    At a variance of 0, or one so small that mean^2 / variance overflows, the
+    law is a point mass to float precision.
+    """
+    shape = mean**2 / variance if variance else math.inf
+    if not math.isfinite(shape):
         return Deterministic(mean)
-    return Gamma(mean**2 / variance, variance / mean)
+    return Gamma(shape, variance / mean)
 
 
 def erlang_double_sum_cdf(u, t, lam, xbar, terms):
@@ -404,6 +410,20 @@ class TestSeriesSizing:
         t = np.linspace(0.0, 100.0, 101)
         np.testing.assert_allclose(poisson_cdf_normal(17.0, t, 1.0, 0.34, 0.0), special.gammainc(51, t), rtol=0, atol=1e-12)
 
+    def test_step_series_is_the_indicator_of_the_packet_sum(self):
+        # at sigmaX = 0 the series is [n Xbar <= u] over floor(y) + 3 terms,
+        # y = u / Xbar, cut at its first zero, bit for bit; the sweep holds u
+        # within ulps of a multiple of Xbar, where (floor(y) + 1) Xbar may round to u
+        rng = np.random.default_rng(20)
+        cases = [(17.0, 0.34)]
+        for Xbar, m in zip(rng.uniform(0.01, 10.0, 300), rng.integers(1, 2000, 300)):
+            u = m * Xbar
+            cases += [(float(v), float(Xbar)) for v in (u, np.nextafter(u, 0.0), np.nextafter(u, np.inf))]
+        cases += zip(rng.uniform(0.01, 500.0, 300).tolist(), rng.uniform(0.01, 10.0, 300).tolist())
+        for u, Xbar in cases:
+            step = (np.arange(math.floor(u / Xbar) + 3) * Xbar <= u) * 1.0
+            np.testing.assert_array_equal(_packet_sum_cdf(u, Xbar, 0.0), step[: np.flatnonzero(step == 0.0)[0]])
+
 
 class TestPoissonMixtureOracle:
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
@@ -525,6 +545,17 @@ class TestSpecialFunctions:
             assert np.all(np.abs(got[normal] / other[normal] - 1.0) <= rtol)
         np.testing.assert_allclose(got[~normal], ref[~normal], rtol=0.0, atol=1e-310)
         np.testing.assert_array_equal(_normal_cdf(np.array([-np.inf, np.inf, np.nan])), [0.0, 1.0, np.nan])
+
+    @pytest.mark.parametrize("no_spread", [0.0, np.nan])
+    def test_normal_law_without_spread_is_a_step(self, no_spread):
+        # columns 0 and 2 have no spread and step at their mean; column 1 is Phi
+        x = np.array([[-1.0], [0.5], [1.0], [1.25], [2.0]])
+        mean = np.array([0.5, 1.0, 1.25])
+        got = _normal_law(x, mean, np.array([no_spread, 0.5, no_spread]), np.empty((5, 3)))
+        np.testing.assert_array_equal(got[:, [0, 2]], x >= mean[[0, 2]])
+        np.testing.assert_array_equal(got[:, 1], _normal_cdf((x[:, 0] - 1.0) / 0.5))
+        # a scalar sd of no spread steps every column
+        np.testing.assert_array_equal(_normal_law(x, mean, no_spread, np.empty((5, 3))), x >= mean)
 
     def test_log_factorial(self):
         got = _log_factorial(100_001)

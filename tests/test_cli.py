@@ -14,6 +14,7 @@ from rechargetime.battery import LinearBattery, NonLinearBattery
 from rechargetime.cli import (
     _KEYS,
     ConfigError,
+    _curves,
     compare_formulas,
     main,
     parse_config,
@@ -299,7 +300,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "formula, message",
-        [("poisson_exact", "poisson_exact needs exponential arrivals and packets"), ("simpson", "formula must be one of")],
+        [("poisson_exact", "poisson_exact needs exponential arrivals and packets"), ("simpson", "^formula: must be one of")],
     )
     def test_forced_formula_checked_by_every_entry_point(self, tmp_path, formula, message):
         # a library caller changes the formula after parse_config; forced on
@@ -313,6 +314,39 @@ class TestRunExperiment:
             with pytest.raises(ConfigError, match=message):
                 compare_formulas(dataclasses.replace(parse_config("u = 5\ngrid = 0:1:20"), formula=formula))
 
+    def test_every_refusal_starts_with_a_key_or_a_csv_name(self):
+        # one change of a parsed config for each refusal of _curves, in its
+        # order, then for each of compare_formulas; compare_formulas calls
+        # _curves first, so it meets them all
+        parsed = parse_config("u = 20\nreplications = 100\ngrid = 0:1:40")
+        gamma, pure_step = [Gamma(2.0, 0.5)], dict(mode=Mode.PURE, packets=[Deterministic(3.0)], thresholds=[1.0])
+        changes = [
+            ({"ks_tolerance": 2.0}, "ks_tolerance"),
+            ({"workers": 0}, "workers"),
+            ({"formula": "simpson"}, "formula"),
+            ({"formula": "poisson_exact", "packets": gamma}, "formula"),
+            ({"grid": np.array([1.0, 0.0])}, "grid"),
+            ({"thresholds": [20.0, 20.0]}, "curve_u20__exponential_rate_1__exponential_rate_1.csv"),
+            ({"replications": 0}, "replications"),
+            ({"seed": -1}, "seed"),
+            ({"thresholds": [-1.0]}, "u"),
+            ({"replications": 10**9}, "u"),
+            (
+                {"arrivals": [Exponential(1e-100)], "packets": [Gamma(1.0, 1e70)]},
+                "curve_u20__exponential_rate_1e-100__gamma_shape_1_scale_1e+70.csv",
+            ),
+            ({"grid": None, **pure_step}, "curve_u1__exponential_rate_1__deterministic_value_3.csv"),
+            ({"formula": "clt"}, "formula"),
+            ({"arrivals": gamma}, "arrivals"),
+            ({"arrivals": [Exponential(1.0), Exponential(2.0)]}, "arrivals"),
+            ({"packets": gamma}, "packets"),
+        ]
+        for change, key in changes:
+            with pytest.raises(ConfigError) as refused:
+                compare_formulas(dataclasses.replace(parsed, **change))
+            assert str(refused.value).startswith(f"{key}: ")
+            assert key in _KEYS or key.startswith("curve_")
+
     @pytest.mark.parametrize(
         "packets, u",
         [("exponential rate=1e6; exponential rate=1e-6", 1e-3), ("exponential rate=1.0000001; exponential rate=1.0000002", 20)],
@@ -323,10 +357,23 @@ class TestRunExperiment:
         manifest = run_experiment(parse_config(text), tmp_path)
         assert len(manifest["curves"]) == len(list(tmp_path.glob("*.csv"))) == 2
 
+    @pytest.mark.parametrize(
+        "u, names",
+        [("20.0000001, 20.0000002", ["u20.0000001", "u20.0000002"]), ("1000000", ["u1000000"])],
+        ids=["past-six-digits", "a-million"],
+    )
+    def test_threshold_named_by_the_shortest_text_that_reads_back(self, u, names):
+        parsed = parse_config(f"u = {u}\nreplications = 5\ngrid = 0:1:40")
+        assert [c.name for c in _curves(parsed)] == [f"curve_{n}__exponential_rate_1__exponential_rate_1.csv" for n in names]
+
+    def test_thresholds_that_differ_past_six_digits_write_two_csvs(self, tmp_path):
+        manifest = run_experiment(parse_config("u = 20.0000001, 20.0000002\nreplications = 5\ngrid = 0:1:40"), tmp_path)
+        assert len(manifest["curves"]) == len(list(tmp_path.glob("*.csv"))) == 2
+
     def test_input_level_worked_out_once_a_curve_plan(self, tmp_path, monkeypatch):
-        # each of the 4 curves computes u' for its moments and for its
-        # ExperimentConfig's packet estimate, which the pool plan reads again,
-        # and once more for its analytic curve
+        # each of the 4 curves computes u' once for its ExperimentConfig, whose
+        # moments, packet estimate and pool plan read it, and once more for its
+        # analytic curve
         calls = []
         inner = NonLinearBattery.input_for_level
 
@@ -341,7 +388,7 @@ class TestRunExperiment:
         parsed = parse_config(text)
         monkeypatch.setattr(NonLinearBattery, "input_for_level", counted)
         run_experiment(parsed, tmp_path)
-        assert len(calls) == 12
+        assert len(calls) == 8
 
     def test_tolerance_breach_flag(self, tmp_path):
         p = parse_config(PANEL_A_LINEAR + "ks_tolerance = 1e-9")

@@ -386,6 +386,24 @@ class TestSharedStreams:
         assert levels_run == [[5.0, 10.0], [5.0], [7.0]]
         np.testing.assert_array_equal(taus[1], taus[2])
 
+    def test_an_outside_config_simulates_with_its_streams_pending_thresholds(self, monkeypatch):
+        levels_run = []
+        inner = engine._run_range
+
+        def recorded(config, levels, start, stop):
+            levels_run.append(levels.tolist())
+            return inner(config, levels, start, stop)
+
+        monkeypatch.setattr(engine, "_run_range", recorded)
+        lo, hi, outside = (cfg(threshold=u, replications=300) for u in (5.0, 10.0, 7.0))
+        with worker_pool(1, [lo, hi]) as streams:
+            taus = [run(c, pool=streams).taus for c in (outside, lo, hi)]
+        # one pass for the outside threshold and the two the plan foresaw;
+        # lo and hi then read their held taus
+        assert levels_run == [[5.0, 7.0, 10.0]]
+        for c, shared in zip((outside, lo, hi), taus):
+            np.testing.assert_array_equal(shared, run(c).taus)
+
 
 class TestPathwiseProperties:
     def test_monotone_in_threshold(self):
