@@ -23,12 +23,18 @@ inter-arrival laws use renewal-theoretic asymptotics plus a CLT approximation
 (large threshold), which read their moments from the arrival process and the
 packet law.
 
-Every CDF accepts a scalar t (float result) or an array of t >= 0. One
-blocked mixture serves them all: each block of t fills one [block, n] buffer,
-which is summed against the weights row by row. The Poisson series fill it
-with Poisson weights against P(N > n); the CLT curves with the normal law of
-the epochs against the law of the packet count (one term for
-``renewal_cdf_clt``).
+Every CDF accepts a scalar t (float result) or an array of t >= 0; a NaN t
+is refused like a negative one. One blocked mixture serves them all: each
+block of t fills one [block, width] buffer, which is summed against the
+weights row by row. The Poisson series fill it with Poisson weights against
+P(N > n), over each point's own window of counts [lo, hi) in x = lam t: the
+counts outside it hold at most 2e-18 of the Poisson(x) mass, and it is
+empty at x = inf, where P = 1. Windows are snapped to multiples of 32
+counts, so points close in t share one, and the mixture sorts t so that
+they are neighbours and fill one block. The window depends on x alone, so a
+point's value does not depend on its neighbours or on the order of t. The
+CLT curves fill it with the normal law of the epochs against the law of the
+packet count (one term for ``renewal_cdf_clt``), every point over every term.
 
 The non-linear battery has two formulas. ``nonlinear_cdf`` maps the threshold
 through the tanh transform: the continuous model is the linear battery at u'.
@@ -82,6 +88,12 @@ _MAX_PACKETS = 10_000
 # laws. A block has as many grid points as fit, 123 at the 265 terms of
 # u = 150, so memory does not grow with the number of terms times a block.
 _MIX_CELLS = 1 << 15
+# A Poisson(x) mixture sums only the counts of its window [lo, hi): by the
+# Chernoff and Bernstein bounds each side past it holds at most
+# exp(-_WINDOW_TAIL) = 1e-18 of the mass. Windows are snapped out to multiples
+# of _WINDOW_STEP, so that runs of grid points share one.
+_WINDOW_TAIL = math.log(1e18)
+_WINDOW_STEP = 32.0
 # Terms of the log n! table kept for the process (32 KB). math.lgamma takes
 # about 0.2 us a term; recomputing the table per series cost about 5% of a
 # compare pass.
@@ -132,15 +144,33 @@ def _poisson_weights(x, n: np.ndarray, log_fact: np.ndarray, out: np.ndarray) ->
     """The Poisson(x) weights at the counts n, written into ``out``: exp(n log x - log n! - x).
 
     log_fact holds log n!. x is a scalar or a column of rates >= 0. At x = 0
-    the log is -inf, so the weight is 0 for n > 0; column 0 is set to -x
-    apart, which makes the corner exact (weight 1 at n = 0).
+    the log is -inf, so the weight is 0 for n > 0; where n starts at 0, column
+    0 is set to -x apart, which makes the corner exact (weight 1 at n = 0).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         np.multiply(np.log(x), n, out=out)
     out -= log_fact
     out -= x
-    out[..., :1] = -x
+    if n.size and n[0] == 0:
+        out[..., :1] = -x
     return np.exp(out, out=out)
+
+
+def _poisson_window(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The counts [lo, hi) outside which Poisson(x) holds at most 2e-18 of its mass, for each x in [0, inf].
+
+    With L = _WINDOW_TAIL, Chernoff's bound puts at most e^-L of the mass at or
+    below x - sqrt(2 L x), and Bernstein's at most e^-L at or above x + a,
+    with a = L/3 + sqrt(L^2/9 + 2 L x). lo is at most the first and hi at
+    least the second plus one, each snapped out to a multiple of
+    _WINDOW_STEP and capped at the series size; at x = inf the window is
+    empty. Float arrays, the shape of x.
+    """
+    L, root = _WINDOW_TAIL, np.sqrt(x)
+    lo = root * (root - math.sqrt(2.0 * L))  # x - sqrt(2 L x), and inf rather than NaN at x = inf
+    hi = x + L / 3.0 + np.sqrt(2.0 * L * x + L * L / 9.0) + 1.0
+    lo, hi = np.floor(lo / _WINDOW_STEP), np.ceil(hi / _WINDOW_STEP)
+    return np.clip(lo * _WINDOW_STEP, 0.0, size), np.clip(hi * _WINDOW_STEP, 0.0, size)
 
 
 def _tail_sums(pmf: np.ndarray) -> np.ndarray:
@@ -186,27 +216,41 @@ def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None) -> np.ndarray:
     return F[: np.flatnonzero(F < _SERIES_TOL)[0]]
 
 
-def _mixture(t, weights: np.ndarray, fill) -> np.ndarray:
-    """sum_n weights_n c_n(t) at each t >= 0; ``fill(tb, out)`` writes c_n(t) for a column tb of t.
+def _mixture(t, weights: np.ndarray, fill, window=None) -> np.ndarray:
+    """sum_n weights_n c_n(t) at each t >= 0; ``fill(tb, out, s)`` writes c_n(t) at the terms s for a column tb of t.
 
-    t goes in blocks of ``_MIX_CELLS // weights.size`` points (at least one)
-    through one [block, weights.size] buffer, so memory does not grow with
-    the grid or the terms. Each row is summed on its own: a point's value does
-    not depend on its block, and a scalar t gives the float it gives in an array.
+    ``window(ts)`` gives each point of the flat t the terms [lo, hi) its sum
+    runs over, as float arrays that do not fall as t grows; without it every
+    point sums every term. t, sorted if it is not already, goes in runs of
+    consecutive points that share a window, each cut into blocks of
+    ``_MIX_CELLS // width`` points (at least one) through one [block, width]
+    buffer, so memory does not grow with the grid or the terms. Each row is
+    summed on its own and its window depends on its point alone: a point's
+    value does not depend on its block or its neighbours, and a scalar t
+    gives the float it gives in an array. ValueError for a negative or NaN t.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("time must be >= 0")
-    ts = t.ravel()
-    block = max(1, _MIX_CELLS // max(weights.size, 1))
-    buf = np.empty((min(ts.size, block), weights.size))
+    # windows grow with t, so once t is sorted the points of a window are neighbours
+    order = np.argsort(t, axis=None, kind="stable") if np.any(np.diff(t.ravel()) < 0) else slice(None)
+    ts = t.ravel()[order]
+    lo, hi = window(ts) if window else (np.zeros(ts.size), np.full(ts.size, weights.size))
+    starts = np.flatnonzero((np.diff(lo, prepend=-1.0) != 0.0) | (np.diff(hi, prepend=-1.0) != 0.0))
+    lo, hi = lo[starts], hi[starts]  # one window a run, so no grid-sized array outlives this
+    buf = np.empty(min(ts.size * weights.size, max(_MIX_CELLS, weights.size)))
     out = np.empty(ts.size)
-    for lo in range(0, ts.size, block):
-        tb = ts[lo : lo + block, None]
-        w = buf[: tb.shape[0]]
-        fill(tb, w)
-        w *= weights
-        out[lo : lo + block] = w.sum(axis=1)
+    for start, stop, l, h in zip(starts, np.r_[starts[1:], ts.size], lo, hi):
+        terms = slice(int(l), int(h))
+        width = terms.stop - terms.start
+        block = max(1, _MIX_CELLS // max(width, 1))
+        for a in range(start, stop, block):
+            tb = ts[a : min(a + block, stop), None]
+            w = buf[: tb.size * width].reshape(tb.size, width)
+            fill(tb, w, terms)
+            w *= weights[terms]
+            out[a : a + tb.size] = w.sum(axis=1)
+    out[order] = out  # back to the order of t; numpy copies the overlapping right side first
     return out.reshape(t.shape)
 
 
@@ -215,8 +259,11 @@ def _poisson_mixture(survival: np.ndarray, lam: float, t, mode: Mode) -> np.ndar
 
     survival holds P(N > n) for n = 0, 1, ... The shift s is 1 in pure mode,
     where the arrival at the origin brings a packet (the series is empty when
-    that packet always crosses), and 0 in equilibrium mode. ValueError for a
-    rate lam outside (0, inf), whose weights would be NaN or all at n = 0.
+    that packet always crosses), and 0 in equilibrium mode. Each point sums
+    only the counts of its ``_poisson_window``, so the terms dropped there
+    add at most 2e-18 to the series' own cut; lam t = inf gives 1.
+    ValueError for a rate lam outside (0, inf), whose weights would be NaN
+    or all at n = 0, and for a negative or NaN t.
     """
     if not 0.0 < lam < np.inf:
         raise ValueError(f"arrival rate {lam} must be finite and > 0")
@@ -224,8 +271,10 @@ def _poisson_mixture(survival: np.ndarray, lam: float, t, mode: Mode) -> np.ndar
         survival = survival[1:]
     n = np.arange(survival.size, dtype=float)
     log_fact = _log_factorial(survival.size)
-    fill = lambda tb, w: _poisson_weights(lam * tb, n, log_fact, w)
-    return np.clip(1.0 - _mixture(t, survival, fill), 0.0, 1.0)[()]
+    fill = lambda tb, w, s: _poisson_weights(lam * tb, n[s], log_fact[s], w)
+    window = lambda ts: _poisson_window(lam * ts, survival.size)
+    with np.errstate(over="ignore"):  # lam t past the float range is inf, whose window is empty
+        return np.clip(1.0 - _mixture(t, survival, fill, window), 0.0, 1.0)[()]
 
 
 def poisson_cdf_normal(
@@ -283,7 +332,7 @@ def _normal_epoch_mixture(t, pmf: np.ndarray, mean: np.ndarray, var: np.ndarray)
     or an array; ``_normal_law`` fills each block of ``_mixture``.
     """
     sd = np.sqrt(np.maximum(var, 0.0))
-    epoch_cdfs = lambda tb, w: _normal_law(tb, mean, sd, w)
+    epoch_cdfs = lambda tb, w, s: _normal_law(tb, mean[s], sd[s], w)
     return np.clip(_mixture(t, pmf, epoch_cdfs), 0.0, 1.0)[()]
 
 

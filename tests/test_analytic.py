@@ -16,6 +16,7 @@ from rechargetime.analytic import (
     _normal_law,
     _packet_sum_cdf,
     _poisson_weights,
+    _poisson_window,
     _tail_sums,
     nonlinear_cdf,
     packet_count_pmf,
@@ -470,6 +471,100 @@ class TestPoissonMixtureOracle:
         finally:
             tracemalloc.stop()
         assert peak < 50e6
+
+
+class TestPoissonWindow:
+    """Each point of a Poisson mixture sums only the counts of its own window."""
+
+    def test_window_drops_at_most_2e_18_of_the_mass(self):
+        x = np.r_[0.0, np.geomspace(1e-6, 1e5, 200)]
+        lo, hi = _poisson_window(x, 1 << 20)
+        assert np.all((lo <= x) & (x < hi) & (hi < 1 << 20))
+        np.testing.assert_array_equal([lo % 32, hi % 32], 0.0)
+        dropped = stats.poisson.cdf(lo - 1.0, x) + stats.poisson.sf(hi - 1.0, x)
+        assert np.all(dropped <= 2e-18)
+
+    def test_window_is_capped_at_the_series_and_empty_at_infinity(self):
+        lo, hi = _poisson_window(np.array([0.0, 50.0, 1e4, np.inf]), 100)
+        np.testing.assert_array_equal(lo, [0.0, 0.0, 100.0, 100.0])
+        np.testing.assert_array_equal(hi, [32.0, 100.0, 100.0, 100.0])
+
+    @pytest.mark.parametrize("x", [0.0, 40.0])
+    def test_window_weights_are_the_full_weights_at_its_counts(self, x):
+        # the exact corner at n = 0 is set only where the counts start at 0
+        n = np.arange(96.0)
+        full = _poisson_weights(x, n, _log_factorial(96), np.empty(96))
+        for lo in (0, 32):
+            part = _poisson_weights(x, n[lo:], _log_factorial(96)[lo:], np.empty(96 - lo))
+            assert part.tobytes() == full[lo:].tobytes()
+
+    @pytest.mark.parametrize("formula", ["normal", "exact"])
+    @pytest.mark.parametrize("u", [0.3, 5.0, 20.0, 150.0, 1000.0])
+    def test_matches_the_unwindowed_sum(self, u, formula):
+        # the full sum of every term of the same series; the window drops at
+        # most 2e-18, so the two differ by the rounding of their sums alone
+        sigmaX = 1.0 if formula == "normal" else None
+        fn = poisson_cdf_normal if formula == "normal" else poisson_cdf_exp_exact
+        for lam in (0.3, 1.0, 1.7):
+            t = np.linspace(0.0, 2500.0 / lam, 401)
+            for mode in Mode:
+                F = _packet_sum_cdf(u, 1.0, sigmaX)[1 if mode is Mode.PURE else 0 :]
+                n = np.arange(F.size, dtype=float)
+                w = _poisson_weights(lam * t[:, None], n, _log_factorial(n.size), np.empty((t.size, n.size)))
+                full = np.clip(1.0 - (w * F).sum(axis=1), 0.0, 1.0)
+                got = fn(u, t, lam, 1.0, *([sigmaX] if sigmaX else []), mode=mode)
+                np.testing.assert_allclose(got, full, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_reordered_time_gives_the_reordered_curve(self, order):
+        grid = np.linspace(0.0, 250.0, 301)
+        perm = np.arange(grid.size)[::-1] if order == "reversed" else np.random.default_rng(5).permutation(grid.size)
+        for fn in (
+            lambda t: poisson_cdf_exp_exact(150.0, t, 1.6, 1.0),
+            lambda t: poisson_cdf_normal(150.0, t, 1.6, 1.0, 1.0, mode=Mode.PURE),
+        ):
+            curve = fn(grid)
+            assert fn(grid[perm]).tobytes() == curve[perm].tobytes()
+            assert fn(grid[perm].reshape(7, 43)).tobytes() == curve[perm].tobytes()
+
+    def test_empty_time_gives_an_empty_curve(self):
+        laws = (ArrivalProcess(Exponential(1.0)), Exponential(1.0), LinearBattery())
+        for t in (np.empty(0), np.empty((0, 3)), []):
+            got = poisson_cdf_exp_exact(20.0, t, 1.0, 1.0)
+            assert got.shape == np.shape(t) and got.dtype == float
+            assert per_packet_cdf(20.0, t, *laws).shape == np.shape(t)
+
+    def test_series_of_no_terms_crosses_at_once(self):
+        # the packet at the origin always lifts the level above u, so the pure
+        # mode series is empty and P = 1 at every t, 0 and inf among them
+        t = np.array([0.0, 5.0, np.inf])
+        np.testing.assert_array_equal(poisson_cdf_exp_exact(1e-300, t, 1.0, 1.0, mode=Mode.PURE), 1.0)
+        arrival = ArrivalProcess(Exponential(1.0), Mode.PURE)
+        np.testing.assert_array_equal(per_packet_cdf(2.0, t, arrival, Deterministic(3.0), LinearBattery()), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, [1.0, np.nan, np.inf]], ids=["scalar", "array"])
+    def test_nan_time_rejected(self, bad):
+        arrival = ArrivalProcess(Exponential(1.0))
+        for fn in (
+            lambda t: poisson_cdf_exp_exact(20.0, t, 1.0, 1.0),
+            lambda t: poisson_cdf_normal(20.0, t, 1.0, 1.0, 1.0),
+            lambda t: per_packet_cdf(20.0, t, arrival, Exponential(1.0), LinearBattery()),
+            lambda t: renewal_cdf_clt(20.0, t, *EXP_EXP),
+        ):
+            with pytest.raises(ValueError, match="time"):
+                fn(bad)
+
+    def test_infinite_time_gives_one(self):
+        # RuntimeWarnings fail the suite, so these also check that none escapes
+        t = np.array([1.0, np.inf])
+        for mode in Mode:
+            laws = (ArrivalProcess(Exponential(1.0), mode), Exponential(1.0), LinearBattery())
+            assert poisson_cdf_exp_exact(20.0, t, 1.0, 1.0, mode=mode)[1] == 1.0
+            assert poisson_cdf_normal(20.0, t, 1.0, 1.0, 1.0, mode=mode)[1] == 1.0
+            assert per_packet_cdf(20.0, t, *laws)[1] == 1.0
+        # lam t overflows to inf
+        assert poisson_cdf_exp_exact(20.0, 1e300, 1e10, 1.0) == 1.0
+        assert poisson_cdf_normal(20.0, 1e300, 1e10, 1.0, 1.0) == 1.0
 
 
 class TestCdfRangeProperties:
