@@ -75,14 +75,15 @@ __all__ = [
     "per_packet_cdf",
 ]
 
-# The Poisson series stops where the packet-sum CDF falls below this.
+# Where a count law stops: the Poisson series before its first packet-sum CDF
+# F_n(u) = P(N > n) below this, and the level grid once the mass still below u,
+# P(N > n), is not above it. Either way it bounds the tail mass dropped.
 _SERIES_TOL = 1e-12
 # The normal series is sized to 2 terms past this argument of Phi (about 6e-13).
 _NORMAL_CUT_Z = -7.1
 # Level-grid step of the per-packet transfer operator. At 0.02 the CDF of N
 # stays within about 1e-3 of a ten times finer grid.
 _LEVEL_STEP = 0.02
-_TRANSIENT_TOL = 1e-12
 _MAX_PACKETS = 10_000
 # Cells of the mixture's one [block, terms] buffer (256 KB), for both epoch
 # laws. A block has as many grid points as fit, 123 at the 265 terms of
@@ -392,7 +393,7 @@ def packet_count_pmf(u: float, packet: DistributionSpec, battery: BatteryModel) 
     pmf = [absorb[0]]
     mass = move[0]
     move, absorb = move[1:], absorb[1:]
-    while mass.sum() > _TRANSIENT_TOL:
+    while mass.sum() > _SERIES_TOL:
         if len(pmf) >= _MAX_PACKETS:
             raise ValueError(
                 f"level still below {u} after {_MAX_PACKETS} packets: the packet "

@@ -4,11 +4,19 @@ The non-linear model has a state-dependent conversion efficiency
 eta(U) = 1 - ((U - a)/b)^2 with a = umax/2 and b = beta*umax/2, beta > 1.
 Integrating dU/dX = eta(U) from an empty battery yields the logistic-type
 law U = a + b*tanh((X - C)/b) with C = b*artanh(1/beta), which converts a
-cumulative raw-input total into a stored level and back. The engine simulates
-the per-packet rule U <- U + eta(U)*X; its recharge-time CDF is
-``analytic.per_packet_cdf``. The continuous model applies the tanh law to the
-cumulative input, so its recharge time is that of ``LinearBattery()`` at
-``input_for_level(u)``, which ``analytic.nonlinear_cdf`` evaluates.
+cumulative raw-input total into a stored level and back. The continuous model
+applies the tanh law to the cumulative input, so its recharge time is that of
+``LinearBattery()`` at ``input_for_level(u)``, which ``analytic.nonlinear_cdf``
+evaluates.
+
+Each battery's ``path`` is its charging rule: it steps the rows' levels
+through a [rows, k] block of packets, checked once (``check_packets``) before
+any level takes it in, and returns the level after each packet. The engine's
+kernel calls it on every drawn block without knowing which rule it runs. A
+linear battery's levels are a running sum of its packets; a non-linear one
+steps per packet, U <- min(U + eta(U) X, umax) (``advance``), whose
+recharge-time CDF is ``analytic.per_packet_cdf``. Under both rules a level
+never falls.
 """
 
 from __future__ import annotations
@@ -64,6 +72,20 @@ class LinearBattery(Spec):
         if not 0.0 < u <= self.capacity:
             raise ValueError(f"level {u} outside (0, {self.capacity}]")
         return u
+
+    def path(self, level: np.ndarray, packets: np.ndarray, top: float) -> np.ndarray:
+        """Levels after each packet of a [rows, k] block from the rows' ``level``: the running sum.
+
+        The block is checked first (``check_packets``), and the sum is taken
+        in place of the packets. The whole block is summed, whatever ``top``,
+        which is below the capacity.
+        """
+        packets = check_packets(packets)
+        # no capacity clip: top < capacity, so a clip would move no crossing of
+        # a level up to top and leave every row still below top as it is
+        path = np.cumsum(packets, axis=1, out=packets)
+        path += level[:, None]
+        return path
 
 
 @dataclass(frozen=True)
@@ -121,13 +143,29 @@ class NonLinearBattery(Spec):
     def advance(self, U, x, out):
         """Per-packet rule U <- min(U + eta(U) X, umax) elementwise, written into ``out`` (neither U nor x).
 
-        U and x are not checked: the caller keeps U in [0, umax] and refuses
-        negative or NaN packets (``check_packets``).
+        U and x are not checked: the caller, ``path``, keeps U in [0, umax]
+        and refuses negative or NaN packets (``check_packets``).
         """
         self._eta(U, out)
         out *= x
         out += U
         return np.minimum(out, self.umax, out=out)
+
+    def path(self, level: np.ndarray, packets: np.ndarray, top: float) -> np.ndarray:
+        """Levels after each packet of a [rows, k] block from the rows' ``level``, one in-place ``advance`` per packet.
+
+        The block is checked first (``check_packets``); each column of a
+        contiguous transposed copy then steps unchecked. The level never
+        falls, so the path stops early, with j + 1 columns, at the first
+        column j where every row is above ``top``.
+        """
+        columns = np.ascontiguousarray(check_packets(packets).T)
+        path = np.empty_like(columns)
+        for j, x in enumerate(columns):
+            level = self.advance(level, x, path[j])
+            if level.min() > top:
+                return path[: j + 1].T
+        return path.T
 
 
 BatteryModel = LinearBattery | NonLinearBattery

@@ -29,11 +29,12 @@ after parsing is checked again before anything is written; every refusal
 starts with its key or its curve's CSV name.
 The table ``_FORMULAS`` alone says which laws each formula needs. Each
 analytic curve, of ``run`` and ``compare`` alike, is one call of its formula
-on the whole grid at u'. The Poisson series have no truncation setting: they
-stop where the packet-sum CDF falls below 1e-12. The engine's
-``worker_pool`` plans from the packet estimates whether one process pool for
-all curves pays. ``workers`` is an upper bound. Exit codes: 0 ok,
-1 validation error, 2 KS tolerance breach, 3 I/O error.
+on the whole grid at the u' its plan's ``ExperimentConfig`` already holds, so
+a non-linear battery's curve is the continuous model's. The Poisson series
+have no truncation setting: they stop where the packet-sum CDF falls below
+1e-12. The engine's ``worker_pool`` plans from the packet estimates whether
+one process pool for all curves pays. ``workers`` is an upper bound. Exit
+codes: 0 ok, 1 validation error, 2 KS tolerance breach, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
-    nonlinear_cdf,
+    nonlinear_cdf,  # unused here; perfbench's CLI_HOOKS rebind it, so test_bench_hooks pins it (ROADMAP item 12)
     poisson_cdf_exp_exact,
     poisson_cdf_normal,
     renewal_cdf_clt,
@@ -278,11 +279,9 @@ def _curves(parsed: ParsedConfig) -> List[_Curve]:
 
 
 def _analytic_cdf(curve: _Curve, formula: str) -> np.ndarray:
-    """``formula`` on the curve's grid at u' = ``input_for_level(u)``, made a CDF."""
-    config, cdf = curve.config, _FORMULAS[formula].cdf
-    values = nonlinear_cdf(
-        config.threshold, curve.grid, config.battery, lambda level, t: cdf(level, t, config.arrival, config.packet)
-    )
+    """``formula`` on the curve's grid at u' = ``ExperimentConfig.input_threshold``, made a CDF."""
+    config = curve.config
+    values = _FORMULAS[formula].cdf(config.input_threshold, curve.grid, config.arrival, config.packet)
     return np.clip(np.maximum.accumulate(values), 0, 1)
 
 

@@ -14,12 +14,13 @@ replications. So results are bitwise reproducible for a given seed across
 worker counts, configs that share a seed see common random numbers, and a
 longer run starts with the taus of a shorter one.
 
-Each drawn block of packets is checked once, before the levels take it in.
-The battery type picks the path: a linear battery's levels are a running sum
-of its packets, and a non-linear one steps per packet, U <- U + eta(U) X, each
-column unchecked and in place (``advance``). The continuous model, the tanh
-law applied to the cumulative input, needs no path of its own: its taus are
-those of ``LinearBattery()`` at ``battery.input_for_level(u)``, same seed.
+Each drawn block of packets goes through one ``battery.path`` call, which
+checks it once, before the levels take it in, and returns the level after
+each packet by the battery's own rule: a running sum for a linear battery,
+one step per packet for a non-linear one. The kernel does not know which rule
+it runs. The continuous model, the tanh law applied to the cumulative input,
+needs no path of its own: its taus are those of an uncapped linear battery at
+u' = ``battery.input_for_level(u)``, same seed.
 
 A stream is the configs that differ only in their threshold: they draw the
 same values and their levels follow the same paths. Under both rules a level
@@ -50,7 +51,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .battery import BatteryModel, NonLinearBattery, check_packets
+from .battery import BatteryModel
 from .distributions import DistributionSpec
 from .renewal import ArrivalProcess
 from .stats import CdfCurve, ecdf
@@ -158,22 +159,6 @@ CHUNK = 256
 _BLOCK = 64
 
 
-def _packet_path(battery: NonLinearBattery, level: np.ndarray, packets: np.ndarray, top: float) -> np.ndarray:
-    """Levels after each packet of a checked block, one in-place vector step per packet.
-
-    Each column of a contiguous transposed copy steps unchecked. The level
-    never falls, so the block stops early, with fewer columns, once every row
-    is above ``top``.
-    """
-    columns = np.ascontiguousarray(packets.T)
-    path = np.empty_like(columns)
-    for j, x in enumerate(columns):
-        level = battery.advance(level, x, path[j])
-        if level.min() > top:
-            return path[: j + 1].T
-    return path.T
-
-
 def _simulate_chunk(config: ExperimentConfig, levels: np.ndarray, rng: np.random.Generator, rows: int) -> np.ndarray:
     """[levels, rows] passage times of the first ``rows`` replications of a chunk.
 
@@ -181,13 +166,13 @@ def _simulate_chunk(config: ExperimentConfig, levels: np.ndarray, rng: np.random
     rows, then [CHUNK, 64] blocks of inter-arrivals and packets until each of
     its first ``rows`` rows is above the top level. Blocks are drawn whole,
     for finished rows too, so every row's draws depend only on ``rng`` and
-    the block index. A row's level never falls, so the levels it has crossed
+    the block index. ``battery.path`` checks each block's packets and gives
+    the active rows' level after each one, up to a column where every row is
+    above the top. A row's level never falls, so the levels it has crossed
     by a block's end are a prefix of ``levels``, read off its last column;
     the block passes those past the prefix it had crossed before.
     """
-    battery = config.battery
     top = levels[-1]
-    per_packet = isinstance(battery, NonLinearBattery)
     arr = config.arrival
     t = arr.residual_sample(rng, CHUNK)[:rows]  # epoch of each row's next packet
     level = np.zeros(rows)
@@ -198,14 +183,7 @@ def _simulate_chunk(config: ExperimentConfig, levels: np.ndarray, rng: np.random
     pick = slice(rows)  # the same rows of a drawn block; a view while all are active
     for _ in range(0, _MAX_PACKETS, _BLOCK):
         gaps = arr.interarrival.sample(rng, (CHUNK, _BLOCK))[pick]
-        packets = check_packets(config.packet.sample(rng, (CHUNK, _BLOCK))[pick])
-        if per_packet:
-            path = _packet_path(battery, level, packets, top)
-        else:
-            # no capacity clip: every level < capacity, so a clip would move no
-            # crossing and leave every row still below the top as it is
-            path = np.cumsum(packets, axis=1, out=packets)
-            path += level[:, None]
+        path = config.battery.path(level, config.packet.sample(rng, (CHUNK, _BLOCK))[pick], top)
         now = np.searchsorted(levels, path[:, -1])  # levels strictly below each row's last level
         crossed = np.flatnonzero(now > passed)
         if crossed.size:

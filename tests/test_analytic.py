@@ -301,6 +301,30 @@ class TestPerPacketCdf:
             got = per_packet_cdf(20.0, grid, arrival, packet, self.NL)
             np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("battery", [LinearBattery(), NL], ids=["linear", "nonlinear"])
+    @pytest.mark.parametrize(
+        "packet", [Uniform(0.0, 1.0), Gamma(1.0, 2.0), Deterministic(3.0)], ids=lambda p: p.config_str()
+    )
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "interarrival",
+        [Gamma(2.0, 0.5), InverseGaussian(1.0, 2.0), Uniform(0.0, 2.0), Deterministic(1.0)],
+        ids=lambda a: a.config_str(),
+    )
+    def test_renewal_arrivals_match_normal_epoch_sum(self, interarrival, mode, packet, battery):
+        # oracle: sum_n P(N = n) P(T_n <= t), T_n normal of mean m_n = E[A0] + (n - 1) mu_A
+        # and variance s_n^2 = V[A0] + (n - 1) sigma_A^2 by scipy, a step at m_n where s_n = 0
+        arrival = ArrivalProcess(interarrival, mode)
+        grid = np.linspace(0.0, 80.0, 801)[:, None]
+        pmf = packet_count_pmf(20.0, packet, battery)
+        mean0, var0 = arrival.residual_moments()
+        gaps = np.arange(pmf.size)
+        m, s = mean0 + gaps * interarrival.mean, np.sqrt(var0 + gaps * interarrival.variance)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            epochs = np.where(s > 0, stats.norm.cdf((grid - m) / s), grid >= m)
+        got = per_packet_cdf(20.0, grid[:, 0], arrival, packet, battery)
+        np.testing.assert_allclose(got, epochs @ pmf, rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize(
         "interarrival, atol",
         [(Exponential(1.0), 0.0), (Gamma(2.0, 0.5), 1e-15), (InverseGaussian(1.0, 2.0), 1e-15)],

@@ -114,6 +114,55 @@ class TestStepUpdate:
         assert step(levels, packets).tobytes() == written.tobytes()
 
 
+class TestPath:
+    """``path``, the one call the engine's kernel makes per drawn [rows, k] block."""
+
+    @staticmethod
+    def block(seed):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(0.0, 20.0, 256), rng.exponential(0.5, (256, 64))
+
+    def test_linear_path_is_a_running_sum_bit_for_bit(self):
+        level, packets = self.block(5)
+        expected = np.empty_like(packets)
+        for r, row in enumerate(packets):
+            total = 0.0
+            for j, x in enumerate(row):
+                total += x
+                expected[r, j] = total + level[r]
+        got = LinearBattery().path(level, packets.copy(), 20.0)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_nonlinear_path_is_advance_per_packet_bit_for_bit(self):
+        level, packets = self.block(6)
+        expected = np.empty_like(packets)
+        for r, row in enumerate(packets):
+            u = level[r]
+            for j, x in enumerate(row):
+                expected[r, j] = u = step(u, x)
+        got = NL.path(level, packets, NL.umax)  # no level goes above umax, so no early stop
+        assert got.shape == packets.shape
+        assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("top", [5.0, 15.0, 22.0, NL.umax])
+    def test_nonlinear_path_stops_after_the_first_column_with_every_row_above_top(self, top):
+        level, packets = self.block(7)
+        full = NL.path(level, packets, NL.umax)
+        above = np.flatnonzero(full.min(axis=0) > top)
+        columns = above[0] + 1 if above.size else 64
+        got = NL.path(level, packets, top)
+        assert got.shape == (256, columns)
+        np.testing.assert_array_equal(got, full[:, :columns])
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["negative", "nan"])
+    @pytest.mark.parametrize("battery", [LinearBattery(), NL], ids=["linear", "nonlinear"])
+    def test_bad_packet_refused(self, battery, bad):
+        level, packets = self.block(8)
+        packets[3, 40] = bad
+        with pytest.raises(ValueError, match="packet energy must be >= 0"):
+            battery.path(level, packets, 20.0)
+
+
 class TestTransformInvariants:
     @pytest.mark.parametrize("umax,beta", [(25.0, 1.1), (10.0, 1.5), (50.0, 2.0)])
     def test_ode_consistency_finite_difference(self, umax, beta):

@@ -372,8 +372,7 @@ class TestRunExperiment:
 
     def test_input_level_worked_out_once_a_curve_plan(self, tmp_path, monkeypatch):
         # each of the 4 curves computes u' once for its ExperimentConfig, whose
-        # moments, packet estimate and pool plan read it, and once more for its
-        # analytic curve
+        # moments, packet estimate, pool plan and analytic curve read it
         calls = []
         inner = NonLinearBattery.input_for_level
 
@@ -388,7 +387,7 @@ class TestRunExperiment:
         parsed = parse_config(text)
         monkeypatch.setattr(NonLinearBattery, "input_for_level", counted)
         run_experiment(parsed, tmp_path)
-        assert len(calls) == 8
+        assert len(calls) == 4
 
     def test_tolerance_breach_flag(self, tmp_path):
         p = parse_config(PANEL_A_LINEAR + "ks_tolerance = 1e-9")
