@@ -6,13 +6,13 @@ threshold. ``run`` is the one entry point, and one kernel serves it: it
 advances a chunk of ``CHUNK`` replications as arrays. A single replication is
 a run of one. Chunk c draws from its own generator, child c of
 SeedSequence(seed): the residual first wait of every row, then [CHUNK, 64]
-blocks of inter-arrivals and packets, drawn whole until every row has crossed
-the top threshold. A
-replication's draws thus depend only on the seed, its chunk and the block
-index, not on the threshold, the battery, the worker count or the number of
-replications. So results are bitwise reproducible for a given seed across
-worker counts, configs that share a seed see common random numbers, and a
-longer run starts with the taus of a shorter one.
+blocks of inter-arrivals and packets, drawn whole. The rows the run keeps
+step through every block, crossed or not, until all of them are above the
+top threshold. A replication's draws thus depend only on the seed, its chunk
+and the block index, not on the threshold, the battery, the worker count or
+the number of replications. So results are bitwise reproducible for a given
+seed across worker counts, configs that share a seed see common random
+numbers, and a longer run starts with the taus of a shorter one.
 
 Each drawn block of packets goes through one ``battery.path`` call, which
 checks it once, before the levels take it in, and returns the level after
@@ -75,7 +75,8 @@ _MAX_PACKETS = 10**9
 # packets cost about 4x more; 1e6 bounds the wall time lost either way to
 # about 1.3x.
 _POOL_BREAK_EVEN = 10**6
-# Expected packets, summed over its replications, that one config may draw.
+# Expected packets that one config may draw, counted over the whole chunks of
+# ``CHUNK`` rows the kernel steps, however few of their rows the run keeps.
 _PACKET_BUDGET = 10**9
 
 
@@ -88,9 +89,9 @@ class ExperimentConfig:
     """One run: its laws, battery, threshold, replications and seed.
 
     Construction refuses, in this order, replications < 1, a seed < 0, a
-    threshold outside (0, capacity) and more than
-    ``_PACKET_BUDGET`` ``expected_packets``, each with a ValueError before
-    anything runs.
+    threshold outside (0, capacity) and more than ``_PACKET_BUDGET``
+    expected packets over the rows its chunks draw, each with a ValueError
+    before anything runs.
     """
 
     arrival: ArrivalProcess
@@ -109,12 +110,13 @@ class ExperimentConfig:
         # the level is capped at capacity, so it can never exceed u = capacity
         if not 0.0 < self.threshold < cap:
             raise ValueError(f"threshold {self.threshold} outside (0, {cap})")
-        work = self.expected_packets
+        rows = _n_chunks(self.replications) * CHUNK
+        work = rows * self.expected_packets / self.replications
         if work > _PACKET_BUDGET:
             raise ValueError(
-                f"u = {self.threshold:g} with packet mean {self.packet.mean:g} needs about "
-                f"{work:.2g} packets over {self.replications} replications, more than the "
-                f"budget of {_PACKET_BUDGET:.0e}"
+                f"u = {self.threshold:g} with packet mean {self.packet.mean:g} draws about "
+                f"{work:.2g} packets over {rows} rows (replications = {self.replications}, drawn in "
+                f"chunks of {CHUNK}), more than the budget of {_PACKET_BUDGET:.0e}"
             )
 
     @cached_property
@@ -165,12 +167,13 @@ def _simulate_chunk(config: ExperimentConfig, levels: np.ndarray, rng: np.random
     ``levels`` ascend. The chunk draws the residual wait of all ``CHUNK``
     rows, then [CHUNK, 64] blocks of inter-arrivals and packets until each of
     its first ``rows`` rows is above the top level. Blocks are drawn whole,
-    for finished rows too, so every row's draws depend only on ``rng`` and
-    the block index. ``battery.path`` checks each block's packets and gives
-    the active rows' level after each one, up to a column where every row is
-    above the top. A row's level never falls, so the levels it has crossed
-    by a block's end are a prefix of ``levels``, read off its last column;
-    the block passes those past the prefix it had crossed before.
+    so every row's draws depend only on ``rng`` and the block index, and the
+    first ``rows`` rows of each, a [rows, 64] view, are stepped whole, the
+    rows above the top too. ``battery.path`` checks those packets and gives
+    each row's level after each one, up to a column where every row is above
+    the top. A row's level never falls, so the levels it has crossed by a
+    block's end are a prefix of ``levels``, read off its last column; the
+    block passes those past the prefix it had crossed before.
     """
     top = levels[-1]
     arr = config.arrival
@@ -178,12 +181,10 @@ def _simulate_chunk(config: ExperimentConfig, levels: np.ndarray, rng: np.random
     level = np.zeros(rows)
     taus = np.empty((levels.size, rows))
     ks = np.arange(levels.size)
-    passed = np.zeros(rows, dtype=np.intp)  # levels each active row has crossed
-    active = np.arange(rows)  # rows not yet above the top; t, level and passed follow them
-    pick = slice(rows)  # the same rows of a drawn block; a view while all are active
+    passed = np.zeros(rows, dtype=np.intp)  # levels each row has crossed
     for _ in range(0, _MAX_PACKETS, _BLOCK):
-        gaps = arr.interarrival.sample(rng, (CHUNK, _BLOCK))[pick]
-        path = config.battery.path(level, config.packet.sample(rng, (CHUNK, _BLOCK))[pick], top)
+        gaps = arr.interarrival.sample(rng, (CHUNK, _BLOCK))[:rows]
+        path = config.battery.path(level, config.packet.sample(rng, (CHUNK, _BLOCK))[:rows], top)
         now = np.searchsorted(levels, path[:, -1])  # levels strictly below each row's last level
         crossed = np.flatnonzero(now > passed)
         if crossed.size:
@@ -193,14 +194,10 @@ def _simulate_chunk(config: ExperimentConfig, levels: np.ndarray, rng: np.random
             new, k = np.nonzero((passed[crossed, None] <= ks) & (ks < now[crossed, None]))
             rows_k = crossed[new]
             first = (path[rows_k] > levels[k, None]).argmax(axis=1)
-            taus[k, active[rows_k]] = since_t[new, first] + t[rows_k]
-            left = now < levels.size
-            if not left.any():
+            taus[k, rows_k] = since_t[new, first] + t[rows_k]
+            if now.min() == levels.size:
                 return taus
-            active = pick = active[left]
-            level, t, gaps, passed = path[left, -1], t[left], gaps[left], now[left]
-        else:
-            level = path[:, -1]
+        passed, level = now, path[:, -1]
         t = t + gaps.sum(axis=1)
     raise UnreachableThresholdError(
         f"no crossing after {_MAX_PACKETS} packets for config: {config!r}"

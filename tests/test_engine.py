@@ -170,6 +170,40 @@ class TestKernelOracle:
         with pytest.raises(ValueError, match="packet energy must be >= 0"):
             run(c)
 
+    @pytest.mark.parametrize(
+        "battery, u",
+        [(LinearBattery(), 20.0), (NonLinearBattery(umax=25.0, beta=1.1), 10.0)],
+        ids=["linear", "per-packet"],
+    )
+    @pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["negative", "nan"])
+    def test_packet_check_covers_rows_that_have_crossed(self, battery, u, bad):
+        class LateBadPacket:
+            """Packets of 0.25, but row 0 starts with 1000 and gets one bad packet in the second block."""
+
+            mean = 0.25
+
+            def __init__(self):
+                self.blocks = 0
+
+            def sample(self, rng, size):
+                self.blocks += 1
+                packets = np.full(size, self.mean)
+                if self.blocks == 1:
+                    packets[0, 0] = 1000.0
+                if self.blocks == 2:
+                    packets[0, 0] = bad
+                return packets
+
+            def config_str(self):
+                return "late-bad"
+
+        # row 0 crosses with its first packet; every other row crosses with
+        # its 81st (linear, u = 20) or 75th (per-packet, u = 10) packet, in
+        # the second block, where row 0's packets are checked too
+        c = cfg(packet=LateBadPacket(), battery=battery, threshold=u, replications=CHUNK)
+        with pytest.raises(ValueError, match="packet energy must be >= 0"):
+            run(c)
+
 
 class TestRun:
     def test_reproducible_and_seed_sensitive(self):
@@ -473,6 +507,13 @@ class TestValidation:
         # 4e7 packets a replication, 8e10 in all: refused before anything runs
         with pytest.raises(ValueError, match=r"u = 20 with packet mean 5e-07 .* budget of 1e\+09"):
             cfg(packet=Uniform(0.0, 1e-6))
+
+    def test_packet_budget_counts_the_whole_chunk(self):
+        # one replication of about 2e7 packets, but its chunk draws 256 rows,
+        # 5.1e9 packets; at rate 1.95e5 the chunk draws 1.0e9 and is accepted
+        with pytest.raises(ValueError, match=r"u = 20 with packet mean 1e-06 draws about 5\.1e\+09 packets over 256 rows"):
+            cfg(packet=Exponential(1e6), replications=1)
+        cfg(packet=Exponential(1.95e5), replications=1)
 
     def test_packet_limit_names_the_config(self, monkeypatch):
         # 2001 packets of 0.01 to pass u = 20, past a limit of two blocks
