@@ -16,7 +16,9 @@ kernel calls it on every drawn block without knowing which rule it runs. A
 linear battery's levels are a running sum of its packets; a non-linear one
 steps per packet, U <- min(U + eta(U) X, umax) (``advance``), whose
 recharge-time CDF is ``analytic.per_packet_cdf``. Under both rules a level
-never falls.
+never falls, so every row of a ``path`` is non-decreasing from the row's
+start level: the kernel counts a row's path values at or below a threshold
+to find the packet that lifts it above, and relies on this.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ class LinearBattery(Spec):
 
         The block is checked first (``check_packets``), and the sum is taken
         in place of the packets. The whole block is summed, whatever ``top``,
-        which is below the capacity.
+        which is below the capacity. Packets are non-negative, so no row
+        falls: each is non-decreasing and starts at or above its ``level``.
         """
         packets = check_packets(packets)
         # no capacity clip: top < capacity, so a clip would move no crossing of
@@ -155,9 +158,11 @@ class NonLinearBattery(Spec):
         """Levels after each packet of a [rows, k] block from the rows' ``level``, one in-place ``advance`` per packet.
 
         The block is checked first (``check_packets``); each column of a
-        contiguous transposed copy then steps unchecked. The level never
-        falls, so the path stops early, with j + 1 columns, at the first
-        column j where every row is above ``top``.
+        contiguous transposed copy then steps unchecked. No row falls, since
+        a step adds eta(U) X >= 0 and caps at umax >= U: each is
+        non-decreasing and starts at or above its ``level``. So the path
+        stops early, with j + 1 columns, at the first column j where every
+        row is above ``top``.
         """
         columns = np.ascontiguousarray(check_packets(packets).T)
         path = np.empty_like(columns)

@@ -23,14 +23,15 @@ needs no path of its own: its taus are those of an uncapped linear battery at
 u' = ``battery.input_for_level(u)``, same seed.
 
 A stream is the configs that differ only in their threshold: they draw the
-same values and their levels follow the same paths. Under both rules a level
-never falls, in floating point too (a linear level adds non-negative packets;
-a per-packet step adds eta(U) X >= 0 and caps at umax >= U), so the
-thresholds a row has crossed by a block's end are a prefix of the sorted
-thresholds. The kernel thus takes a stream's ascending levels and finds the
-passage times of all of them in one pass, each bit for bit what a run at that
-level alone gives: one step per block reads every (row, level) pair the block
-passes and the first packet above each.
+same values and their levels follow the same paths. The kernel takes a
+stream's ascending levels and finds the passage times of all of them in one
+pass, each bit for bit what a run at that level alone gives, by one count.
+It relies on one contract of ``battery.path``: a row's level never falls, in
+floating point too (a linear level adds non-negative packets; a per-packet
+step adds eta(U) X >= 0 and caps at umax >= U). So the number of a block's
+path values at or below a level is the index of the packet that lifts the row
+above it, and the block passes that level if the index is inside the path
+and the row began the block at or below the level.
 
 ``workers`` is an upper bound, and one stream plan serves the CLI and library
 callers alike: ``Streams`` groups a ``worker_pool``'s configs into streams
@@ -171,33 +172,29 @@ def _simulate_chunk(config: ExperimentConfig, levels: np.ndarray, rng: np.random
     first ``rows`` rows of each, a [rows, 64] view, are stepped whole, the
     rows above the top too. ``battery.path`` checks those packets and gives
     each row's level after each one, up to a column where every row is above
-    the top. A row's level never falls, so the levels it has crossed by a
-    block's end are a prefix of ``levels``, read off its last column; the
-    block passes those past the prefix it had crossed before.
+    the top. A row's level never falls, so for each [level, row] the count of
+    its path values at or below the level is the index of the packet that
+    lifts it above; the block passes the pairs whose index is inside the path
+    and whose row began the block at or below the level. The count runs on a
+    [levels, rows, k] array reduced over its last axis.
     """
     top = levels[-1]
     arr = config.arrival
     t = arr.residual_sample(rng, CHUNK)[:rows]  # epoch of each row's next packet
     level = np.zeros(rows)
     taus = np.empty((levels.size, rows))
-    ks = np.arange(levels.size)
-    passed = np.zeros(rows, dtype=np.intp)  # levels each row has crossed
     for _ in range(0, _MAX_PACKETS, _BLOCK):
         gaps = arr.interarrival.sample(rng, (CHUNK, _BLOCK))[:rows]
         path = config.battery.path(level, config.packet.sample(rng, (CHUNK, _BLOCK))[:rows], top)
-        now = np.searchsorted(levels, path[:, -1])  # levels strictly below each row's last level
-        crossed = np.flatnonzero(now > passed)
-        if crossed.size:
-            since_t = np.zeros((crossed.size, _BLOCK))  # each packet's epoch less t
-            np.cumsum(gaps[crossed, :-1], axis=1, out=since_t[:, 1:])
-            # each (row of crossed, level) pair the block passes
-            new, k = np.nonzero((passed[crossed, None] <= ks) & (ks < now[crossed, None]))
-            rows_k = crossed[new]
-            first = (path[rows_k] > levels[k, None]).argmax(axis=1)
-            taus[k, rows_k] = since_t[new, first] + t[rows_k]
-            if now.min() == levels.size:
-                return taus
-        passed, level = now, path[:, -1]
+        since_t = np.zeros((rows, _BLOCK))  # each packet's epoch less t
+        np.cumsum(gaps[:, :-1], axis=1, out=since_t[:, 1:])
+        # [levels, rows] index of the packet that lifts each row above each level
+        first = np.count_nonzero(path <= levels[:, None, None], axis=2)
+        k, r = np.nonzero((first < path.shape[1]) & (level <= levels[:, None]))
+        taus[k, r] = since_t[r, first[k, r]] + t[r]
+        level = path[:, -1]
+        if level.min() > top:
+            return taus
         t = t + gaps.sum(axis=1)
     raise UnreachableThresholdError(
         f"no crossing after {_MAX_PACKETS} packets for config: {config!r}"

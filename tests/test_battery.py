@@ -154,6 +154,25 @@ class TestPath:
         assert got.shape == (256, columns)
         np.testing.assert_array_equal(got, full[:, :columns])
 
+    @pytest.mark.parametrize("seed", [9, 10, 11])
+    @pytest.mark.parametrize("battery", [LinearBattery(), NL], ids=["linear", "nonlinear"])
+    def test_no_row_falls(self, battery, seed):
+        # the engine's kernel counts a row's path values at or below a level
+        # to find the packet that lifts it above, which needs this contract
+        rng = np.random.default_rng(seed)
+        level = rng.uniform(0.0, NL.umax, 256)
+        level[:2] = 0.0, NL.umax
+        packets = rng.exponential(2.0, (256, 64))
+        packets[rng.random((256, 64)) < 0.1] = 0.0
+        packets[rng.random((256, 64)) < 0.05] = 1e3  # lifts a non-linear level to umax in one packet
+        assert (packets == 0.0).any()
+        path = battery.path(level, packets.copy(), NL.umax)  # no level goes above umax, so no early stop
+        assert path.shape == packets.shape
+        assert (np.diff(path, axis=1) >= 0.0).all()
+        assert (path[:, 0] >= level).all()
+        if battery is NL:
+            assert (path == NL.umax).any(axis=1).mean() > 0.9
+
     @pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["negative", "nan"])
     @pytest.mark.parametrize("battery", [LinearBattery(), NL], ids=["linear", "nonlinear"])
     def test_bad_packet_refused(self, battery, bad):

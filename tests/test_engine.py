@@ -139,6 +139,35 @@ class TestKernelOracle:
         assert low_taus.tobytes() == replay_chunk_0(low).tobytes()
 
     @pytest.mark.parametrize(
+        "battery, packets",
+        [(LinearBattery(), 70), (NonLinearBattery(umax=25.0, beta=1.1), 15)],
+        ids=["linear", "per-packet"],
+    )
+    def test_one_packet_passes_two_levels(self, battery, packets):
+        # unit packets give every row the same path; both levels sit between
+        # its values after ``packets`` and ``packets + 1`` packets, so one
+        # packet lifts every row above both: in block 1 (linear) or block 0
+        # (per-packet)
+        lifts = battery.path(np.zeros(1), np.ones((1, 128)), np.inf)[0]
+        below, above = lifts[packets - 1], lifts[packets]
+        lower, upper = below + (above - below) * np.array([0.25, 0.75])
+        assert np.searchsorted(lifts, lower) == np.searchsorted(lifts, upper) == packets
+        c = cfg(
+            arrival=ArrivalProcess(Gamma(1.5, 2.0)),
+            packet=Deterministic(1.0),
+            battery=battery,
+            threshold=upper,
+            replications=200,
+            seed=9,
+        )
+        low = dataclasses.replace(c, threshold=lower)
+        with worker_pool(1, [c, low]) as streams:
+            taus, low_taus = (run(x, pool=streams).taus for x in (c, low))
+        assert taus.tobytes() == replay_chunk_0(c).tobytes()
+        assert low_taus.tobytes() == replay_chunk_0(low).tobytes()
+        assert taus.tobytes() == low_taus.tobytes()
+
+    @pytest.mark.parametrize(
         "battery, u",
         [(LinearBattery(), 20.0), (NonLinearBattery(umax=25.0, beta=1.1), 10.0)],
         ids=["linear", "per-packet"],
