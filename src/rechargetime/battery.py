@@ -79,9 +79,12 @@ class LinearBattery(Spec):
         """Levels after each packet of a [rows, k] block from the rows' ``level``: the running sum.
 
         The block is checked first (``check_packets``), and the sum is taken
-        in place of the packets. The whole block is summed, whatever ``top``,
-        which is below the capacity. Packets are non-negative, so no row
-        falls: each is non-decreasing and starts at or above its ``level``.
+        in place of the packets: the path returned is the caller's packet
+        array, overwritten, so a caller that draws into that array again
+        copies out what it keeps of the path first. The whole block is
+        summed, whatever ``top``, which is below the capacity. Packets are
+        non-negative, so no row falls: each is non-decreasing and starts at
+        or above its ``level``.
         """
         packets = check_packets(packets)
         # no capacity clip: top < capacity, so a clip would move no crossing of
@@ -155,19 +158,22 @@ class NonLinearBattery(Spec):
         return np.minimum(out, self.umax, out=out)
 
     def path(self, level: np.ndarray, packets: np.ndarray, top: float) -> np.ndarray:
-        """Levels after each packet of a [rows, k] block from the rows' ``level``, one in-place ``advance`` per packet.
+        """Levels after each packet of a [rows, k] block from the rows' ``level``, one ``advance`` per packet.
 
-        The block is checked first (``check_packets``); each column of a
-        contiguous transposed copy then steps unchecked. No row falls, since
-        a step adds eta(U) X >= 0 and caps at umax >= U: each is
-        non-decreasing and starts at or above its ``level``. So the path
-        stops early, with j + 1 columns, at the first column j where every
-        row is above ``top``.
+        The block is checked first (``check_packets``) and copied once,
+        transposed and contiguous; the path is that copy, stepped in place:
+        each packet column, unchecked, is replaced by the levels after it,
+        which ``advance`` writes into a [rows] scratch first. The caller's
+        packets and ``level`` are left as they were. No row falls, since a
+        step adds eta(U) X >= 0 and caps at umax >= U: each is non-decreasing
+        and starts at or above its ``level``. So the path stops early, with
+        j + 1 columns, at the first column j where every row is above ``top``.
         """
-        columns = np.ascontiguousarray(check_packets(packets).T)
-        path = np.empty_like(columns)
-        for j, x in enumerate(columns):
-            level = self.advance(level, x, path[j])
+        path = np.ascontiguousarray(check_packets(packets).T)  # packet j in row j, then its level
+        step = np.empty_like(level)
+        for j, x in enumerate(path):
+            x[...] = self.advance(level, x, step)
+            level = x
             if level.min() > top:
                 return path[: j + 1].T
         return path.T

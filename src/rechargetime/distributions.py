@@ -21,6 +21,15 @@ constructors refuse a non-finite or out-of-range parameter, and one whose mean,
 variance or third raw moment is not a finite float.
 Specs are immutable; random streams (``numpy.random.Generator``) are passed
 in by the caller and never stored.
+
+Every law's one sampler is ``sample(rng, size=None, out=None)``. With neither
+``size`` nor ``out`` it draws a Python float; with ``size`` a new array; with
+``out``, a C-contiguous float64 array, it draws into ``out`` and returns it.
+A draw into ``out`` equals ``sample(rng, out.shape)`` bit for bit and leaves
+``rng`` in the same state: each law scales its standard draw in place
+(``standard_exponential``, ``standard_gamma``, ``random``), copies in what
+``wald`` draws, or fills its point mass. So the engine draws every block into
+buffers it keeps, with the same values.
 """
 
 from __future__ import annotations
@@ -139,8 +148,10 @@ class Exponential(Spec):
     def third_raw_moment(self) -> float:
         return 6.0 / self.rate**3
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.exponential(scale=1.0 / self.rate, size=size)
+    def sample(self, rng: np.random.Generator, size=None, out=None):
+        x = rng.standard_exponential(size, out=out)
+        x *= 1.0 / self.rate
+        return x
 
     def cdf(self, x):
         x = _as_array(x)
@@ -173,9 +184,11 @@ class Gamma(Spec):
         k = self.shape
         return self.scale**3 * k * (k + 1.0) * (k + 2.0)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size=None, out=None):
         # numpy's gamma generator is valid for shape < 1 as well as >= 1
-        return rng.gamma(self.shape, self.scale, size=size)
+        x = rng.standard_gamma(self.shape, size, out=out)
+        x *= self.scale
+        return x
 
     def length_biased_sample(self, rng: np.random.Generator, size=None):
         # x f(x) / mean is the Gamma(shape + 1, scale) density
@@ -211,9 +224,13 @@ class InverseGaussian(Spec):
         r = self.mean / self.shape
         return self.mean**3 * (1.0 + 3.0 * r + 3.0 * r**2)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        # Michael-Schucany-Haas transform with rejection
-        return rng.wald(self.mean, self.shape, size=size)
+    def sample(self, rng: np.random.Generator, size=None, out=None):
+        # Michael-Schucany-Haas transform with rejection; wald has no ``out``, so its draws are copied in
+        x = rng.wald(self.mean, self.shape, size=size if out is None else out.shape)
+        if out is None:
+            return x
+        out[...] = x
+        return out
 
     def length_biased_sample(self, rng: np.random.Generator, size=None):
         # x f(x) / mean is the law of IG(mean, shape) + (mean^2/shape) chi^2_1
@@ -261,8 +278,11 @@ class Uniform(Spec):
         # (hi^4 - lo^4) / (4 (hi - lo)), factored so that hi^4 cannot overflow
         return (self.hi * self.hi + self.lo * self.lo) * (self.hi + self.lo) / 4.0
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.lo + (self.hi - self.lo) * rng.random(size)
+    def sample(self, rng: np.random.Generator, size=None, out=None):
+        x = rng.random(size, out=out)
+        x *= self.hi - self.lo
+        x += self.lo
+        return x
 
     def length_biased_sample(self, rng: np.random.Generator, size=None):
         # density 2x / (hi^2 - lo^2) on [lo, hi], inverted analytically
@@ -297,10 +317,11 @@ class Deterministic(Spec):
     def third_raw_moment(self) -> float:
         return self.value**3
 
-    def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
+    def sample(self, rng: np.random.Generator, size=None, out=None):
+        if out is None:
+            return self.value if size is None else np.full(size, self.value)
+        out.fill(self.value)
+        return out
 
     # a point mass is its own length-biased law
     length_biased_sample = sample

@@ -6,7 +6,11 @@ threshold. ``run`` is the one entry point, and one kernel serves it: it
 advances a chunk of ``CHUNK`` replications as arrays. A single replication is
 a run of one. Chunk c draws from its own generator, child c of
 SeedSequence(seed): the residual first wait of every row, then [CHUNK, 64]
-blocks of inter-arrivals and packets, drawn whole. The rows the run keeps
+blocks of inter-arrivals and packets, drawn whole. Each law's
+``sample(rng, out=)`` draws a block into buffers that a range of chunks
+allocates once and every block of its chunks reuses, the same draws bit for
+bit as a sized ``sample``; so the block loop allocates nothing of block size
+and does not page-fault its memory back each block. The rows the run keeps
 step through every block, crossed or not, until all of them are above the
 top threshold. A replication's draws thus depend only on the seed, its chunk
 and the block index, not on the threshold, the battery, the worker count or
@@ -162,37 +166,46 @@ CHUNK = 256
 _BLOCK = 64
 
 
-def _simulate_chunk(config: ExperimentConfig, levels: np.ndarray, rng: np.random.Generator, rows: int) -> np.ndarray:
+def _simulate_chunk(
+    config: ExperimentConfig, levels: np.ndarray, rng: np.random.Generator, rows: int, buffers: np.ndarray
+) -> np.ndarray:
     """[levels, rows] passage times of the first ``rows`` replications of a chunk.
 
     ``levels`` ascend. The chunk draws the residual wait of all ``CHUNK``
     rows, then [CHUNK, 64] blocks of inter-arrivals and packets until each of
-    its first ``rows`` rows is above the top level. Blocks are drawn whole,
-    so every row's draws depend only on ``rng`` and the block index, and the
-    first ``rows`` rows of each, a [rows, 64] view, are stepped whole, the
-    rows above the top too. ``battery.path`` checks those packets and gives
-    each row's level after each one, up to a column where every row is above
-    the top. A row's level never falls, so for each [level, row] the count of
-    its path values at or below the level is the index of the packet that
-    lifts it above; the block passes the pairs whose index is inside the path
-    and whose row began the block at or below the level. The count runs on a
-    [levels, rows, k] array reduced over its last axis.
+    its first ``rows`` rows is above the top level. ``buffers`` is the
+    caller's [3, CHUNK, 64] array: every block's gaps and packets are drawn
+    into its first two planes (``sample(rng, out=)``), and each packet's
+    epoch less the block's start is summed into the third, whose column 0
+    the caller keeps at 0; so the block loop allocates nothing of block
+    size. Blocks are drawn whole, so every row's draws depend only on
+    ``rng`` and the block index, and the first ``rows`` rows of each, a
+    [rows, 64] view, are stepped whole, the rows above the top too.
+    ``battery.path`` checks those packets and gives each row's level after
+    each one, up to a column where every row is above the top; it may write
+    in place of the packets, so the rows' levels are copied out of it before
+    the next draw. A row's level never falls, so for each [level, row] the
+    count of its path values at or below the level is the index of the
+    packet that lifts it above; the block passes the pairs whose index is
+    inside the path and whose row began the block at or below the level. The
+    count runs on a [levels, rows, k] array reduced over its last axis.
     """
     top = levels[-1]
     arr = config.arrival
     t = arr.residual_sample(rng, CHUNK)[:rows]  # epoch of each row's next packet
     level = np.zeros(rows)
     taus = np.empty((levels.size, rows))
+    gap_block, packet_block = buffers[0], buffers[1]
+    since_t = buffers[2, :rows]  # each packet's epoch less t; column 0 stays 0
     for _ in range(0, _MAX_PACKETS, _BLOCK):
-        gaps = arr.interarrival.sample(rng, (CHUNK, _BLOCK))[:rows]
-        path = config.battery.path(level, config.packet.sample(rng, (CHUNK, _BLOCK))[:rows], top)
-        since_t = np.zeros((rows, _BLOCK))  # each packet's epoch less t
+        gaps = arr.interarrival.sample(rng, out=gap_block)[:rows]
+        path = config.battery.path(level, config.packet.sample(rng, out=packet_block)[:rows], top)
         np.cumsum(gaps[:, :-1], axis=1, out=since_t[:, 1:])
         # [levels, rows] index of the packet that lifts each row above each level
         first = np.count_nonzero(path <= levels[:, None, None], axis=2)
         k, r = np.nonzero((first < path.shape[1]) & (level <= levels[:, None]))
         taus[k, r] = since_t[r, first[k, r]] + t[r]
-        level = path[:, -1]
+        level = path[:, -1].copy()  # the next draw overwrites a path taken in place of the packets
         if level.min() > top:
             return taus
         t = t + gaps.sum(axis=1)
@@ -210,12 +223,15 @@ def _run_range(config: ExperimentConfig, levels: np.ndarray, start: int, stop: i
 
     The last chunk of the run is cut to the replications left but draws as
     a full chunk, so a longer run starts with the taus of a shorter one.
+    The range allocates the block buffers of ``_simulate_chunk`` once, zeroed,
+    and every chunk reuses them.
     """
     n = config.replications
     children = np.random.SeedSequence(config.seed).spawn(stop)[start:]
+    buffers = np.zeros((3, CHUNK, _BLOCK))
     return np.concatenate(
         [
-            _simulate_chunk(config, levels, np.random.default_rng(child), min(CHUNK, n - c * CHUNK))
+            _simulate_chunk(config, levels, np.random.default_rng(child), min(CHUNK, n - c * CHUNK), buffers)
             for c, child in zip(range(start, stop), children)
         ],
         axis=1,

@@ -110,6 +110,26 @@ def test_deterministic_sampling_is_point_mass():
     assert np.all(Deterministic(3.0).sample(rng, 100) == 3.0)
 
 
+# every law, with gamma shapes either side of 1 and a uniform law off 0
+SAMPLERS = [*LAWS, Gamma(2.0, 0.5), Deterministic(3.0)]
+
+
+@pytest.mark.parametrize("spec", SAMPLERS, ids=lambda s: s.config_str())
+def test_sample_into_out_is_the_sized_draw(spec):
+    # the engine draws every block into a buffer it keeps: the values and the
+    # generator's state after them must be those of a draw of that size
+    rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
+    buf = np.full((256, 64), np.nan)
+    assert spec.sample(rng_a, out=buf) is buf
+    assert buf.tobytes() == spec.sample(rng_b, (256, 64)).tobytes()
+    assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("spec", SAMPLERS, ids=lambda s: s.config_str())
+def test_scalar_draw_is_a_python_float(spec):
+    assert type(spec.sample(np.random.default_rng(17))) is float
+
+
 def test_exponential_sample_mean_band():
     rng = np.random.default_rng(1)
     draws = Exponential(1.0).sample(rng, 10**6)

@@ -182,12 +182,12 @@ class TestKernelOracle:
             def __init__(self):
                 self.blocks = 0
 
-            def sample(self, rng, size):
+            def sample(self, rng, out):
                 self.blocks += 1
-                packets = np.full(size, self.mean)
+                out.fill(self.mean)
                 if self.blocks == 2:
-                    packets[:, 40] = bad
-                return packets
+                    out[:, 40] = bad
+                return out
 
             def config_str(self):
                 return "poisoned"
@@ -214,14 +214,14 @@ class TestKernelOracle:
             def __init__(self):
                 self.blocks = 0
 
-            def sample(self, rng, size):
+            def sample(self, rng, out):
                 self.blocks += 1
-                packets = np.full(size, self.mean)
+                out.fill(self.mean)
                 if self.blocks == 1:
-                    packets[0, 0] = 1000.0
+                    out[0, 0] = 1000.0
                 if self.blocks == 2:
-                    packets[0, 0] = bad
-                return packets
+                    out[0, 0] = bad
+                return out
 
             def config_str(self):
                 return "late-bad"
@@ -320,6 +320,48 @@ class TestChunkedRun:
     def test_longer_run_starts_with_shorter_run(self, short):
         long = run(cfg(threshold=8.0, replications=3 * CHUNK + 7, seed=5)).taus
         np.testing.assert_array_equal(run(cfg(threshold=8.0, replications=short, seed=5)).taus, long[:short])
+
+
+class TestBufferReuse:
+    @pytest.mark.parametrize(
+        "battery, packet, levels",
+        [
+            (LinearBattery(), Exponential(1.0), (20.0, 45.0)),
+            (NonLinearBattery(umax=25.0, beta=1.1), Uniform(0.0, 1.0), (8.0, 18.0)),
+        ],
+        ids=["linear", "per-packet"],
+    )
+    def test_each_chunk_equals_its_range_alone(self, battery, packet, levels, monkeypatch):
+        # one range of three chunks, the last cut to 40 rows, reuses one set
+        # of block buffers. Chunks 0 and 1 step two blocks and chunk 2 one,
+        # and the per-packet path stops within the last block of each chunk.
+        # Chunk 0 must also equal the row-by-row replay, which draws new
+        # arrays per block: a level kept in a buffer that the next draw
+        # overwrites gives the same taus chunk by chunk, but not the replay's
+        c = cfg(packet=packet, battery=battery, threshold=levels[-1], replications=2 * CHUNK + 40, seed=3)
+        levels = np.array(levels)
+        path = type(battery).path
+        columns = []  # per range, the columns of each block's path
+
+        def recorded(self, *args):
+            steps = path(self, *args)
+            columns[-1].append(steps.shape[1])
+            return steps
+
+        monkeypatch.setattr(type(battery), "path", recorded)
+        columns.append([])
+        whole = engine._run_range(c, levels, 0, 3)
+        for chunk in range(3):
+            columns.append([])
+            alone = engine._run_range(c, levels, chunk, chunk + 1)
+            assert alone.tobytes() == whole[:, chunk * CHUNK : (chunk + 1) * CHUNK].tobytes()
+        assert [len(blocks) for blocks in columns[1:]] == [2, 2, 1]
+        assert sum(columns[1:], []) == columns[0]
+        if isinstance(battery, NonLinearBattery):
+            assert all(blocks[-1] < 64 for blocks in columns[1:])
+        for taus, u in zip(whole, levels):
+            replay = replay_chunk_0(dataclasses.replace(c, threshold=u))
+            assert taus[:CHUNK].tobytes() == replay.tobytes()
 
 
 class TestWorkerPool:
