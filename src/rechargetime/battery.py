@@ -14,11 +14,11 @@ through a [rows, k] block of packets, checked once (``check_packets``) before
 any level takes it in, and returns the level after each packet. The engine's
 kernel calls it on every drawn block without knowing which rule it runs. A
 linear battery's levels are a running sum of its packets; a non-linear one
-steps per packet, U <- min(U + eta(U) X, umax) (``advance``), whose
-recharge-time CDF is ``analytic.per_packet_cdf``. Under both rules a level
-never falls, so every row of a ``path`` is non-decreasing from the row's
-start level: the kernel counts a row's path values at or below a threshold
-to find the packet that lifts it above, and relies on this.
+steps per packet, U <- min(U + eta(U) X, umax), whose recharge-time CDF is
+``analytic.per_packet_cdf``. Under both rules a level never falls, so every
+row of a ``path`` is non-decreasing from the row's start level: the kernel
+counts a row's path values at or below a threshold to find the packet that
+lifts it above, and relies on this.
 """
 
 from __future__ import annotations
@@ -146,34 +146,26 @@ class NonLinearBattery(Spec):
             raise ValueError(f"level {u} outside (0, {self.umax}]")
         return self.input_offset + self.b * math.atanh((u - self.a) / self.b)
 
-    def advance(self, U, x, out):
-        """Per-packet rule U <- min(U + eta(U) X, umax) elementwise, written into ``out`` (neither U nor x).
-
-        U and x are not checked: the caller, ``path``, keeps U in [0, umax]
-        and refuses negative or NaN packets (``check_packets``).
-        """
-        self._eta(U, out)
-        out *= x
-        out += U
-        return np.minimum(out, self.umax, out=out)
-
     def path(self, level: np.ndarray, packets: np.ndarray, top: float) -> np.ndarray:
-        """Levels after each packet of a [rows, k] block from the rows' ``level``, one ``advance`` per packet.
+        """Levels after each packet of a [rows, k] block from the rows' ``level``, one step per packet.
 
         The block is checked first (``check_packets``) and copied once,
-        transposed and contiguous; the path is that copy, stepped in place:
-        each packet column, unchecked, is replaced by the levels after it,
-        which ``advance`` writes into a [rows] scratch first. The caller's
-        packets and ``level`` are left as they were. No row falls, since a
-        step adds eta(U) X >= 0 and caps at umax >= U: each is non-decreasing
-        and starts at or above its ``level``. So the path stops early, with
-        j + 1 columns, at the first column j where every row is above ``top``.
+        transposed and C-contiguous; the path is that copy, stepped in place:
+        each packet column x, unchecked, becomes the levels after it, U <-
+        min(U + eta(U) x, umax), through a [rows] scratch for eta(U). The
+        caller's packets and ``level`` are left as they were. No row falls,
+        since a step adds eta(U) x >= 0 and caps at umax >= U: each is
+        non-decreasing and starts at or above its ``level``. So the path stops
+        early, with j + 1 columns, at the first column j where every row is
+        above ``top``.
         """
-        path = np.ascontiguousarray(check_packets(packets).T)  # packet j in row j, then its level
-        step = np.empty_like(level)
+        # np.array copies even where the transpose is already contiguous (one row or one packet)
+        path = np.array(check_packets(packets).T, order="C")  # packet j in row j, then its level
+        eta = np.empty_like(level)
         for j, x in enumerate(path):
-            x[...] = self.advance(level, x, step)
-            level = x
+            x *= self._eta(level, eta)
+            x += level
+            level = np.minimum(x, self.umax, out=x)
             if level.min() > top:
                 return path[: j + 1].T
         return path.T

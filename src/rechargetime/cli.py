@@ -279,10 +279,13 @@ def _curves(parsed: ParsedConfig) -> List[_Curve]:
 
 
 def _analytic_cdf(curve: _Curve, formula: str) -> np.ndarray:
-    """``formula`` on the curve's grid at u' = ``ExperimentConfig.input_threshold``, made a CDF."""
+    """``formula`` on the curve's grid at u' = ``ExperimentConfig.input_threshold``, made non-decreasing.
+
+    Every formula's values are already clipped to [0, 1].
+    """
     config = curve.config
     values = _FORMULAS[formula].cdf(config.input_threshold, curve.grid, config.arrival, config.packet)
-    return np.clip(np.maximum.accumulate(values), 0, 1)
+    return np.maximum.accumulate(values)
 
 
 def _slug(spec: DistributionSpec) -> str:

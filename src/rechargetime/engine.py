@@ -77,8 +77,8 @@ _MAX_PACKETS = 10**9
 # Expected packets, summed over the runs that share a pool, below which they
 # run in this process. Timed on 2 vCPUs, a pool of two broke even near 2e6
 # packets under the linear rule and near 5e5 under the per-packet rule, whose
-# packets cost about 4x more; 1e6 bounds the wall time lost either way to
-# about 1.3x.
+# packets cost about 3x more per expected packet (1.4-1.5x per packet stepped;
+# ROADMAP item 8); 1e6 bounds the wall time lost either way to about 1.3x.
 _POOL_BREAK_EVEN = 10**6
 # Expected packets that one config may draw, counted over the whole chunks of
 # ``CHUNK`` rows the kernel steps, however few of their rows the run keeps.
@@ -227,15 +227,13 @@ def _run_range(config: ExperimentConfig, levels: np.ndarray, start: int, stop: i
     and every chunk reuses them.
     """
     n = config.replications
-    children = np.random.SeedSequence(config.seed).spawn(stop)[start:]
     buffers = np.zeros((3, CHUNK, _BLOCK))
-    return np.concatenate(
-        [
-            _simulate_chunk(config, levels, np.random.default_rng(child), min(CHUNK, n - c * CHUNK), buffers)
-            for c, child in zip(range(start, stop), children)
-        ],
-        axis=1,
-    )
+    taus = []
+    for c in range(start, stop):
+        # child c of SeedSequence(seed), built from its spawn key without spawning the chunks before it
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(c,)))
+        taus.append(_simulate_chunk(config, levels, rng, min(CHUNK, n - c * CHUNK), buffers))
+    return np.concatenate(taus, axis=1)
 
 
 def pool_size(workers: int, replications: int) -> int:

@@ -238,10 +238,11 @@ class TestPerPacketCdf:
     NL = NonLinearBattery(25.0, 1.1)
 
     def test_deterministic_packets_need_eleven(self):
-        # oracle: replay the battery's own update rule packet by packet
+        # oracle: replay the paper's written update rule packet by packet
         level, n = 0.0, 0
         while level <= 20.0:
-            level = float(self.NL.advance(level, 3.0, np.empty(())))
+            d = (level - self.NL.a) / self.NL.b
+            level = min(level + (1.0 - d * d) * 3.0, self.NL.umax)
             n += 1
         assert n == 11
         pmf = packet_count_pmf(20.0, Deterministic(3.0), self.NL)

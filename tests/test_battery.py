@@ -88,9 +88,9 @@ class TestInputForLevel:
 
 
 def step(U, x):
-    """One packet of NL's per-packet rule at levels U, through the kernel's ``advance``."""
-    U, x = np.asarray(U, dtype=float), np.asarray(x, dtype=float)
-    return NL.advance(U, x, np.empty(np.broadcast_shapes(U.shape, x.shape)))[()]
+    """One packet of NL's per-packet rule at levels U: a one-packet block through the kernel's ``path``."""
+    U, x = np.broadcast_arrays(np.asarray(U, dtype=float), np.asarray(x, dtype=float))
+    return NL.path(U.ravel(), x.reshape(-1, 1), NL.umax)[:, 0].reshape(U.shape)[()]
 
 
 class TestStepUpdate:
@@ -153,6 +153,19 @@ class TestPath:
         got = NL.path(level, packets, top)
         assert got.shape == (256, columns)
         np.testing.assert_array_equal(got, full[:, :columns])
+
+    @pytest.mark.parametrize("rows", [256, 1])
+    @pytest.mark.parametrize("top", [15.0, NL.umax])
+    def test_nonlinear_path_leaves_the_callers_arrays_as_they_were(self, top, rows):
+        # the path is stepped in place of its one copy of the block, with and
+        # without an early stop; a one-row block's transpose is contiguous
+        # already, and is copied all the same
+        level, packets = self.block(8)
+        level, packets = level[:rows], packets[:rows]
+        before = level.tobytes(), packets.tobytes()
+        got = NL.path(level, packets, top)
+        assert (got.shape[1] < 64) == (top < NL.umax)
+        assert (level.tobytes(), packets.tobytes()) == before
 
     @pytest.mark.parametrize("seed", [9, 10, 11])
     @pytest.mark.parametrize("battery", [LinearBattery(), NL], ids=["linear", "nonlinear"])

@@ -72,22 +72,24 @@ class TestPassageTime:
         assert np.all(np.abs(epochs - taus[:, None]).min(axis=1) < 1e-9)
 
 
-def replay_chunk_0(c):
-    """Taus of chunk 0 of ``run(c)``, replayed one row and one packet at a time.
+def replay_chunk(c, chunk=0):
+    """Taus of chunk ``chunk`` of ``run(c)``, replayed one row and one packet at a time.
 
-    The draws follow the kernel's schedule: the residual waits of the chunk,
-    then [CHUNK, 64] blocks of inter-arrivals and packets. Within a block a
-    row's epoch is its carried epoch plus a running sum of its gaps. A
-    non-linear battery's level is stepped by ``advance``; a linear one's
-    is the carried level plus a running sum of the block's packets. A block's
-    last level and its gap total carry over to the next block.
+    The chunk draws from child ``chunk`` of SeedSequence(seed), spawned here
+    with all the children before it, and follows the kernel's schedule: the
+    residual waits of the chunk, then [CHUNK, 64] blocks of inter-arrivals
+    and packets. Within a block a row's epoch is its carried epoch plus a
+    running sum of its gaps. A non-linear battery's level is stepped by the
+    paper's written rule, min(U + (1 - ((U - a)/b)^2) x, umax); a linear
+    one's is the carried level plus a running sum of the block's packets. A
+    block's last level and its gap total carry over to the next block.
     """
     per_packet = isinstance(c.battery, NonLinearBattery)
     u = c.threshold
-    rng = np.random.default_rng(np.random.SeedSequence(c.seed).spawn(1)[0])
+    rng = np.random.default_rng(np.random.SeedSequence(c.seed).spawn(chunk + 1)[chunk])
     t = c.arrival.residual_sample(rng, CHUNK)
     level = np.zeros(CHUNK)
-    taus = np.full(min(c.replications, CHUNK), np.nan)
+    taus = np.full(min(c.replications - chunk * CHUNK, CHUNK), np.nan)
     while np.isnan(taus).any():
         gaps = c.arrival.interarrival.sample(rng, (CHUNK, 64))
         packets = c.packet.sample(rng, (CHUNK, 64))
@@ -95,7 +97,8 @@ def replay_chunk_0(c):
             epoch, added, U = 0.0, 0.0, level[r]
             for k in range(64):
                 if per_packet:
-                    U = float(c.battery.advance(U, packets[r, k], np.empty(())))
+                    d = (U - c.battery.a) / c.battery.b
+                    U = min(U + (1.0 - d * d) * packets[r, k], c.battery.umax)
                 else:
                     added += packets[r, k]
                     U = level[r] + added
@@ -135,8 +138,23 @@ class TestKernelOracle:
         low = dataclasses.replace(c, threshold=lower)
         with worker_pool(1, [c, low]) as streams:
             taus, low_taus = (run(x, pool=streams).taus for x in (c, low))
-        assert taus.tobytes() == replay_chunk_0(c).tobytes()
-        assert low_taus.tobytes() == replay_chunk_0(low).tobytes()
+        assert taus.tobytes() == replay_chunk(c).tobytes()
+        assert low_taus.tobytes() == replay_chunk(low).tobytes()
+
+    @pytest.mark.parametrize(
+        "battery, packet, u",
+        [(LinearBattery(), Exponential(1.0), 45.0), (NonLinearBattery(umax=25.0, beta=1.1), Uniform(0.0, 1.0), 18.0)],
+        ids=["linear", "per-packet"],
+    )
+    def test_every_chunk_equals_its_row_by_row_replay(self, battery, packet, u):
+        # TestBufferReuse's run: chunks 0 and 1 step two blocks and chunk 2,
+        # cut to 40 rows, one. The replay spawns each chunk's child of the
+        # seed with every child before it, so a chunk seeded from any other
+        # child fails here
+        c = cfg(packet=packet, battery=battery, threshold=u, replications=2 * CHUNK + 40, seed=3)
+        taus = run(c).taus
+        for chunk in range(3):
+            assert taus[chunk * CHUNK : (chunk + 1) * CHUNK].tobytes() == replay_chunk(c, chunk).tobytes()
 
     @pytest.mark.parametrize(
         "battery, packets",
@@ -163,8 +181,8 @@ class TestKernelOracle:
         low = dataclasses.replace(c, threshold=lower)
         with worker_pool(1, [c, low]) as streams:
             taus, low_taus = (run(x, pool=streams).taus for x in (c, low))
-        assert taus.tobytes() == replay_chunk_0(c).tobytes()
-        assert low_taus.tobytes() == replay_chunk_0(low).tobytes()
+        assert taus.tobytes() == replay_chunk(c).tobytes()
+        assert low_taus.tobytes() == replay_chunk(low).tobytes()
         assert taus.tobytes() == low_taus.tobytes()
 
     @pytest.mark.parametrize(
@@ -360,7 +378,7 @@ class TestBufferReuse:
         if isinstance(battery, NonLinearBattery):
             assert all(blocks[-1] < 64 for blocks in columns[1:])
         for taus, u in zip(whole, levels):
-            replay = replay_chunk_0(dataclasses.replace(c, threshold=u))
+            replay = replay_chunk(dataclasses.replace(c, threshold=u))
             assert taus[:CHUNK].tobytes() == replay.tobytes()
 
 
