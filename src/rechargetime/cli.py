@@ -35,11 +35,12 @@ have no truncation setting: they stop where the packet-sum CDF falls below
 1e-12. The engine's ``worker_pool`` plans from the packet estimates whether
 one process pool for all curves pays. ``workers`` is an upper bound. Exit
 codes: 0 ok, 1 validation error, 2 KS tolerance breach, 3 I/O error.
+``argparse`` is loaded by ``main`` alone, so a library caller of
+``parse_config`` and ``run_experiment`` does not import it.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
@@ -377,6 +378,8 @@ def compare_formulas(parsed: ParsedConfig) -> dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rechargetime",
         description="Recharge-time Monte-Carlo and analytic-curve experiment driver",

@@ -42,17 +42,18 @@ callers alike: ``Streams`` groups a ``worker_pool``'s configs into streams
 once and decides there whether a pool pays, how many processes it gets and
 how each stream's chunks are split over them. ``worker_pool`` only opens the
 pool the plan asks for; ``run`` without one plans for its own config alone.
+The pool's modules (``concurrent.futures`` and ``multiprocessing``) load only
+when a plan opens one, so a run below the break-even never imports them.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +61,9 @@ from .battery import BatteryModel
 from .distributions import DistributionSpec
 from .renewal import ArrivalProcess
 from .stats import CdfCurve, ecdf
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "ExperimentConfig",
@@ -188,7 +192,8 @@ def _simulate_chunk(
     count of its path values at or below the level is the index of the
     packet that lifts it above; the block passes the pairs whose index is
     inside the path and whose row began the block at or below the level. The
-    count runs on a [levels, rows, k] array reduced over its last axis.
+    count runs on a [levels, rows, k] array reduced over its last axis, and
+    the epochs are summed for those k columns only.
     """
     top = levels[-1]
     arr = config.arrival
@@ -200,11 +205,12 @@ def _simulate_chunk(
     for _ in range(0, _MAX_PACKETS, _BLOCK):
         gaps = arr.interarrival.sample(rng, out=gap_block)[:rows]
         path = config.battery.path(level, config.packet.sample(rng, out=packet_block)[:rows], top)
-        np.cumsum(gaps[:, :-1], axis=1, out=since_t[:, 1:])
+        k = path.shape[1]  # the path may stop early, before the block's last packet
+        np.cumsum(gaps[:, : k - 1], axis=1, out=since_t[:, 1:k])
         # [levels, rows] index of the packet that lifts each row above each level
         first = np.count_nonzero(path <= levels[:, None, None], axis=2)
-        k, r = np.nonzero((first < path.shape[1]) & (level <= levels[:, None]))
-        taus[k, r] = since_t[r, first[k, r]] + t[r]
+        i, r = np.nonzero((first < k) & (level <= levels[:, None]))
+        taus[i, r] = since_t[r, first[i, r]] + t[r]
         level = path[:, -1].copy()  # the next draw overwrites a path taken in place of the packets
         if level.min() > top:
             return taus
@@ -293,9 +299,15 @@ def worker_pool(workers: int, configs: Sequence[ExperimentConfig]) -> Iterator[S
 
     Open it once and pass it to the ``run`` of each config. Once the block
     exits, the streams drop the shut pool and simulate in this process.
+    ``ProcessPoolExecutor`` is imported here, and only when the plan opens a
+    pool: a plan of one process loads none of the pool's modules.
     """
     streams = Streams(workers, configs)
-    pool = ProcessPoolExecutor(max_workers=streams.processes) if streams.processes > 1 else nullcontext()
+    pool = nullcontext()
+    if streams.processes > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=streams.processes)
     with pool as streams.executor:
         try:
             yield streams

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from rechargetime import engine
@@ -32,7 +34,9 @@ def fake_pools(monkeypatch):
     """Every pool the engine constructs, none of which starts a process.
 
     The machine appears to have 64 CPUs, so the pool size is set by the
-    workers and the chunks alone.
+    workers and the chunks alone. ``worker_pool`` imports
+    ``ProcessPoolExecutor`` from ``concurrent.futures`` when it opens a pool,
+    so the fake is put there.
     """
     made = []
 
@@ -40,7 +44,7 @@ def fake_pools(monkeypatch):
         made.append(FakePool(max_workers))
         return made[-1]
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
     return made
 

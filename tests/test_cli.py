@@ -607,3 +607,32 @@ def test_cli_path_never_imports_scipy(config, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[False, False]"
+
+
+POOL_PROBE = """
+import sys
+from pathlib import Path
+from rechargetime.cli import compare_formulas, parse_config, run_experiment
+config, command, out = sys.argv[1:]
+parsed = parse_config(Path(config).read_text())
+if command == "compare":
+    compare_formulas(parsed)
+else:
+    run_experiment(parsed, Path(out))
+print([m for m in ("concurrent.futures", "multiprocessing", "argparse") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("config", sorted((ROOT / "perfbench" / "workloads").glob("*.cfg")), ids=lambda p: p.stem)
+def test_workload_below_the_break_even_loads_no_pool_or_argparse(config, tmp_path):
+    # each workload, at its own replications, runs below the engine's pool
+    # break-even; the pool's modules load only for a pool and argparse only
+    # for main, so neither is set-up time of a library run
+    command = "compare" if config.stem.startswith("compare") else "run"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", POOL_PROBE, str(config), command, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
