@@ -11,8 +11,11 @@ evaluates.
 
 Each battery's ``path`` is its charging rule: it steps the rows' levels
 through a [rows, k] block of packets, checked once (``check_packets``) before
-any level takes it in, and returns the level after each packet. The engine's
-kernel calls it on every drawn block without knowing which rule it runs. A
+any level takes it in, and returns the level after each packet, written into
+``out``, a block-sized array the caller may keep (a new one if None). Under
+both rules the caller's packets and levels are left as they were. The
+engine's kernel calls it on every drawn block, with a plane it keeps as
+``out``, without knowing which rule it runs. A
 linear battery's levels are a running sum of its packets; a non-linear one
 steps per packet, U <- min(U + eta(U) X, umax), whose recharge-time CDF is
 ``analytic.per_packet_cdf``. Under both rules a level never falls, so every
@@ -75,21 +78,20 @@ class LinearBattery(Spec):
             raise ValueError(f"level {u} outside (0, {self.capacity}]")
         return u
 
-    def path(self, level: np.ndarray, packets: np.ndarray, top: float) -> np.ndarray:
+    def path(self, level: np.ndarray, packets: np.ndarray, top: float, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Levels after each packet of a [rows, k] block from the rows' ``level``: the running sum.
 
         The block is checked first (``check_packets``), and the sum is taken
-        in place of the packets: the path returned is the caller's packet
-        array, overwritten, so a caller that draws into that array again
-        copies out what it keeps of the path first. The whole block is
-        summed, whatever ``top``, which is below the capacity. Packets are
-        non-negative, so no row falls: each is non-decreasing and starts at
-        or above its ``level``.
+        into ``out``, a C-contiguous float array of the block's shape (a new
+        one if None); the path returned is ``out``. The caller's packets and
+        ``level`` are left as they were. The whole block is summed, whatever
+        ``top``, which is below the capacity. Packets are non-negative, so no
+        row falls: each is non-decreasing and starts at or above its ``level``.
         """
         packets = check_packets(packets)
         # no capacity clip: top < capacity, so a clip would move no crossing of
         # a level up to top and leave every row still below top as it is
-        path = np.cumsum(packets, axis=1, out=packets)
+        path = np.cumsum(packets, axis=1, out=np.empty_like(packets) if out is None else out)
         path += level[:, None]
         return path
 
@@ -146,21 +148,24 @@ class NonLinearBattery(Spec):
             raise ValueError(f"level {u} outside (0, {self.umax}]")
         return self.input_offset + self.b * math.atanh((u - self.a) / self.b)
 
-    def path(self, level: np.ndarray, packets: np.ndarray, top: float) -> np.ndarray:
+    def path(self, level: np.ndarray, packets: np.ndarray, top: float, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Levels after each packet of a [rows, k] block from the rows' ``level``, one step per packet.
 
         The block is checked first (``check_packets``) and copied once,
-        transposed and C-contiguous; the path is that copy, stepped in place:
-        each packet column x, unchecked, becomes the levels after it, U <-
-        min(U + eta(U) x, umax), through a [rows] scratch for eta(U). The
+        transposed, into the memory of ``out``, a C-contiguous float array of
+        the block's shape (a new one if None), read as [k, rows]; the path is
+        that copy, stepped in place, and is returned as a transposed view of
+        ``out``. Each packet column x, unchecked, becomes the levels after it,
+        U <- min(U + eta(U) x, umax), through a [rows] scratch for eta(U). The
         caller's packets and ``level`` are left as they were. No row falls,
         since a step adds eta(U) x >= 0 and caps at umax >= U: each is
         non-decreasing and starts at or above its ``level``. So the path stops
         early, with j + 1 columns, at the first column j where every row is
         above ``top``.
         """
-        # np.array copies even where the transpose is already contiguous (one row or one packet)
-        path = np.array(check_packets(packets).T, order="C")  # packet j in row j, then its level
+        packets = check_packets(packets)
+        path = (np.empty_like(packets) if out is None else out).reshape(packets.shape[::-1])
+        np.copyto(path, packets.T)  # packet j in row j, then its level
         eta = np.empty_like(level)
         for j, x in enumerate(path):
             x *= self._eta(level, eta)

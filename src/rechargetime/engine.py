@@ -3,26 +3,32 @@
 Each replication replays an arrival stream against a battery model and
 records the first epoch at which the stored energy strictly exceeds the
 threshold. ``run`` is the one entry point, and one kernel serves it: it
-advances a chunk of ``CHUNK`` replications as arrays. A single replication is
+advances chunks of ``CHUNK`` replications as arrays. A single replication is
 a run of one. Chunk c draws from its own generator, child c of
 SeedSequence(seed): the residual first wait of every row, then [CHUNK, 64]
-blocks of inter-arrivals and packets, drawn whole. Each law's
-``sample(rng, out=)`` draws a block into buffers that a range of chunks
-allocates once and every block of its chunks reuses, the same draws bit for
-bit as a sized ``sample``; so the block loop allocates nothing of block size
-and does not page-fault its memory back each block. The rows the run keeps
-step through every block, crossed or not, until all of them are above the
-top threshold. A replication's draws thus depend only on the seed, its chunk
-and the block index, not on the threshold, the battery, the worker count or
-the number of replications. So results are bitwise reproducible for a given
-seed across worker counts, configs that share a seed see common random
-numbers, and a longer run starts with the taus of a shorter one.
+blocks of inter-arrivals and packets, drawn whole. A range of chunks steps
+them in groups of up to ``_GROUP``: each chunk of a group draws its blocks
+into its own rows of three [group CHUNK, 64] planes that the range
+allocates once and every block of its chunks reuses, with each law's
+``sample(rng, out=)``, the same draws bit for bit as a sized ``sample``; so
+the block loop allocates nothing of block size and does not page-fault its
+memory back each block. The rows the run keeps step through every block,
+crossed or not, until all of a chunk's are above the top threshold; from
+then on that chunk draws no more and its rows stand still while the rest of
+its group steps on. A replication's draws thus depend only on the seed, its
+chunk and the block index, not on the group, the threshold, the battery,
+the worker count or the number of replications. So results are bitwise
+reproducible for a given seed across worker counts, configs that share a
+seed see common random numbers, and a longer run starts with the taus of a
+shorter one.
 
-Each drawn block of packets goes through one ``battery.path`` call, which
-checks it once, before the levels take it in, and returns the level after
-each packet by the battery's own rule: a running sum for a linear battery,
-one step per packet for a non-linear one. The kernel does not know which rule
-it runs. The continuous model, the tanh law applied to the cumulative input,
+Each block of a group's kept packets goes through one ``battery.path``
+call, which checks it once, before the levels take it in, and writes the
+level after each packet into the third plane by the battery's own rule: a
+running sum for a linear battery, one step per packet for a non-linear one.
+One call steps up to 1024 rows, so the per-packet rule pays its per-column
+call overhead once for four chunks. The kernel does not know which rule it
+runs. The continuous model, the tanh law applied to the cumulative input,
 needs no path of its own: its taus are those of an uncapped linear battery at
 u' = ``battery.input_for_level(u)``, same seed.
 
@@ -80,9 +86,11 @@ __all__ = [
 _MAX_PACKETS = 10**9
 # Expected packets, summed over the runs that share a pool, below which they
 # run in this process. Timed on 2 vCPUs, a pool of two broke even near 2e6
-# packets under the linear rule and near 5e5 under the per-packet rule, whose
-# packets cost about 3x more per expected packet (1.4-1.5x per packet stepped;
-# ROADMAP item 8); 1e6 bounds the wall time lost either way to about 1.3x.
+# packets under the linear rule and near 5e5 under the per-packet rule; 1e6
+# bounds the wall time lost either way to about 1.3x. That sweep predates
+# stepping chunks four at a time: engine CPU per stepped packet now reads
+# about 19-20 ns under either rule, and per expected packet about 27 ns
+# linear and 56 ns per-packet, 2.1x (ROADMAP item 8).
 _POOL_BREAK_EVEN = 10**6
 # Expected packets that one config may draw, counted over the whole chunks of
 # ``CHUNK`` rows the kernel steps, however few of their rows the run keeps.
@@ -169,52 +177,73 @@ CHUNK = 256
 # rely on the k-th inter-arrival and k-th packet being identical draws.
 _BLOCK = 64
 
+# Chunks a range steps together. Each keeps its own generator and draws, so
+# this sets only how many rows one ``battery.path`` call steps: 1024, where
+# the per-packet rule's per-column call overhead is spread over four times
+# the rows of one chunk.
+_GROUP = 4
 
-def _simulate_chunk(
-    config: ExperimentConfig, levels: np.ndarray, rng: np.random.Generator, rows: int, buffers: np.ndarray
+
+def _simulate_chunks(
+    config: ExperimentConfig, levels: np.ndarray, rngs: Sequence[np.random.Generator], rows: int, buffers: np.ndarray
 ) -> np.ndarray:
-    """[levels, rows] passage times of the first ``rows`` replications of a chunk.
+    """[levels, rows] passage times of the first ``rows`` replications of a group of chunks.
 
-    ``levels`` ascend. The chunk draws the residual wait of all ``CHUNK``
-    rows, then [CHUNK, 64] blocks of inter-arrivals and packets until each of
-    its first ``rows`` rows is above the top level. ``buffers`` is the
-    caller's [3, CHUNK, 64] array: every block's gaps and packets are drawn
-    into its first two planes (``sample(rng, out=)``), and each packet's
-    epoch less the block's start is summed into the third, whose column 0
-    the caller keeps at 0; so the block loop allocates nothing of block
-    size. Blocks are drawn whole, so every row's draws depend only on
-    ``rng`` and the block index, and the first ``rows`` rows of each, a
-    [rows, 64] view, are stepped whole, the rows above the top too.
-    ``battery.path`` checks those packets and gives each row's level after
-    each one, up to a column where every row is above the top; it may write
-    in place of the packets, so the rows' levels are copied out of it before
-    the next draw. A row's level never falls, so for each [level, row] the
-    count of its path values at or below the level is the index of the
-    packet that lifts it above; the block passes the pairs whose index is
-    inside the path and whose row began the block at or below the level. The
-    count runs on a [levels, rows, k] array reduced over its last axis, and
-    the epochs are summed for those k columns only.
+    ``levels`` ascend. Chunk c of the group draws from ``rngs[c]``: the
+    residual wait of its ``CHUNK`` rows, then [CHUNK, 64] blocks of
+    inter-arrivals and packets into its rows [c CHUNK, (c + 1) CHUNK) of the
+    first two planes of the caller's [3, group CHUNK, 64] ``buffers``
+    (``sample(rng, out=)``), until each of its kept rows is above the top
+    level. Only the last chunk of a run is cut, so the kept rows are the
+    first ``rows`` of the group, and each block steps them together, a
+    [rows, 64] view, the rows above the top too. A chunk whose kept rows are
+    all above the top draws no more; its gap and packet rows are zeroed
+    once, so its rows stand still. So every row's draws depend only on its
+    chunk's generator and the block index, not on the group, and the block
+    loop allocates nothing of block size.
+
+    ``battery.path`` checks the kept packets and writes each row's level
+    after each one into the third plane, up to a column where every row is
+    above the top; the levels are copied out of it before the next block. A
+    row's level never falls, so for each [level, row] the count of its path
+    values at or below the level is the index of the packet that lifts it
+    above; the block passes the pairs whose index is inside the path and
+    whose row began the block at or below the level. The count runs on a
+    [levels, rows, k] array reduced over its last axis. The gap plane is
+    summed along each row, for the carried epoch, and then takes its own
+    running sum in place over the path's first k - 1 columns, so a packet
+    f > 0 of a row lands at the carried epoch plus the row's first f gaps.
     """
     top = levels[-1]
     arr = config.arrival
-    t = arr.residual_sample(rng, CHUNK)[:rows]  # epoch of each row's next packet
+    t = np.concatenate([arr.residual_sample(rng, CHUNK) for rng in rngs])[:rows]  # epoch of each row's next packet
     level = np.zeros(rows)
     taus = np.empty((levels.size, rows))
-    gap_block, packet_block = buffers[0], buffers[1]
-    since_t = buffers[2, :rows]  # each packet's epoch less t; column 0 stays 0
+    gaps, packets, scratch = buffers[:, :rows]
+    own = [buffers[:2, c * CHUNK : (c + 1) * CHUNK] for c in range(len(rngs))]  # each chunk's gap and packet rows
+    firsts = np.arange(0, rows, CHUNK)  # each chunk's first kept row
+    drawing = list(range(len(rngs)))  # the chunks with a kept row at or below the top
     for _ in range(0, _MAX_PACKETS, _BLOCK):
-        gaps = arr.interarrival.sample(rng, out=gap_block)[:rows]
-        path = config.battery.path(level, config.packet.sample(rng, out=packet_block)[:rows], top)
+        for c in drawing:
+            arr.interarrival.sample(rngs[c], out=own[c][0])
+            config.packet.sample(rngs[c], out=own[c][1])
+        path = config.battery.path(level, packets, top, scratch)
         k = path.shape[1]  # the path may stop early, before the block's last packet
-        np.cumsum(gaps[:, : k - 1], axis=1, out=since_t[:, 1:k])
+        block_time = gaps.sum(axis=1)
+        np.cumsum(gaps[:, : k - 1], axis=1, out=gaps[:, : k - 1])  # the path's packets need k - 1 gaps
         # [levels, rows] index of the packet that lifts each row above each level
         first = np.count_nonzero(path <= levels[:, None, None], axis=2)
         i, r = np.nonzero((first < k) & (level <= levels[:, None]))
-        taus[i, r] = since_t[r, first[i, r]] + t[r]
-        level = path[:, -1].copy()  # the next draw overwrites a path taken in place of the packets
+        f = first[i, r]
+        taus[i, r] = t[r] + np.where(f > 0, gaps[r, f - 1], 0.0)
+        np.copyto(level, path[:, -1])  # the next block's path overwrites this one
         if level.min() > top:
             return taus
-        t = t + gaps.sum(axis=1)
+        t += block_time
+        finished = np.minimum.reduceat(level, firsts) > top
+        for c in [c for c in drawing if finished[c]]:
+            drawing.remove(c)
+            own[c][:] = 0.0  # its rows stand still from here on
     raise UnreachableThresholdError(
         f"no crossing after {_MAX_PACKETS} packets for config: {config!r}"
     )
@@ -227,18 +256,22 @@ def _n_chunks(replications: int) -> int:
 def _run_range(config: ExperimentConfig, levels: np.ndarray, start: int, stop: int) -> np.ndarray:
     """[levels, rows] passage times of chunks [start, stop); chunk c draws from child c of the seed.
 
-    The last chunk of the run is cut to the replications left but draws as
-    a full chunk, so a longer run starts with the taus of a shorter one.
-    The range allocates the block buffers of ``_simulate_chunk`` once, zeroed,
-    and every chunk reuses them.
+    The range steps its chunks in groups of up to ``_GROUP``, one
+    ``_simulate_chunks`` call each. The last chunk of the run is cut to the
+    replications left but draws as a full chunk, so a longer run starts with
+    the taus of a shorter one. The range allocates the block buffers of
+    ``_simulate_chunks`` once, for its largest group, and every group reuses
+    them.
     """
     n = config.replications
-    buffers = np.zeros((3, CHUNK, _BLOCK))
+    buffers = np.empty((3, min(_GROUP, stop - start) * CHUNK, _BLOCK))
     taus = []
-    for c in range(start, stop):
+    for first in range(start, stop, _GROUP):
+        chunks = range(first, min(first + _GROUP, stop))
         # child c of SeedSequence(seed), built from its spawn key without spawning the chunks before it
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(c,)))
-        taus.append(_simulate_chunk(config, levels, rng, min(CHUNK, n - c * CHUNK), buffers))
+        rngs = [np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(c,))) for c in chunks]
+        rows = min(n, chunks.stop * CHUNK) - first * CHUNK
+        taus.append(_simulate_chunks(config, levels, rngs, rows, buffers))
     return np.concatenate(taus, axis=1)
 
 

@@ -167,6 +167,22 @@ class TestPath:
         assert (got.shape[1] < 64) == (top < NL.umax)
         assert (level.tobytes(), packets.tobytes()) == before
 
+    @pytest.mark.parametrize("rows", [1024, 1])
+    @pytest.mark.parametrize("battery", [LinearBattery(), NL], ids=["linear", "nonlinear"])
+    def test_path_into_out_equals_a_fresh_path(self, battery, rows):
+        # the engine's kernel steps every block into a plane it keeps; the
+        # path written there is the fresh one bit for bit, a view of ``out``,
+        # and the caller's packets and level are left as they were
+        rng = np.random.default_rng(12)
+        level, packets = rng.uniform(0.0, 20.0, rows), rng.exponential(0.5, (rows, 64))
+        before = level.tobytes(), packets.tobytes()
+        fresh = battery.path(level, packets, 15.0)
+        out = np.full((rows, 64), np.nan)
+        got = battery.path(level, packets, 15.0, out)
+        assert np.shares_memory(got, out)
+        assert got.shape == fresh.shape and got.tobytes() == fresh.tobytes()
+        assert (level.tobytes(), packets.tobytes()) == before
+
     @pytest.mark.parametrize("seed", [9, 10, 11])
     @pytest.mark.parametrize("battery", [LinearBattery(), NL], ids=["linear", "nonlinear"])
     def test_no_row_falls(self, battery, seed):

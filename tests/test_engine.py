@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 
@@ -350,9 +351,11 @@ class TestBufferReuse:
         ids=["linear", "per-packet"],
     )
     def test_each_chunk_equals_its_range_alone(self, battery, packet, levels, monkeypatch):
-        # one range of three chunks, the last cut to 40 rows, reuses one set
-        # of block buffers. Chunks 0 and 1 step two blocks and chunk 2 one,
-        # and the per-packet path stops within the last block of each chunk.
+        # one range of three chunks, the last cut to 40 rows, steps them as
+        # one group in one set of block buffers. Alone, chunks 0 and 1 step
+        # two blocks and chunk 2 one, and the per-packet path stops within
+        # the last block of each chunk; the group steps two blocks, one
+        # ``path`` call each, and chunk 2 stands still in the second.
         # Chunk 0 must also equal the row-by-row replay, which draws new
         # arrays per block: a level kept in a buffer that the next draw
         # overwrites gives the same taus chunk by chunk, but not the replay's
@@ -374,12 +377,57 @@ class TestBufferReuse:
             alone = engine._run_range(c, levels, chunk, chunk + 1)
             assert alone.tobytes() == whole[:, chunk * CHUNK : (chunk + 1) * CHUNK].tobytes()
         assert [len(blocks) for blocks in columns[1:]] == [2, 2, 1]
-        assert sum(columns[1:], []) == columns[0]
+        assert len(columns[0]) == 2 and (columns[0][-1] < 64) == isinstance(battery, NonLinearBattery)
         if isinstance(battery, NonLinearBattery):
             assert all(blocks[-1] < 64 for blocks in columns[1:])
         for taus, u in zip(whole, levels):
             replay = replay_chunk(dataclasses.replace(c, threshold=u))
             assert taus[:CHUNK].tobytes() == replay.tobytes()
+
+
+class CountedPackets:
+    """A packet law that counts the blocks each chunk's generator draws, by the chunk's spawn key."""
+
+    def __init__(self, law):
+        self.law, self.mean = law, law.mean
+        self.blocks = collections.Counter()
+
+    def sample(self, rng, out):
+        self.blocks[rng.bit_generator.seed_seq.spawn_key[0]] += 1
+        return self.law.sample(rng, out=out)
+
+    def config_str(self):
+        return f"counted {self.law.config_str()}"
+
+
+class TestGrouping:
+    @pytest.mark.parametrize(
+        "battery, law, u",
+        [(LinearBattery(), Exponential(1.0), 45.0), (NonLinearBattery(umax=25.0, beta=1.1), Uniform(0.0, 1.0), 16.0)],
+        ids=["linear", "per-packet"],
+    )
+    def test_grouping_is_invisible(self, battery, law, u, fake_pools, pool_always_pays):
+        # ten chunks, the last cut to 17 rows. At workers 1 the range groups
+        # chunks 0-3, 4-7 and 8-9; at 2 the ranges [0, 5) and [5, 10) group
+        # 0-3, 4, 5-8 and 9; at 3 the ranges [0, 3), [3, 6) and [6, 10) group
+        # 0-2, 3-5 and 6-9. Alone, chunks 0-3 step one or two blocks, so a
+        # group steps on with chunks that have finished
+        packets = CountedPackets(law)
+        c = cfg(packet=packets, battery=battery, threshold=u, replications=9 * CHUNK + 17, seed=3)
+        for chunk in range(10):
+            engine._run_range(c, np.array([u]), chunk, chunk + 1)
+        alone, packets.blocks = packets.blocks, collections.Counter()
+        assert {alone[chunk] for chunk in range(4)} == {1, 2}
+        taus = []
+        for workers in (1, 2, 3):
+            taus.append(run(c, workers=workers).taus)
+            assert packets.blocks == alone
+            packets.blocks = collections.Counter()
+        assert [p.max_workers for p in fake_pools] == [2, 3]
+        assert taus[1].tobytes() == taus[0].tobytes() and taus[2].tobytes() == taus[0].tobytes()
+        plain = dataclasses.replace(c, packet=law)
+        for chunk in (0, 4, 8):
+            assert taus[0][chunk * CHUNK : (chunk + 1) * CHUNK].tobytes() == replay_chunk(plain, chunk).tobytes()
 
 
 class TestWorkerPool:
