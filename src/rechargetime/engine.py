@@ -14,13 +14,14 @@ allocates once and every block of its chunks reuses, with each law's
 the block loop allocates nothing of block size and does not page-fault its
 memory back each block. The rows the run keeps step through every block,
 crossed or not, until all of a chunk's are above the top threshold; from
-then on that chunk draws no more and its rows stand still while the rest of
-its group steps on. A replication's draws thus depend only on the seed, its
-chunk and the block index, not on the group, the threshold, the battery,
-the worker count or the number of replications. So results are bitwise
-reproducible for a given seed across worker counts, configs that share a
-seed see common random numbers, and a longer run starts with the taus of a
-shorter one.
+then on that chunk draws no more, and its rows step on with its last block
+while the rest of its group draws: they are above every level already and
+a level never falls, so they pass none. A replication's draws thus depend
+only on the seed, its chunk and the block index, not on the group, the
+threshold, the battery, the worker count or the number of replications. So
+results are bitwise reproducible for a given seed across worker counts,
+configs that share a seed see common random numbers, and a longer run
+starts with the taus of a shorter one.
 
 Each block of a group's kept packets goes through one ``battery.path``
 call, which checks it once, before the levels take it in, and writes the
@@ -196,23 +197,25 @@ def _simulate_chunks(
     (``sample(rng, out=)``), until each of its kept rows is above the top
     level. Only the last chunk of a run is cut, so the kept rows are the
     first ``rows`` of the group, and each block steps them together, a
-    [rows, 64] view, the rows above the top too. A chunk whose kept rows are
-    all above the top draws no more; its gap and packet rows are zeroed
-    once, so its rows stand still. So every row's draws depend only on its
+    [rows, 64] view, the rows above the top too. A chunk reads its own
+    kept rows' levels before each block and draws no more once they are all
+    above the top; its rows then step on with its last block and, already
+    above every level, pass none. So every row's draws depend only on its
     chunk's generator and the block index, not on the group, and the block
     loop allocates nothing of block size.
 
     ``battery.path`` checks the kept packets and writes each row's level
     after each one into the third plane, up to a column where every row is
-    above the top; the levels are copied out of it before the next block. A
-    row's level never falls, so for each [level, row] the count of its path
-    values at or below the level is the index of the packet that lifts it
-    above; the block passes the pairs whose index is inside the path and
-    whose row began the block at or below the level. The count runs on a
-    [levels, rows, k] array reduced over its last axis. The gap plane is
-    summed along each row, for the carried epoch, and then takes its own
-    running sum in place over the path's first k - 1 columns, so a packet
-    f > 0 of a row lands at the carried epoch plus the row's first f gaps.
+    above the top. A row's level never falls, so for each [level, row] the
+    count of its path values at or below the level is the index of the
+    packet that lifts it above; the block passes the pairs whose index is
+    inside the path and whose row began the block at or below the level.
+    The count runs on a [levels, rows, k] array reduced over its last axis.
+    Once the path is read, its last column copied out as the levels, the
+    third plane takes the running sum of the gap plane's first k - 1
+    columns, so a packet f > 0 of a row lands at the carried epoch plus the
+    row's first f gaps. The gap plane keeps its draws, and their row sums
+    carry the epoch.
     """
     top = levels[-1]
     arr = config.arrival
@@ -221,29 +224,24 @@ def _simulate_chunks(
     taus = np.empty((levels.size, rows))
     gaps, packets, scratch = buffers[:, :rows]
     own = [buffers[:2, c * CHUNK : (c + 1) * CHUNK] for c in range(len(rngs))]  # each chunk's gap and packet rows
-    firsts = np.arange(0, rows, CHUNK)  # each chunk's first kept row
-    drawing = list(range(len(rngs)))  # the chunks with a kept row at or below the top
     for _ in range(0, _MAX_PACKETS, _BLOCK):
-        for c in drawing:
-            arr.interarrival.sample(rngs[c], out=own[c][0])
-            config.packet.sample(rngs[c], out=own[c][1])
+        for c, rng in enumerate(rngs):
+            if level[c * CHUNK : (c + 1) * CHUNK].min() <= top:
+                arr.interarrival.sample(rng, out=own[c][0])
+                config.packet.sample(rng, out=own[c][1])
         path = config.battery.path(level, packets, top, scratch)
         k = path.shape[1]  # the path may stop early, before the block's last packet
-        block_time = gaps.sum(axis=1)
-        np.cumsum(gaps[:, : k - 1], axis=1, out=gaps[:, : k - 1])  # the path's packets need k - 1 gaps
         # [levels, rows] index of the packet that lifts each row above each level
         first = np.count_nonzero(path <= levels[:, None, None], axis=2)
         i, r = np.nonzero((first < k) & (level <= levels[:, None]))
         f = first[i, r]
-        taus[i, r] = t[r] + np.where(f > 0, gaps[r, f - 1], 0.0)
-        np.copyto(level, path[:, -1])  # the next block's path overwrites this one
+        np.copyto(level, path[:, -1])  # the path is read; the third plane takes the running sum of the gaps
+        np.cumsum(gaps[:, : k - 1], axis=1, out=scratch[:, : k - 1])  # the path's packets need k - 1 gaps
+        # the whole plane, not the k - 1 columns: at k = 1, f - 1 = -1 must index
+        taus[i, r] = t[r] + np.where(f > 0, scratch[r, f - 1], 0.0)
         if level.min() > top:
             return taus
-        t += block_time
-        finished = np.minimum.reduceat(level, firsts) > top
-        for c in [c for c in drawing if finished[c]]:
-            drawing.remove(c)
-            own[c][:] = 0.0  # its rows stand still from here on
+        t += gaps.sum(axis=1)
     raise UnreachableThresholdError(
         f"no crossing after {_MAX_PACKETS} packets for config: {config!r}"
     )

@@ -133,7 +133,7 @@ class TestPath:
         got = LinearBattery().path(level, packets.copy(), 20.0)
         assert got.tobytes() == expected.tobytes()
 
-    def test_nonlinear_path_is_advance_per_packet_bit_for_bit(self):
+    def test_nonlinear_path_is_the_step_per_packet_bit_for_bit(self):
         level, packets = self.block(6)
         expected = np.empty_like(packets)
         for r, row in enumerate(packets):

@@ -384,6 +384,42 @@ class TestBufferReuse:
             replay = replay_chunk(dataclasses.replace(c, threshold=u))
             assert taus[:CHUNK].tobytes() == replay.tobytes()
 
+    def test_a_one_column_path_in_a_later_block(self, monkeypatch):
+        # every row takes the same packets, so every row's level after n
+        # packets is the written rule stepped n times from 0. The top lies
+        # between the levels after 64 and 65 packets: no row crosses it in
+        # block 0, and every row crosses it with the first packet of block 1,
+        # whose path is one column wide. The lower level is crossed in block 0
+        battery = NonLinearBattery(umax=25.0, beta=1.1)
+        after = [0.0]  # the level after n packets
+        for _ in range(65):
+            d = (after[-1] - battery.a) / battery.b
+            after.append(min(after[-1] + (1.0 - d * d) * 0.3, battery.umax))
+        levels = np.array([(after[20] + after[21]) / 2, (after[64] + after[65]) / 2])
+        c = cfg(
+            arrival=ArrivalProcess(Gamma(1.5, 2.0)),
+            packet=Deterministic(0.3),
+            battery=battery,
+            threshold=levels[-1],
+            replications=2 * CHUNK + 40,
+            seed=3,
+        )
+        path = NonLinearBattery.path
+        columns = []  # the columns of each block's path
+
+        def recorded(self, *args):
+            steps = path(self, *args)
+            columns.append(steps.shape[1])
+            return steps
+
+        monkeypatch.setattr(NonLinearBattery, "path", recorded)
+        whole = engine._run_range(c, levels, 0, 3)
+        assert columns == [64, 1]
+        for taus, u in zip(whole, levels):
+            for chunk in range(3):
+                replay = replay_chunk(dataclasses.replace(c, threshold=u), chunk)
+                assert taus[chunk * CHUNK : (chunk + 1) * CHUNK].tobytes() == replay.tobytes()
+
 
 class CountedPackets:
     """A packet law that counts the blocks each chunk's generator draws, by the chunk's spawn key."""
