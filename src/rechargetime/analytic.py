@@ -72,6 +72,7 @@ __all__ = [
     "renewal_cdf_clt",
     "nonlinear_cdf",
     "packet_count_pmf",
+    "packet_sum_terms",
     "per_packet_cdf",
 ]
 
@@ -191,13 +192,9 @@ def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None) -> np.ndarray:
     """F_n(u) = P(S_n <= u), with S_n a sum of n packets, for n = 0, 1, ... up to the cut.
 
     sigmaX = None gives the exact Erlang law of exponential packets of mean
-    Xbar, gammainc(n, y) with y = u / Xbar, over 2 ceil(y) + 65 Poisson(y)
-    weights: past 2y each weight is at most half the one before, so the last
-    is below e^-44 of a kept F_n. A number gives the normal law
-    ``_normal_law(u, n Xbar, sigmaX sqrt(n))`` to 2 terms past its first
-    argument of Phi at or below _NORMAL_CUT_Z; at sigmaX = 0 that is the
-    step n Xbar <= u over ceil(y) + 2 terms, which hold its first zero even
-    where (floor(y) + 1) Xbar rounds to u. F does not increase, and ends
+    Xbar, gammainc(n, y) with y = u / Xbar; a number gives the normal law
+    ``_normal_law(u, n Xbar, sigmaX sqrt(n))``. Either is computed over the
+    ``packet_sum_terms`` n that hold its cut. F does not increase, and ends
     before its first term below 1e-12 (IndexError if the size missed it).
     ValueError for a non-finite or non-positive Xbar, or a non-finite or
     negative sigmaX.
@@ -206,15 +203,30 @@ def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None) -> np.ndarray:
         raise ValueError("threshold must be > 0")
     if not (0.0 < Xbar < np.inf and (sigmaX is None or 0.0 <= sigmaX < np.inf)):
         raise ValueError(f"packet mean {Xbar} and sd {sigmaX} must be finite, mean > 0, sd >= 0")
-    y = u / Xbar
+    n = np.arange(packet_sum_terms(u, Xbar, sigmaX), dtype=float)
     if sigmaX is None:
-        n = np.arange(2 * math.ceil(y) + 65, dtype=float)
-        F = _tail_sums(_poisson_weights(y, n, _log_factorial(n.size), np.empty(n.size)))
+        F = _tail_sums(_poisson_weights(u / Xbar, n, _log_factorial(n.size), np.empty(n.size)))
     else:
-        b = -_NORMAL_CUT_Z * sigmaX  # sqrt(n) at the cut solves Xbar s^2 - b s - u = 0
-        n = np.arange(math.ceil(((b + math.sqrt(b * b + 4.0 * Xbar * u)) / (2.0 * Xbar)) ** 2) + 2, dtype=float)
         F = _normal_law(u, n * Xbar, sigmaX * np.sqrt(n), np.empty(n.size))
     return F[: np.flatnonzero(F < _SERIES_TOL)[0]]
+
+
+def packet_sum_terms(u: float, Xbar: float, sigmaX: float | None) -> int:
+    """The terms ``_packet_sum_cdf`` computes at u, before its cut.
+
+    The exact Erlang law (sigmaX None) takes 2 ceil(y) + 65 Poisson(y)
+    weights, y = u / Xbar: past 2y each weight is at most half the one
+    before, so the last is below e^-44 of a kept F_n. The normal law runs
+    to 2 terms past its first argument of Phi at or below _NORMAL_CUT_Z,
+    about (7.1 sigmaX / Xbar)^2 terms once sigmaX is large; at sigmaX = 0
+    that is the step n Xbar <= u over ceil(y) + 2 terms, which hold its
+    first zero even where (floor(y) + 1) Xbar rounds to u.
+    """
+    y = u / Xbar
+    if sigmaX is None:
+        return 2 * math.ceil(y) + 65
+    b = -_NORMAL_CUT_Z * sigmaX  # sqrt(n) at the cut solves Xbar s^2 - b s - u = 0
+    return math.ceil(((b + math.sqrt(b * b + 4.0 * Xbar * u)) / (2.0 * Xbar)) ** 2) + 2
 
 
 def _mixture(t, weights: np.ndarray, fill, window=None) -> np.ndarray:

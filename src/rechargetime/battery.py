@@ -12,13 +12,16 @@ evaluates.
 Each battery's ``path`` is its charging rule: it steps the rows' levels
 through a [rows, k] block of packets, checked once (``check_packets``) before
 any level takes it in, and returns the level after each packet, written into
-``out``, a block-sized array the caller may keep (a new one if None). Under
-both rules the caller's packets and levels are left as they were. The
-engine's kernel calls it on every drawn block, with a plane it keeps as
-``out``, without knowing which rule it runs. A
-linear battery's levels are a running sum of its packets; a non-linear one
-steps per packet, U <- min(U + eta(U) X, umax), whose recharge-time CDF is
-``analytic.per_packet_cdf``. Under both rules a level never falls, so every
+``out``, a block-sized array the caller may keep (a new one if None). Both
+rules write the path transposed, into ``out`` read as [k, rows], one packet
+column at a time, and return it as a transposed view. Under both rules the
+caller's packets and levels are left as they were. The engine's kernel
+calls it on every drawn block, with a plane it keeps as ``out``, without
+knowing which rule it runs. A linear battery's levels are a running sum of
+its packets, ``running_sum``'s one contiguous add per column, which the
+kernel also takes of the gaps; a non-linear one copies the block there and
+steps it per packet, U <- min(U + eta(U) X, umax), whose recharge-time CDF
+is ``analytic.per_packet_cdf``. Under both rules a level never falls, so every
 row of a ``path`` is non-decreasing from the row's start level: the kernel
 counts a row's path values at or below a threshold to find the packet that
 lifts it above, and relies on this.
@@ -34,7 +37,7 @@ import numpy as np
 
 from .distributions import Spec, parse_spec
 
-__all__ = ["LinearBattery", "NonLinearBattery", "BatteryModel", "check_packets", "parse_battery"]
+__all__ = ["LinearBattery", "NonLinearBattery", "BatteryModel", "check_packets", "parse_battery", "running_sum"]
 
 
 def _check_state(U, cap: float) -> np.ndarray:
@@ -52,6 +55,22 @@ def check_packets(x) -> np.ndarray:
     if not (x >= 0).all():
         raise ValueError("packet energy must be >= 0")
     return x
+
+
+def running_sum(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The running sum along each row of a [rows, m] block, written transposed into ``out[:m]``, [m, rows].
+
+    ``out`` is C-contiguous, and row j of the sums returned, a view of it, is
+    the block's columns 0..j added up: one add of column j per row into
+    contiguous memory, the addition ``np.cumsum(block, axis=1)`` makes in the
+    same place, so the sums are its bits. ``np.cumsum`` itself accumulates
+    each row of the block on its own, which takes longer at 1024 rows.
+    """
+    sums = out[: block.shape[1]]
+    np.copyto(sums[:1], block[:, :1].T)
+    for j in range(1, len(sums)):
+        np.add(sums[j - 1], block[:, j], out=sums[j])
+    return sums
 
 
 @dataclass(frozen=True)
@@ -81,19 +100,23 @@ class LinearBattery(Spec):
     def path(self, level: np.ndarray, packets: np.ndarray, top: float, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Levels after each packet of a [rows, k] block from the rows' ``level``: the running sum.
 
-        The block is checked first (``check_packets``), and the sum is taken
-        into ``out``, a C-contiguous float array of the block's shape (a new
-        one if None); the path returned is ``out``. The caller's packets and
-        ``level`` are left as they were. The whole block is summed, whatever
-        ``top``, which is below the capacity. Packets are non-negative, so no
-        row falls: each is non-decreasing and starts at or above its ``level``.
+        The block is checked first (``check_packets``), and its
+        ``running_sum`` is written, transposed, into the memory of ``out``, a
+        C-contiguous float array of the block's shape (a new one if None),
+        read as [k, rows]; the path is those sums plus the levels, the bits
+        of ``np.cumsum(packets, axis=1) + level[:, None]``, and is returned as
+        a transposed view of ``out``, as with the per-packet rule. The
+        caller's packets and ``level`` are left as they were. The whole block
+        is summed, whatever ``top``, which is below the capacity. Packets are
+        non-negative, so no row falls: each is non-decreasing and starts at
+        or above its ``level``.
         """
         packets = check_packets(packets)
         # no capacity clip: top < capacity, so a clip would move no crossing of
         # a level up to top and leave every row still below top as it is
-        path = np.cumsum(packets, axis=1, out=np.empty_like(packets) if out is None else out)
-        path += level[:, None]
-        return path
+        path = running_sum(packets, (np.empty_like(packets) if out is None else out).reshape(packets.shape[::-1]))
+        path += level
+        return path.T
 
 
 @dataclass(frozen=True)

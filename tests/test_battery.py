@@ -122,8 +122,13 @@ class TestPath:
         rng = np.random.default_rng(seed)
         return rng.uniform(0.0, 20.0, 256), rng.exponential(0.5, (256, 64))
 
-    def test_linear_path_is_a_running_sum_bit_for_bit(self):
+    @pytest.mark.parametrize("shape", [(256, 64), (1, 64), (256, 1)], ids=["256x64", "1x64", "256x1"])
+    def test_linear_path_is_a_running_sum_bit_for_bit(self, shape):
+        # the path is written transposed, a packet column at a time; one row
+        # or one packet is the edge of that layout
         level, packets = self.block(5)
+        rows, k = shape
+        level, packets = level[:rows], packets[:rows, :k]
         expected = np.empty_like(packets)
         for r, row in enumerate(packets):
             total = 0.0

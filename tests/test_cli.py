@@ -522,11 +522,18 @@ class TestMain:
                 [],
                 "curve_u20__exponential_rate_1e-100__uniform_lo_0_hi_1e+70.csv",
             ),
+            # sigma_X = 1e6 against a packet mean of 1: the normal Poisson series
+            # would take about (7.1 sigma_X / Xbar)^2 = 5e13 terms, 367 TiB
+            (
+                "packets = invgauss mean=1 shape=1e-12\nu = 20",
+                [],
+                "curve_u20__exponential_rate_1__invgauss_mean_1_shape_1e-12.csv",
+            ),
         ],
         ids=[
             "threshold", "replications", "replication-override", "uniform-hi-inf", "nonlinear-umax-inf",
             "deterministic-inf", "exponential-rate-inf", "nonlinear-beta-inf", "exponential-rate-underflow",
-            "grid-too-fine", "variance-of-tau-overflow",
+            "grid-too-fine", "variance-of-tau-overflow", "normal-series-too-long",
         ],
     )
     def test_bad_run_config_fails_before_writing(self, tmp_path, capsys, lines, override, key):
@@ -636,3 +643,48 @@ def test_workload_below_the_break_even_loads_no_pool_or_argparse(config, tmp_pat
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# Runs a workload once to warm up, then ``passes`` more times, in a fresh
+# interpreter, and prints the minor page faults of each pass on average.
+FAULT_PROBE = """
+import resource, sys
+from pathlib import Path
+from rechargetime.cli import compare_formulas, parse_config, run_experiment
+config, command, out, passes = sys.argv[1:]
+parsed = parse_config(Path(config).read_text())
+
+def one_pass(run):
+    if command == "compare":
+        return compare_formulas(parsed)
+    return run_experiment(parsed, Path(out, run))
+
+one_pass("warm-up")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for i in range(int(passes)):
+    one_pass(str(i))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / int(passes))
+"""
+
+
+@pytest.mark.parametrize("config", sorted((ROOT / "perfbench" / "workloads").glob("*.cfg")), ids=lambda p: p.stem)
+def test_kernel_does_not_page_fault_per_block(config, tmp_path):
+    # The kernel draws and steps every block in three planes kept per range of
+    # chunks: the gaps, the packets, and a third plane that holds first the
+    # path, which both rules write there as their transposed copy of the
+    # block, and then the running sum of the gaps that dates the block's
+    # crossings. Arrays allocated per block were trimmed by glibc and faulted
+    # back by the next block: about 4500 and 3000 minor faults a pass on
+    # poisson_linear and nonlinear_per_packet, against 3 and 0 with the planes
+    # (Python 3.11, numpy 2.4, 2 vCPUs). renewal_equilibrium runs the kernel
+    # on renewal arrivals and compare_series the analytic series alone; both
+    # read about 1 or less. A fresh interpreter keeps the heap that other
+    # tests leave out of the count.
+    command = "compare" if config.stem.startswith("compare") else "run"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE, str(config), command, str(tmp_path / "out"), "5"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 50  # minor faults per pass
