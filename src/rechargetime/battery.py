@@ -11,20 +11,21 @@ evaluates.
 
 Each battery's ``path`` is its charging rule: it steps the rows' levels
 through a [rows, k] block of packets, checked once (``check_packets``) before
-any level takes it in, and returns the level after each packet, written into
-``out``, a block-sized array the caller may keep (a new one if None). Both
-rules write the path transposed, into ``out`` read as [k, rows], one packet
-column at a time, and return it as a transposed view. Under both rules the
-caller's packets and levels are left as they were. The engine's kernel
-calls it on every drawn block, with a plane it keeps as ``out``, without
-knowing which rule it runs. A linear battery's levels are a running sum of
-its packets, ``running_sum``'s one contiguous add per column, which the
-kernel also takes of the gaps; a non-linear one copies the block there and
-steps it per packet, U <- min(U + eta(U) X, umax), whose recharge-time CDF
-is ``analytic.per_packet_cdf``. Under both rules a level never falls, so every
-row of a ``path`` is non-decreasing from the row's start level: the kernel
-counts a row's path values at or below a threshold to find the packet that
-lifts it above, and relies on this.
+any level takes it in, and writes the level after each packet into ``out``, a
+C-contiguous [>= k, rows] plane that the caller keeps: plane row j takes every
+row's level after packet j. It returns the plane rows it wrote, ``out[:k]`` or
+fewer, as [k, rows]. Both rules read each strided packet column of the block
+straight into one contiguous plane row. Under both rules the caller's packets
+and levels are left as they were. The engine's kernel calls it on every drawn
+block, with a plane it keeps as ``out``, without knowing which rule it runs.
+A linear battery's levels are a running sum of its packets, ``running_sum``'s
+one contiguous add per column, which the kernel also takes of the gaps; a
+non-linear one steps the block per packet, U <- min(U + eta(U) X, umax),
+whose recharge-time CDF is ``analytic.per_packet_cdf``, and reads no packet
+column past the one after which every row is above ``top``. Under both rules
+a level never falls, so every column of a ``path`` is non-decreasing from the
+row's start level: the kernel counts a row's path values at or below a
+threshold to find the packet that lifts it above, and relies on this.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def check_packets(x) -> np.ndarray:
 
 
 def running_sum(block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The running sum along each row of a [rows, m] block, written transposed into ``out[:m]``, [m, rows].
+    """The running sum along each row of a [rows, m] block, written into ``out[:m]`` as [m, rows].
 
     ``out`` is C-contiguous, and row j of the sums returned, a view of it, is
     the block's columns 0..j added up: one add of column j per row into
@@ -97,26 +98,24 @@ class LinearBattery(Spec):
             raise ValueError(f"level {u} outside (0, {self.capacity}]")
         return u
 
-    def path(self, level: np.ndarray, packets: np.ndarray, top: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Levels after each packet of a [rows, k] block from the rows' ``level``: the running sum.
+    def path(self, level: np.ndarray, packets: np.ndarray, top: float, out: np.ndarray) -> np.ndarray:
+        """Levels after each packet of a [rows, k] block from the rows' ``level``: the running sum, [k, rows].
 
         The block is checked first (``check_packets``), and its
-        ``running_sum`` is written, transposed, into the memory of ``out``, a
-        C-contiguous float array of the block's shape (a new one if None),
-        read as [k, rows]; the path is those sums plus the levels, the bits
-        of ``np.cumsum(packets, axis=1) + level[:, None]``, and is returned as
-        a transposed view of ``out``, as with the per-packet rule. The
-        caller's packets and ``level`` are left as they were. The whole block
-        is summed, whatever ``top``, which is below the capacity. Packets are
-        non-negative, so no row falls: each is non-decreasing and starts at
-        or above its ``level``.
+        ``running_sum`` is written into ``out[:k]``, the first k rows of a
+        C-contiguous [>= k, rows] float plane; the path is those sums plus the
+        levels, the bits of ``(np.cumsum(packets, axis=1) + level[:, None]).T``,
+        and is returned as that view of ``out``. The caller's packets and
+        ``level`` are left as they were. The whole block is summed, whatever
+        ``top``, which is below the capacity. Packets are non-negative, so no
+        row falls: each column is non-decreasing and starts at or above its
+        ``level``.
         """
-        packets = check_packets(packets)
         # no capacity clip: top < capacity, so a clip would move no crossing of
         # a level up to top and leave every row still below top as it is
-        path = running_sum(packets, (np.empty_like(packets) if out is None else out).reshape(packets.shape[::-1]))
+        path = running_sum(check_packets(packets), out)
         path += level
-        return path.T
+        return path
 
 
 @dataclass(frozen=True)
@@ -171,32 +170,29 @@ class NonLinearBattery(Spec):
             raise ValueError(f"level {u} outside (0, {self.umax}]")
         return self.input_offset + self.b * math.atanh((u - self.a) / self.b)
 
-    def path(self, level: np.ndarray, packets: np.ndarray, top: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Levels after each packet of a [rows, k] block from the rows' ``level``, one step per packet.
+    def path(self, level: np.ndarray, packets: np.ndarray, top: float, out: np.ndarray) -> np.ndarray:
+        """Levels after each packet of a [rows, k] block from the rows' ``level``, one step per packet, [k, rows].
 
-        The block is checked first (``check_packets``) and copied once,
-        transposed, into the memory of ``out``, a C-contiguous float array of
-        the block's shape (a new one if None), read as [k, rows]; the path is
-        that copy, stepped in place, and is returned as a transposed view of
-        ``out``. Each packet column x, unchecked, becomes the levels after it,
-        U <- min(U + eta(U) x, umax), through a [rows] scratch for eta(U). The
-        caller's packets and ``level`` are left as they were. No row falls,
-        since a step adds eta(U) x >= 0 and caps at umax >= U: each is
-        non-decreasing and starts at or above its ``level``. So the path stops
-        early, with j + 1 columns, at the first column j where every row is
-        above ``top``.
+        The block is checked first (``check_packets``). The path is written
+        into ``out[:k]``, the first k rows of a C-contiguous [>= k, rows]
+        float plane, and is returned as a view of it: row j takes packet
+        column j, unchecked, as the levels after it, U <- min(U + eta(U) x,
+        umax), through a [rows] scratch for eta(U). The caller's packets and
+        ``level`` are left as they were. No row falls, since a step adds
+        eta(U) x >= 0 and caps at umax >= U: each column is non-decreasing
+        and starts at or above its ``level``. So the path stops early, with
+        j + 1 rows, at the first row j where every level is above ``top``,
+        and leaves the plane's later rows as they were.
         """
         packets = check_packets(packets)
-        path = (np.empty_like(packets) if out is None else out).reshape(packets.shape[::-1])
-        np.copyto(path, packets.T)  # packet j in row j, then its level
         eta = np.empty_like(level)
-        for j, x in enumerate(path):
-            x *= self._eta(level, eta)
+        for j, x in enumerate(out[: packets.shape[1]]):
+            np.multiply(packets[:, j], self._eta(level, eta), out=x)
             x += level
             level = np.minimum(x, self.umax, out=x)
             if level.min() > top:
-                return path[: j + 1].T
-        return path.T
+                break
+        return out[: j + 1]
 
 
 BatteryModel = LinearBattery | NonLinearBattery

@@ -25,15 +25,16 @@ starts with the taus of a shorter one.
 
 Each block of a group's kept packets goes through one ``battery.path``
 call, which checks it once, before the levels take it in, and writes the
-level after each packet into the third plane by the battery's own rule. Both
-rules write it there transposed, read as [64, rows], a packet column at a
-time: a running sum (``battery.running_sum``, one contiguous add per column)
-for a linear battery, one step per packet for a non-linear one. One call
-steps up to 1024 rows, so each rule pays its per-column call overhead once
-for four chunks. The kernel does not know which rule it runs. Once the path
-is read, the third plane takes the gaps' running sum the same way, over only
-the gaps up to the block's last crossing packet, which dates the crossings:
-a block that passes no pair sums none. The continuous model, the tanh law
+level after each packet into the third plane by the battery's own rule. The
+kernel reads that plane as [64, rows], and both rules write the path there
+as [k, rows], one packet column into one contiguous row at a time: a running
+sum (``battery.running_sum``, one contiguous add per column) for a linear
+battery, one step per packet for a non-linear one. One call steps up to 1024
+rows, so each rule pays its per-column call overhead once for four chunks.
+The kernel does not know which rule it runs. Once the path is read, the same
+[64, rows] plane takes the gaps' running sum the same way, over only the gaps
+up to the block's last crossing packet, which dates the crossings: a block
+that passes no pair sums none. The continuous model, the tanh law
 applied to the cumulative input, needs no path of its own: its taus are
 those of an uncapped linear battery at u' = ``battery.input_for_level(u)``,
 same seed.
@@ -94,7 +95,7 @@ _MAX_PACKETS = 10**9
 # run in this process. Timed on 2 vCPUs, a pool of two broke even near 2e6
 # packets under the linear rule and near 5e5 under the per-packet rule; 1e6
 # bounds the wall time lost either way to about 1.3x. That sweep predates
-# stepping chunks four at a time and the transposed running sums: engine CPU
+# stepping chunks four at a time and the column running sums: engine CPU
 # (draws included) per stepped packet reads 16-19 ns under the linear rule
 # and about 19 ns under the per-packet rule, and per expected packet 22-26 ns
 # linear and about 56 ns per-packet, 2.1-2.5x (ROADMAP item 8).
@@ -211,14 +212,15 @@ def _simulate_chunks(
     loop allocates nothing of block size.
 
     ``battery.path`` checks the kept packets and writes each row's level
-    after each one into the third plane, up to a column where every row is
-    above the top. A row's level never falls, so for each [level, row] the
+    after each one into the first k rows of the third plane, read as
+    [64, rows]: k = 64, or fewer when every row is above the top after
+    packet k - 1. A row's level never falls, so for each [level, row] the
     count of its path values at or below the level is the index of the
     packet that lifts it above; the block passes the pairs whose index is
     inside the path and whose row began the block at or below the level.
-    The count runs on the path read as [k, rows]: a [levels, k, rows] array
-    summed over its middle axis. Once the path is read, its last column
-    copied out as the levels, the third plane, read as [64, rows], takes the
+    The count is a [levels, k, rows] array summed over its middle axis. Once
+    the path is read, its last row copied out as the levels, the same
+    [64, rows] plane takes the
     ``running_sum`` of the gap plane's first m columns, m the largest index
     a passed pair reads (0 when the block passes none), so a packet f > 0 of
     a row lands at the carried epoch plus the row's first f gaps. The sums
@@ -230,26 +232,26 @@ def _simulate_chunks(
     t = np.concatenate([arr.residual_sample(rng, CHUNK) for rng in rngs])[:rows]  # epoch of each row's next packet
     level = np.zeros(rows)
     taus = np.empty((levels.size, rows))
-    gaps, packets, scratch = buffers[:, :rows]
-    since = scratch.reshape(_BLOCK, rows)  # the third plane read as [64, rows], for the gaps' running sum
+    gaps, packets = buffers[:2, :rows]
+    plane = buffers[2, :rows].reshape(_BLOCK, rows)  # the third plane read as [64, rows]: the path, then the gaps' sums
     own = [buffers[:2, c * CHUNK : (c + 1) * CHUNK] for c in range(len(rngs))]  # each chunk's gap and packet rows
     for _ in range(0, _MAX_PACKETS, _BLOCK):
         for c, rng in enumerate(rngs):
             if level[c * CHUNK : (c + 1) * CHUNK].min() <= top:
                 arr.interarrival.sample(rng, out=own[c][0])
                 config.packet.sample(rng, out=own[c][1])
-        path = config.battery.path(level, packets, top, scratch)
-        k = path.shape[1]  # the path may stop early, before the block's last packet
+        path = config.battery.path(level, packets, top, plane)
+        k = len(path)  # the path may stop early, before the block's last packet
         # [levels, rows] index of the packet that lifts each row above each level; at most 64,
         # so it is summed in int8, which numpy adds about 3x faster than the intp of count_nonzero
-        first = (path.T <= levels[:, None, None]).sum(axis=1, dtype=np.int8)
+        first = (path <= levels[:, None, None]).sum(axis=1, dtype=np.int8)
         i, r = np.nonzero((first < k) & (level <= levels[:, None]))
         f = first[i, r]
-        np.copyto(level, path[:, -1])  # the path is read; the third plane takes the running sum of the gaps
+        np.copyto(level, path[-1])  # the path is read; the third plane takes the running sum of the gaps
         m = f.max(initial=0)  # the crossings read the first m gaps; a block that passes no pair sums none
-        running_sum(gaps[:, :m], since)
+        running_sum(gaps[:, :m], plane)
         # the whole plane, not the m rows: at f = 0, f - 1 = -1 must index
-        taus[i, r] = t[r] + np.where(f > 0, since[f - 1, r], 0.0)
+        taus[i, r] = t[r] + np.where(f > 0, plane[f - 1, r], 0.0)
         if level.min() > top:
             return taus
         t += gaps.sum(axis=1)

@@ -87,10 +87,16 @@ class TestInputForLevel:
         assert np.all(np.diff(vals) > 0)
 
 
+def plane(packets):
+    """A plane for ``path`` to write the path of a [rows, k] block into, as [k, rows]."""
+    return np.empty(packets.shape[::-1])
+
+
 def step(U, x):
     """One packet of NL's per-packet rule at levels U: a one-packet block through the kernel's ``path``."""
     U, x = np.broadcast_arrays(np.asarray(U, dtype=float), np.asarray(x, dtype=float))
-    return NL.path(U.ravel(), x.reshape(-1, 1), NL.umax)[:, 0].reshape(U.shape)[()]
+    x = x.reshape(-1, 1)
+    return NL.path(U.ravel(), x, NL.umax, plane(x))[0].reshape(U.shape)[()]
 
 
 class TestStepUpdate:
@@ -124,68 +130,80 @@ class TestPath:
 
     @pytest.mark.parametrize("shape", [(256, 64), (1, 64), (256, 1)], ids=["256x64", "1x64", "256x1"])
     def test_linear_path_is_a_running_sum_bit_for_bit(self, shape):
-        # the path is written transposed, a packet column at a time; one row
-        # or one packet is the edge of that layout
+        # the path is written as [k, rows], a packet column into a plane row
+        # at a time; one row or one packet is the edge of that layout
         level, packets = self.block(5)
         rows, k = shape
         level, packets = level[:rows], packets[:rows, :k]
-        expected = np.empty_like(packets)
+        expected = plane(packets)
         for r, row in enumerate(packets):
             total = 0.0
             for j, x in enumerate(row):
                 total += x
-                expected[r, j] = total + level[r]
-        got = LinearBattery().path(level, packets.copy(), 20.0)
+                expected[j, r] = total + level[r]
+        got = LinearBattery().path(level, packets.copy(), 20.0, plane(packets))
         assert got.tobytes() == expected.tobytes()
 
     def test_nonlinear_path_is_the_step_per_packet_bit_for_bit(self):
         level, packets = self.block(6)
-        expected = np.empty_like(packets)
+        expected = plane(packets)
         for r, row in enumerate(packets):
             u = level[r]
             for j, x in enumerate(row):
-                expected[r, j] = u = step(u, x)
-        got = NL.path(level, packets, NL.umax)  # no level goes above umax, so no early stop
-        assert got.shape == packets.shape
-        assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+                expected[j, r] = u = step(u, x)
+        got = NL.path(level, packets, NL.umax, plane(packets))  # no level goes above umax, so no early stop
+        assert got.shape == packets.shape[::-1]
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("top", [5.0, 15.0, 22.0, NL.umax])
     def test_nonlinear_path_stops_after_the_first_column_with_every_row_above_top(self, top):
         level, packets = self.block(7)
-        full = NL.path(level, packets, NL.umax)
-        above = np.flatnonzero(full.min(axis=0) > top)
+        full = NL.path(level, packets, NL.umax, plane(packets))
+        above = np.flatnonzero(full.min(axis=1) > top)
         columns = above[0] + 1 if above.size else 64
-        got = NL.path(level, packets, top)
-        assert got.shape == (256, columns)
-        np.testing.assert_array_equal(got, full[:, :columns])
+        got = NL.path(level, packets, top, plane(packets))
+        assert got.shape == (columns, 256)
+        np.testing.assert_array_equal(got, full[:columns])
+
+    def test_nonlinear_path_writes_only_the_plane_rows_it_steps(self):
+        # the path stops at packet j, and the plane's rows past j keep what
+        # the caller left there: no packet column past j is read or copied
+        level, packets = self.block(7)
+        out = np.full((64, 256), -7.0)
+        got = NL.path(level, packets, 15.0, out)
+        j = len(got) - 1
+        assert j < 63 and np.shares_memory(got, out)
+        assert (got >= 0.0).all()
+        assert (out[j + 1 :] == -7.0).all()
 
     @pytest.mark.parametrize("rows", [256, 1])
     @pytest.mark.parametrize("top", [15.0, NL.umax])
     def test_nonlinear_path_leaves_the_callers_arrays_as_they_were(self, top, rows):
-        # the path is stepped in place of its one copy of the block, with and
-        # without an early stop; a one-row block's transpose is contiguous
-        # already, and is copied all the same
+        # the path is stepped in the caller's plane, with and without an
+        # early stop; a one-row block's packet columns are one contiguous row
+        # already, and are read all the same
         level, packets = self.block(8)
         level, packets = level[:rows], packets[:rows]
         before = level.tobytes(), packets.tobytes()
-        got = NL.path(level, packets, top)
-        assert (got.shape[1] < 64) == (top < NL.umax)
+        got = NL.path(level, packets, top, plane(packets))
+        assert (len(got) < 64) == (top < NL.umax)
         assert (level.tobytes(), packets.tobytes()) == before
 
     @pytest.mark.parametrize("rows", [1024, 1])
     @pytest.mark.parametrize("battery", [LinearBattery(), NL], ids=["linear", "nonlinear"])
-    def test_path_into_out_equals_a_fresh_path(self, battery, rows):
-        # the engine's kernel steps every block into a plane it keeps; the
-        # path written there is the fresh one bit for bit, a view of ``out``,
-        # and the caller's packets and level are left as they were
+    def test_path_into_a_nan_plane_equals_a_zeroed_plane(self, battery, rows):
+        # the engine's kernel steps every block into a plane it keeps, which
+        # holds what the last block left there; the path written into a plane
+        # of NaN is the one written into a zeroed plane bit for bit, a view of
+        # ``out``, and the caller's packets and level are left as they were
         rng = np.random.default_rng(12)
         level, packets = rng.uniform(0.0, 20.0, rows), rng.exponential(0.5, (rows, 64))
         before = level.tobytes(), packets.tobytes()
-        fresh = battery.path(level, packets, 15.0)
-        out = np.full((rows, 64), np.nan)
+        zeroed = battery.path(level, packets, 15.0, np.zeros((64, rows)))
+        out = np.full((64, rows), np.nan)
         got = battery.path(level, packets, 15.0, out)
         assert np.shares_memory(got, out)
-        assert got.shape == fresh.shape and got.tobytes() == fresh.tobytes()
+        assert got.shape == zeroed.shape and got.tobytes() == zeroed.tobytes()
         assert (level.tobytes(), packets.tobytes()) == before
 
     @pytest.mark.parametrize("seed", [9, 10, 11])
@@ -200,12 +218,12 @@ class TestPath:
         packets[rng.random((256, 64)) < 0.1] = 0.0
         packets[rng.random((256, 64)) < 0.05] = 1e3  # lifts a non-linear level to umax in one packet
         assert (packets == 0.0).any()
-        path = battery.path(level, packets.copy(), NL.umax)  # no level goes above umax, so no early stop
-        assert path.shape == packets.shape
-        assert (np.diff(path, axis=1) >= 0.0).all()
-        assert (path[:, 0] >= level).all()
+        path = battery.path(level, packets.copy(), NL.umax, plane(packets))  # no level goes above umax, so no early stop
+        assert path.shape == packets.shape[::-1]
+        assert (np.diff(path, axis=0) >= 0.0).all()
+        assert (path[0] >= level).all()
         if battery is NL:
-            assert (path == NL.umax).any(axis=1).mean() > 0.9
+            assert (path == NL.umax).any(axis=0).mean() > 0.9
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["negative", "nan"])
     @pytest.mark.parametrize("battery", [LinearBattery(), NL], ids=["linear", "nonlinear"])
@@ -213,7 +231,7 @@ class TestPath:
         level, packets = self.block(8)
         packets[3, 40] = bad
         with pytest.raises(ValueError, match="packet energy must be >= 0"):
-            battery.path(level, packets, 20.0)
+            battery.path(level, packets, 20.0, plane(packets))
 
 
 class TestTransformInvariants:

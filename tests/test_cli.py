@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -584,65 +585,84 @@ class TestMain:
 
 ROOT = Path(__file__).resolve().parents[1]
 # Parses a config, then runs it (or compares, for "compare"), in a fresh
-# interpreter, and prints whether scipy was loaded after each step.
-SCIPY_PROBE = """
+# interpreter, and prints which of ``MODULES`` were loaded after each step.
+PROBE = """
 import sys
 from pathlib import Path
 from rechargetime.cli import compare_formulas, parse_config, run_experiment
+MODULES = ("scipy", "concurrent.futures", "multiprocessing", "argparse")
 config, command, out = sys.argv[1:]
 parsed = parse_config(Path(config).read_text())
-loaded = ["scipy" in sys.modules]
-parsed.replications = 100
+loaded = [[m for m in MODULES if m in sys.modules]]
 if command == "compare":
     compare_formulas(parsed)
 else:
     run_experiment(parsed, Path(out))
-loaded.append("scipy" in sys.modules)
+loaded.append([m for m in MODULES if m in sys.modules])
 print(loaded)
 """
 
 
 @pytest.mark.parametrize("config", sorted((ROOT / "perfbench" / "workloads").glob("*.cfg")), ids=lambda p: p.stem)
-def test_cli_path_never_imports_scipy(config, tmp_path):
+def test_workload_loads_no_scipy_pool_or_argparse(config, tmp_path):
     # scipy.special takes most of the import time of rechargetime.cli; the
-    # curves compute their special functions without it
+    # curves compute their special functions without it. Each workload, at
+    # its own replications, runs below the engine's pool break-even; the
+    # pool's modules load only for a pool and argparse only for main, so
+    # none of them is set-up time of a library run
     command = "compare" if config.stem.startswith("compare") else "run"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, str(config), command, str(tmp_path / "out")],
+        [sys.executable, "-c", PROBE, str(config), command, str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[False, False]"
+    assert done.stdout.strip() == "[[], []]"
 
 
-POOL_PROBE = """
-import sys
-from pathlib import Path
-from rechargetime.cli import compare_formulas, parse_config, run_experiment
-config, command, out = sys.argv[1:]
-parsed = parse_config(Path(config).read_text())
-if command == "compare":
-    compare_formulas(parsed)
-else:
-    run_experiment(parsed, Path(out))
-print([m for m in ("concurrent.futures", "multiprocessing", "argparse") if m in sys.modules])
-"""
+# Each config expects about 1e6 packets or more, above the engine's
+# break-even of 1e6, so on 2 or more CPUs workers = 2 opens a real pool of
+# two: the linear one 1.26e6 (60000 replications at u = 20), the per-packet
+# one about 1.2e6 (20000 replications), the inverse-Gaussian one 1.03e6
+# (25000 replications at u = 40).
+POOL_CONFIGS = {
+    "linear": "u = 20\nreplications = 60000\n",
+    "per-packet": "battery = nonlinear umax=25 beta=1.1\npackets = uniform lo=0 hi=1\nu = 20\nreplications = 20000\n",
+    "finish-apart": "packets = invgauss mean=1 shape=0.5\nu = 40\nreplications = 25000\n",
+}
 
 
-@pytest.mark.parametrize("config", sorted((ROOT / "perfbench" / "workloads").glob("*.cfg")), ids=lambda p: p.stem)
-def test_workload_below_the_break_even_loads_no_pool_or_argparse(config, tmp_path):
-    # each workload, at its own replications, runs below the engine's pool
-    # break-even; the pool's modules load only for a pool and argparse only
-    # for main, so neither is set-up time of a library run
-    command = "compare" if config.stem.startswith("compare") else "run"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", POOL_PROBE, str(config), command, str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+def test_a_run_above_the_pool_break_even_writes_the_same_files_at_workers_1_and_2(tmp_path, monkeypatch):
+    # A range steps its chunks in groups of four, and the pool's two ranges
+    # split those groups at other chunks than workers = 1 does, which the
+    # files must not show. The inverse-Gaussian packets' long tail makes the
+    # chunks of a group finish in different blocks, so the chunks that
+    # finish first stop drawing and step on with their last block while the
+    # rest of the group draws. The pools are real processes.
+    pools = []  # the size of each pool the engine opens
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    # the engine imports ProcessPoolExecutor from concurrent.futures when it opens a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    for name, text in POOL_CONFIGS.items():
+        outs = []
+        for workers in (1, 2):
+            cfg = tmp_path / f"{name}-workers{workers}.cfg"
+            cfg.write_text(f"{text}workers = {workers}\n")
+            outs.append(tmp_path / f"{name}-out{workers}")
+            assert main(["run", str(cfg), "--out", str(outs[-1])]) == 0, f"{name}, workers = {workers}"
+        csvs = sorted(p.name for p in outs[0].glob("*.csv"))
+        assert csvs and csvs == sorted(p.name for p in outs[1].glob("*.csv")), name
+        for csv in csvs:
+            assert (outs[0] / csv).read_bytes() == (outs[1] / csv).read_bytes(), f"{name}: {csv}"
+        one, two = (json.loads((out / "manifest.json").read_text()) for out in outs)
+        one.pop("config"), two.pop("config")  # the config text holds the workers line
+        assert one == two, f"{name}: the manifests differ outside their config text"
+    assert pools == ([2, 2, 2] if os.cpu_count() >= 2 else [])
 
 
 # Runs a workload once to warm up, then ``passes`` more times, in a fresh
@@ -671,9 +691,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / int(passes
 def test_kernel_does_not_page_fault_per_block(config, tmp_path):
     # The kernel draws and steps every block in three planes kept per range of
     # chunks: the gaps, the packets, and a third plane that holds first the
-    # path, which both rules write there as their transposed copy of the
-    # block, and then the running sum of the gaps that dates the block's
-    # crossings. Arrays allocated per block were trimmed by glibc and faulted
+    # path, which both rules write there as [k, rows], a packet column into
+    # a plane row at a time, and then the running sum of the gaps that dates
+    # the block's crossings. Arrays allocated per block were trimmed by glibc and faulted
     # back by the next block: about 4500 and 3000 minor faults a pass on
     # poisson_linear and nonlinear_per_packet, against 3 and 0 with the planes
     # (Python 3.11, numpy 2.4, 2 vCPUs). renewal_equilibrium runs the kernel

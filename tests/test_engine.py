@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -167,7 +168,7 @@ class TestKernelOracle:
         # its values after ``packets`` and ``packets + 1`` packets, so one
         # packet lifts every row above both: in block 1 (linear) or block 0
         # (per-packet)
-        lifts = battery.path(np.zeros(1), np.ones((1, 128)), np.inf)[0]
+        lifts = battery.path(np.zeros(1), np.ones((1, 128)), np.inf, np.empty((128, 1)))[:, 0]
         below, above = lifts[packets - 1], lifts[packets]
         lower, upper = below + (above - below) * np.array([0.25, 0.75])
         assert np.searchsorted(lifts, lower) == np.searchsorted(lifts, upper) == packets
@@ -366,7 +367,7 @@ class TestBufferReuse:
 
         def recorded(self, *args):
             steps = path(self, *args)
-            columns[-1].append(steps.shape[1])
+            columns[-1].append(len(steps))
             return steps
 
         monkeypatch.setattr(type(battery), "path", recorded)
@@ -409,7 +410,7 @@ class TestBufferReuse:
 
         def recorded(self, *args):
             steps = path(self, *args)
-            columns.append(steps.shape[1])
+            columns.append(len(steps))
             return steps
 
         monkeypatch.setattr(NonLinearBattery, "path", recorded)
@@ -420,6 +421,34 @@ class TestBufferReuse:
                 replay = replay_chunk(dataclasses.replace(c, threshold=u), chunk)
                 assert taus[chunk * CHUNK : (chunk + 1) * CHUNK].tobytes() == replay.tobytes()
 
+
+    @pytest.mark.parametrize(
+        "battery, packet, levels",
+        [
+            (LinearBattery(), Exponential(1.0), (40.0, 160.0)),
+            (NonLinearBattery(umax=25.0, beta=1.1), Uniform(0.0, 1.0), (10.0, 20.0)),
+            (LinearBattery(), InverseGaussian(1.0, 0.5), (20.0, 40.0)),
+        ],
+        ids=["linear", "per-packet", "finish-apart"],
+    )
+    def test_a_range_allocates_less_than_a_plane_past_its_planes(self, battery, packet, levels):
+        # a range of four chunks steps one group of 1024 rows in three
+        # [1024, 64] planes; the path, the gaps' running sum and the draws
+        # land there, so the rest of the kernel's memory (the count, the
+        # crossings, the taus) stays below one more plane. One block-sized
+        # array allocated per block, such as a path from ``np.cumsum`` without
+        # ``out=``, lifts the peak past it; the page-fault count misses one
+        c = cfg(packet=packet, battery=battery, threshold=levels[-1], replications=4 * CHUNK, seed=7)
+        levels = np.array(levels)
+        engine._run_range(c, levels, 0, 4)  # warm-up
+        plane = 4 * CHUNK * 64 * 8  # bytes
+        tracemalloc.start()
+        try:
+            engine._run_range(c, levels, 0, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 3 * plane < plane
 
 class CountedPackets:
     """A packet law that counts the blocks each chunk's generator draws, by the chunk's spawn key."""
