@@ -9,15 +9,16 @@ applies the tanh law to the cumulative input, so its recharge time is that of
 ``LinearBattery()`` at ``input_for_level(u)``, which ``analytic.nonlinear_cdf``
 evaluates.
 
-Each battery's ``path`` is its charging rule: it steps the rows' levels
-through a [rows, k] block of packets, checked once (``check_packets``) before
-any level takes it in, and writes the level after each packet into ``out``, a
-C-contiguous [>= k, rows] plane that the caller keeps: plane row j takes every
-row's level after packet j. It returns the plane rows it wrote, ``out[:k]`` or
-fewer, as [k, rows]. Both rules read each strided packet column of the block
-straight into one contiguous plane row. Under both rules the caller's packets
-and levels are left as they were. The engine's kernel calls it on every drawn
-block, with a plane it keeps as ``out``, without knowing which rule it runs.
+Each battery's ``path`` is its charging rule alone: it steps the rows' levels
+through a [rows, k] block of packets, which must be >= 0, and writes the level
+after each packet into ``out``, a C-contiguous [>= k, rows] plane that the
+caller keeps: plane row j takes every row's level after packet j. It returns
+the plane rows it wrote, ``out[:k]`` or fewer, as [k, rows]. Both rules read
+each strided packet column of the block straight into one contiguous plane
+row. Under both rules the caller's packets and levels are left as they were.
+The engine's kernel checks the packets of every block it draws and then calls
+``path`` on it, with a plane it keeps as ``out``, without knowing which rule
+it runs.
 A linear battery's levels are a running sum of its packets, ``running_sum``'s
 one contiguous add per column, which the kernel also takes of the gaps; a
 non-linear one steps the block per packet, U <- min(U + eta(U) X, umax),
@@ -38,7 +39,7 @@ import numpy as np
 
 from .distributions import Spec, parse_spec
 
-__all__ = ["LinearBattery", "NonLinearBattery", "BatteryModel", "check_packets", "parse_battery", "running_sum"]
+__all__ = ["LinearBattery", "NonLinearBattery", "BatteryModel", "parse_battery", "running_sum"]
 
 
 def _check_state(U, cap: float) -> np.ndarray:
@@ -48,14 +49,6 @@ def _check_state(U, cap: float) -> np.ndarray:
     if not ok.all():
         raise ValueError(f"state {U[~ok].flat[0]} outside [0, {cap}]")
     return U
-
-
-def check_packets(x) -> np.ndarray:
-    """x as an array, or ValueError if any packet is negative or NaN."""
-    x = np.asarray(x, dtype=float)
-    if not (x >= 0).all():
-        raise ValueError("packet energy must be >= 0")
-    return x
 
 
 def running_sum(block: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -101,7 +94,7 @@ class LinearBattery(Spec):
     def path(self, level: np.ndarray, packets: np.ndarray, top: float, out: np.ndarray) -> np.ndarray:
         """Levels after each packet of a [rows, k] block from the rows' ``level``: the running sum, [k, rows].
 
-        The block is checked first (``check_packets``), and its
+        The packets must be >= 0: they are not checked here. The block's
         ``running_sum`` is written into ``out[:k]``, the first k rows of a
         C-contiguous [>= k, rows] float plane; the path is those sums plus the
         levels, the bits of ``(np.cumsum(packets, axis=1) + level[:, None]).T``,
@@ -113,7 +106,7 @@ class LinearBattery(Spec):
         """
         # no capacity clip: top < capacity, so a clip would move no crossing of
         # a level up to top and leave every row still below top as it is
-        path = running_sum(check_packets(packets), out)
+        path = running_sum(packets, out)
         path += level
         return path
 
@@ -165,26 +158,32 @@ class NonLinearBattery(Spec):
         return min(max(u, 0.0), self.umax)
 
     def input_for_level(self, u: float) -> float:
-        """Raw input total needed to reach stored level u (the shifted threshold)."""
+        """Raw input total needed to reach stored level u (the shifted threshold), or ValueError if it is not > 0.
+
+        A level u > 0 so small that u - a rounds to -a takes an input that
+        rounds to 0, which every formula of tau refuses.
+        """
         if not 0.0 < u <= self.umax:
             raise ValueError(f"level {u} outside (0, {self.umax}]")
-        return self.input_offset + self.b * math.atanh((u - self.a) / self.b)
+        x = self.input_offset + self.b * math.atanh((u - self.a) / self.b)
+        if not x > 0.0:
+            raise ValueError(f"level {u} takes a raw input of {x} in floating point, not > 0")
+        return x
 
     def path(self, level: np.ndarray, packets: np.ndarray, top: float, out: np.ndarray) -> np.ndarray:
         """Levels after each packet of a [rows, k] block from the rows' ``level``, one step per packet, [k, rows].
 
-        The block is checked first (``check_packets``). The path is written
-        into ``out[:k]``, the first k rows of a C-contiguous [>= k, rows]
-        float plane, and is returned as a view of it: row j takes packet
-        column j, unchecked, as the levels after it, U <- min(U + eta(U) x,
-        umax), through a [rows] scratch for eta(U). The caller's packets and
+        The packets must be >= 0: they are not checked here. The path is
+        written into ``out[:k]``, the first k rows of a C-contiguous
+        [>= k, rows] float plane, and is returned as a view of it: row j takes
+        packet column j as the levels after it, U <- min(U + eta(U) x, umax),
+        through a [rows] scratch for eta(U). The caller's packets and
         ``level`` are left as they were. No row falls, since a step adds
         eta(U) x >= 0 and caps at umax >= U: each column is non-decreasing
         and starts at or above its ``level``. So the path stops early, with
         j + 1 rows, at the first row j where every level is above ``top``,
         and leaves the plane's later rows as they were.
         """
-        packets = check_packets(packets)
         eta = np.empty_like(level)
         for j, x in enumerate(out[: packets.shape[1]]):
             np.multiply(packets[:, j], self._eta(level, eta), out=x)

@@ -16,9 +16,11 @@ its config keys (so the inverse Gaussian's mean is its field ``mean``).
 reads the names of ``_LAWS``, which holds the aliases ``exp``, ``ig``,
 ``inverse_gaussian`` and ``constant`` too.
 
-All laws have non-negative support and finite first three raw moments; the
-constructors refuse a non-finite or out-of-range parameter, and one whose mean,
-variance or third raw moment is not a finite float.
+All laws have non-negative support, a positive mean and finite first three
+raw moments; the constructors refuse a non-finite or out-of-range parameter,
+one whose mean, variance or third raw moment is not a finite float, and one
+whose mean underflows to 0 (``gamma shape=1e-300 scale=1e-300``), which the
+engine's expected packet count and every formula divide by.
 Specs are immutable; random streams (``numpy.random.Generator``) are passed
 in by the caller and never stored.
 
@@ -114,7 +116,7 @@ def parse_spec(text: str, kinds: dict[str, type], what: str):
 
 
 def _check_moments(law) -> None:
-    """ValueError unless the law's mean, variance and third raw moment are finite floats."""
+    """ValueError unless the law's mean, variance and third raw moment are finite floats and its mean is > 0."""
     for name in ("mean", "variance", "third_raw_moment"):
         try:
             value = getattr(law, name)
@@ -122,6 +124,8 @@ def _check_moments(law) -> None:
             value = math.inf
         if not math.isfinite(value):
             raise ValueError(f"{law.config_str()} has no finite {name} in floating point")
+    if not law.mean > 0.0:
+        raise ValueError(f"{law.config_str()} has a mean of 0 in floating point")
 
 
 @dataclass(frozen=True)

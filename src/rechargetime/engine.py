@@ -23,32 +23,33 @@ results are bitwise reproducible for a given seed across worker counts,
 configs that share a seed see common random numbers, and a longer run
 starts with the taus of a shorter one.
 
-Each block of a group's kept packets goes through one ``battery.path``
-call, which checks it once, before the levels take it in, and writes the
-level after each packet into the third plane by the battery's own rule. The
-kernel reads that plane as [64, rows], and both rules write the path there
-as [k, rows], one packet column into one contiguous row at a time: a running
-sum (``battery.running_sum``, one contiguous add per column) for a linear
+Each block of a group's kept packets is checked once, right after the draw
+(a negative or NaN packet is a ValueError), and then goes through one
+``battery.path`` call, which writes the level after each packet into the
+third plane by the battery's own rule. The kernel reads that plane as
+[64, rows], and both rules write the path there as [k, rows], one packet
+column into one contiguous row at a time: a running sum
+(``battery.running_sum``, one contiguous add per column) for a linear
 battery, one step per packet for a non-linear one. One call steps up to 1024
 rows, so each rule pays its per-column call overhead once for four chunks.
 The kernel does not know which rule it runs. Once the path is read, the same
 [64, rows] plane takes the gaps' running sum the same way, over only the gaps
 up to the block's last crossing packet, which dates the crossings: a block
-that passes no pair sums none. The continuous model, the tanh law
-applied to the cumulative input, needs no path of its own: its taus are
-those of an uncapped linear battery at u' = ``battery.input_for_level(u)``,
-same seed.
+that passes no pair sums none. The continuous model, the tanh law applied to
+the cumulative input, needs no path of its own: its taus are those of an
+uncapped linear battery at u' = ``battery.input_for_level(u)``, same seed.
 
 A stream is the configs that differ only in their threshold: they draw the
 same values and their levels follow the same paths. The kernel takes a
 stream's ascending levels and finds the passage times of all of them in one
 pass, each bit for bit what a run at that level alone gives, by one count.
-It relies on one contract of ``battery.path``: a row's level never falls, in
-floating point too (a linear level adds non-negative packets; a per-packet
-step adds eta(U) X >= 0 and caps at umax >= U). So the number of a block's
-path values at or below a level is the index of the packet that lifts the row
-above it, and the block passes that level if the index is inside the path
-and the row began the block at or below the level.
+It relies on one contract of ``battery.path``: on the packets >= 0 that the
+check lets through, a row's level never falls, in floating point too (a
+linear level adds them; a per-packet step adds eta(U) X >= 0 and caps at
+umax >= U). So the number of a block's path values at or below a level is
+the index of the packet that lifts the row above it, and the block passes
+that level if the index is inside the path and the row began the block at or
+below the level.
 
 ``workers`` is an upper bound, and one stream plan serves the CLI and library
 callers alike: ``Streams`` groups a ``worker_pool``'s configs into streams
@@ -192,74 +193,6 @@ _BLOCK = 64
 _GROUP = 4
 
 
-def _simulate_chunks(
-    config: ExperimentConfig, levels: np.ndarray, rngs: Sequence[np.random.Generator], rows: int, buffers: np.ndarray
-) -> np.ndarray:
-    """[levels, rows] passage times of the first ``rows`` replications of a group of chunks.
-
-    ``levels`` ascend. Chunk c of the group draws from ``rngs[c]``: the
-    residual wait of its ``CHUNK`` rows, then [CHUNK, 64] blocks of
-    inter-arrivals and packets into its rows [c CHUNK, (c + 1) CHUNK) of the
-    first two planes of the caller's [3, group CHUNK, 64] ``buffers``
-    (``sample(rng, out=)``), until each of its kept rows is above the top
-    level. Only the last chunk of a run is cut, so the kept rows are the
-    first ``rows`` of the group, and each block steps them together, a
-    [rows, 64] view, the rows above the top too. A chunk reads its own
-    kept rows' levels before each block and draws no more once they are all
-    above the top; its rows then step on with its last block and, already
-    above every level, pass none. So every row's draws depend only on its
-    chunk's generator and the block index, not on the group, and the block
-    loop allocates nothing of block size.
-
-    ``battery.path`` checks the kept packets and writes each row's level
-    after each one into the first k rows of the third plane, read as
-    [64, rows]: k = 64, or fewer when every row is above the top after
-    packet k - 1. A row's level never falls, so for each [level, row] the
-    count of its path values at or below the level is the index of the
-    packet that lifts it above; the block passes the pairs whose index is
-    inside the path and whose row began the block at or below the level.
-    The count is a [levels, k, rows] array summed over its middle axis. Once
-    the path is read, its last row copied out as the levels, the same
-    [64, rows] plane takes the
-    ``running_sum`` of the gap plane's first m columns, m the largest index
-    a passed pair reads (0 when the block passes none), so a packet f > 0 of
-    a row lands at the carried epoch plus the row's first f gaps. The sums
-    are those of ``np.cumsum`` along each row, bit for bit. The gap plane
-    keeps its draws, and their row sums carry the epoch.
-    """
-    top = levels[-1]
-    arr = config.arrival
-    t = np.concatenate([arr.residual_sample(rng, CHUNK) for rng in rngs])[:rows]  # epoch of each row's next packet
-    level = np.zeros(rows)
-    taus = np.empty((levels.size, rows))
-    gaps, packets = buffers[:2, :rows]
-    plane = buffers[2, :rows].reshape(_BLOCK, rows)  # the third plane read as [64, rows]: the path, then the gaps' sums
-    own = [buffers[:2, c * CHUNK : (c + 1) * CHUNK] for c in range(len(rngs))]  # each chunk's gap and packet rows
-    for _ in range(0, _MAX_PACKETS, _BLOCK):
-        for c, rng in enumerate(rngs):
-            if level[c * CHUNK : (c + 1) * CHUNK].min() <= top:
-                arr.interarrival.sample(rng, out=own[c][0])
-                config.packet.sample(rng, out=own[c][1])
-        path = config.battery.path(level, packets, top, plane)
-        k = len(path)  # the path may stop early, before the block's last packet
-        # [levels, rows] index of the packet that lifts each row above each level; at most 64,
-        # so it is summed in int8, which numpy adds about 3x faster than the intp of count_nonzero
-        first = (path <= levels[:, None, None]).sum(axis=1, dtype=np.int8)
-        i, r = np.nonzero((first < k) & (level <= levels[:, None]))
-        f = first[i, r]
-        np.copyto(level, path[-1])  # the path is read; the third plane takes the running sum of the gaps
-        m = f.max(initial=0)  # the crossings read the first m gaps; a block that passes no pair sums none
-        running_sum(gaps[:, :m], plane)
-        # the whole plane, not the m rows: at f = 0, f - 1 = -1 must index
-        taus[i, r] = t[r] + np.where(f > 0, plane[f - 1, r], 0.0)
-        if level.min() > top:
-            return taus
-        t += gaps.sum(axis=1)
-    raise UnreachableThresholdError(
-        f"no crossing after {_MAX_PACKETS} packets for config: {config!r}"
-    )
-
-
 def _n_chunks(replications: int) -> int:
     return -(-replications // CHUNK)
 
@@ -267,23 +200,68 @@ def _n_chunks(replications: int) -> int:
 def _run_range(config: ExperimentConfig, levels: np.ndarray, start: int, stop: int) -> np.ndarray:
     """[levels, rows] passage times of chunks [start, stop); chunk c draws from child c of the seed.
 
-    The range steps its chunks in groups of up to ``_GROUP``, one
-    ``_simulate_chunks`` call each. The last chunk of the run is cut to the
-    replications left but draws as a full chunk, so a longer run starts with
-    the taus of a shorter one. The range allocates the block buffers of
-    ``_simulate_chunks`` once, for its largest group, and every group reuses
-    them.
+    ``levels`` ascend. The range allocates its three planes first, for its
+    largest group, and then the taus; each group writes its crossings into
+    its own columns of the taus. Only the last chunk of a run is cut, so the
+    kept rows of a group are its first ``rows``, and each block steps them
+    together as a [rows, 64] view. A chunk reads its kept rows' levels before
+    each block and draws into its own rows [c CHUNK, (c + 1) CHUNK) of the
+    gap and packet planes while any is at or below the top.
+
+    Each block's kept packets are checked right after the draw, so ``path``
+    steps packets >= 0 only and a row's level never falls. For each
+    [level, row] the count of its path values at or below the level is thus
+    the index f of the packet that lifts the row above it: a
+    [levels, k, rows] comparison summed over its middle axis. The block
+    passes the pairs whose f is inside the path and whose row began the
+    block at or below the level. Once the path is read, its last row copied
+    out as the levels, the third plane takes the ``running_sum`` of the gap
+    plane's first m columns, m the largest f of a passed pair, so packet
+    f > 0 of a row lands at the carried epoch plus the row's first f gaps,
+    the bits of ``np.cumsum`` along the row. The gap plane keeps its draws,
+    and their row sums carry the epoch.
     """
+    top = levels[-1]
+    arr = config.arrival
     n = config.replications
     buffers = np.empty((3, min(_GROUP, stop - start) * CHUNK, _BLOCK))
-    taus = []
-    for first in range(start, stop, _GROUP):
-        chunks = range(first, min(first + _GROUP, stop))
+    taus = np.empty((levels.size, min(n, stop * CHUNK) - start * CHUNK))
+    for lo in range(start, stop, _GROUP):
+        chunks = range(lo, min(lo + _GROUP, stop))
         # child c of SeedSequence(seed), built from its spawn key without spawning the chunks before it
         rngs = [np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(c,))) for c in chunks]
-        rows = min(n, chunks.stop * CHUNK) - first * CHUNK
-        taus.append(_simulate_chunks(config, levels, rngs, rows, buffers))
-    return np.concatenate(taus, axis=1)
+        rows = min(n, chunks.stop * CHUNK) - lo * CHUNK
+        out = taus[:, (lo - start) * CHUNK :]  # the taus from the group's first column on
+        t = np.concatenate([arr.residual_sample(rng, CHUNK) for rng in rngs])[:rows]  # epoch of each row's next packet
+        level = np.zeros(rows)
+        gaps, packets = buffers[:2, :rows]
+        # the third plane read as [64, rows]: the path, then the gaps' sums
+        plane = buffers[2, :rows].reshape(_BLOCK, rows)
+        for _ in range(0, _MAX_PACKETS, _BLOCK):
+            for c, rng in enumerate(rngs):
+                if level[c * CHUNK : (c + 1) * CHUNK].min() <= top:
+                    arr.interarrival.sample(rng, out=buffers[0, c * CHUNK : (c + 1) * CHUNK])
+                    config.packet.sample(rng, out=buffers[1, c * CHUNK : (c + 1) * CHUNK])
+            if not packets.min() >= 0.0:  # NaN fails it too
+                raise ValueError("packet energy must be >= 0")
+            path = config.battery.path(level, packets, top, plane)
+            k = len(path)  # the path may stop early, before the block's last packet
+            # [levels, rows] index of the packet that lifts each row above each level; at most 64,
+            # so it is summed in int8, which numpy adds about 3x faster than the intp of count_nonzero
+            first = (path <= levels[:, None, None]).sum(axis=1, dtype=np.int8)
+            i, r = np.nonzero((first < k) & (level <= levels[:, None]))
+            f = first[i, r]
+            np.copyto(level, path[-1])  # the path is read; the third plane takes the running sum of the gaps
+            m = f.max(initial=0)  # the crossings read the first m gaps; a block that passes no pair sums none
+            running_sum(gaps[:, :m], plane)
+            # the whole plane, not the m rows: at f = 0, f - 1 = -1 must index
+            out[i, r] = t[r] + np.where(f > 0, plane[f - 1, r], 0.0)
+            if level.min() > top:
+                break
+            t += gaps.sum(axis=1)
+        else:
+            raise UnreachableThresholdError(f"no crossing after {_MAX_PACKETS} packets for config: {config!r}")
+    return taus
 
 
 def pool_size(workers: int, replications: int) -> int:

@@ -9,11 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rechargetime import engine
+from rechargetime.analytic import packet_sum_terms
 from rechargetime.battery import LinearBattery, NonLinearBattery
 from rechargetime.cli import (
     _KEYS,
+    _MAX_SERIES_TERMS,
     ConfigError,
     _curves,
     compare_formulas,
@@ -21,8 +25,35 @@ from rechargetime.cli import (
     parse_config,
     run_experiment,
 )
-from rechargetime.distributions import Deterministic, Exponential, Gamma
+from rechargetime.distributions import Deterministic, Exponential, Gamma, float_str
 from rechargetime.renewal import Mode
+
+# A law parameter anywhere in the positive floats, 5e-324 to 1.7e308, with
+# every power of ten in that range drawn as often as the rest
+POSITIVE = st.one_of(st.floats(5e-324, 1.7e308), st.integers(-323, 308).map(lambda e: float(f"1e{e}")))
+
+
+def law_text(name, *keys):
+    """Config text of law ``name`` with each of ``keys`` set to a POSITIVE value."""
+    values = st.tuples(*[POSITIVE] * len(keys))
+    return values.map(lambda xs: " ".join([name, *(f"{k}={float_str(x)}" for k, x in zip(keys, xs))]))
+
+
+LAW_TEXT = st.one_of(
+    law_text("exponential", "rate"),
+    law_text("gamma", "shape", "scale"),
+    law_text("invgauss", "mean", "shape"),
+    law_text("uniform", "lo", "hi"),
+    POSITIVE.map(lambda hi: f"uniform lo=0 hi={float_str(hi)}"),
+    law_text("deterministic", "value"),
+)
+# beta near 1, where eta(0) = 1 - 1 / beta^2 is near 0
+BETA = st.one_of(st.floats(1.0, 2.0), st.integers(1, 16).map(lambda e: 1.0 + 10.0**-e))
+BATTERY_TEXT = st.one_of(
+    st.just("linear"), st.just("linear umax=25"), BETA.map(lambda b: f"nonlinear umax=25 beta={float_str(b)}")
+)
+# thresholds near 0 and near the capacity 25 of the capped batteries
+THRESHOLD = st.one_of(st.floats(5e-324, 1.0), st.integers(1, 16).map(lambda e: 25.0 * (1.0 - 10.0**-e)))
 
 PANEL_A_LINEAR = """
 arrivals = exponential rate=1
@@ -194,6 +225,33 @@ class TestParseConfig:
         parse_config(text + "battery = linear umax=25")
         with pytest.raises(ConfigError, match="budget"):
             parse_config(text + "battery = nonlinear umax=25 beta=1.1")
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(
+        arrivals=LAW_TEXT, packets=LAW_TEXT, battery=BATTERY_TEXT, u=THRESHOLD, mode=st.sampled_from(["equilibrium", "pure"])
+    )
+    # the packets' mean underflows to 0: a ZeroDivisionError out of parse_config
+    @example(
+        arrivals="exponential rate=1", packets="gamma shape=1e-300 scale=1e-300", battery="linear", u=20.0,
+        mode="equilibrium",
+    )
+    # u' = input_for_level(u) rounds to 0: a bare ValueError from renewal_mean_tau
+    @example(
+        arrivals="exponential rate=1", packets="exponential rate=1", battery="nonlinear umax=25 beta=2", u=5e-324,
+        mode="equilibrium",
+    )
+    def test_every_config_is_refused_or_planned_within_the_bounds(self, arrivals, packets, battery, u, mode):
+        # parsing plans every curve, and nothing is simulated
+        text = f"arrivals = {arrivals}\npackets = {packets}\nbattery = {battery}\nu = {float_str(u)}\nmode = {mode}"
+        try:
+            parsed = parse_config(text)
+        except ConfigError:
+            return
+        for curve in _curves(parsed):
+            if curve.formula == "poisson_normal":
+                packet = curve.config.packet
+                terms = packet_sum_terms(curve.config.input_threshold, packet.mean, math.sqrt(packet.variance))
+                assert terms <= _MAX_SERIES_TERMS
 
 
 class TestRunExperiment:
@@ -530,11 +588,18 @@ class TestMain:
                 [],
                 "curve_u20__exponential_rate_1__invgauss_mean_1_shape_1e-12.csv",
             ),
+            # finite parameters whose mean underflows to 0: the expected packet
+            # count divided by it, a ZeroDivisionError with no error line
+            ("packets = gamma shape=1e-300 scale=1e-300", [], "packets"),
+            ("packets = uniform lo=0 hi=5e-324", [], "packets"),
+            # u > 0, but u' = input_for_level(u) rounds to 0, which renewal_mean_tau refused unnamed
+            ("battery = nonlinear umax=25 beta=2\nu = 5e-324", [], "u"),
         ],
         ids=[
             "threshold", "replications", "replication-override", "uniform-hi-inf", "nonlinear-umax-inf",
             "deterministic-inf", "exponential-rate-inf", "nonlinear-beta-inf", "exponential-rate-underflow",
-            "grid-too-fine", "variance-of-tau-overflow", "normal-series-too-long",
+            "grid-too-fine", "variance-of-tau-overflow", "normal-series-too-long", "packets-mean-underflow",
+            "uniform-mean-underflow", "nonlinear-input-underflow",
         ],
     )
     def test_bad_run_config_fails_before_writing(self, tmp_path, capsys, lines, override, key):

@@ -212,6 +212,14 @@ def test_moment_outside_float_range_rejected(law, args, moment):
         law(*args)
 
 
+@pytest.mark.parametrize("law, args", [(Gamma, (1e-300, 1e-300)), (Uniform, (0.0, 5e-324))], ids=["gamma", "uniform"])
+def test_mean_that_underflows_to_0_rejected(law, args):
+    # a finite mean of 0.0 passed the moment check, and the engine's expected
+    # packet count divided by it: a ZeroDivisionError out of the CLI
+    with pytest.raises(ValueError, match="mean of 0"):
+        law(*args)
+
+
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.5, 2.0), (0.1, 0.3), (3.0, 7.5), (1e-8, 1e8)])
 def test_uniform_third_moment_matches_the_unfactored_formula(lo, hi):
     old = (hi**4 - lo**4) / (4.0 * (hi - lo))

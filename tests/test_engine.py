@@ -253,6 +253,27 @@ class TestKernelOracle:
         with pytest.raises(ValueError, match="packet energy must be >= 0"):
             run(c)
 
+    def test_packet_check_covers_every_chunk_of_a_group(self):
+        class BadInChunkTwo:
+            """Packets of 0.25, but chunk 2 draws one negative packet into its last kept row."""
+
+            mean = 0.25
+
+            def sample(self, rng, out):
+                out.fill(self.mean)
+                if rng.bit_generator.seed_seq.spawn_key == (2,):
+                    out[39, 0] = -1.0
+                return out
+
+            def config_str(self):
+                return "bad-in-chunk-2"
+
+        # one range steps chunks 0-2 as one group of 2 CHUNK + 40 kept rows;
+        # the bad packet is the first packet of the group's last kept row
+        c = cfg(packet=BadInChunkTwo(), replications=2 * CHUNK + 40)
+        with pytest.raises(ValueError, match="packet energy must be >= 0"):
+            run(c)
+
 
 class TestRun:
     def test_reproducible_and_seed_sensitive(self):
