@@ -2,12 +2,17 @@
 
 The non-linear model has a state-dependent conversion efficiency
 eta(U) = 1 - ((U - a)/b)^2 with a = umax/2 and b = beta*umax/2, beta > 1.
-Integrating dU/dX = eta(U) from an empty battery yields the logistic-type
-law U = a + b*tanh((X - C)/b) with C = b*artanh(1/beta), which converts a
-cumulative raw-input total into a stored level and back. The continuous model
-applies the tanh law to the cumulative input, so its recharge time is that of
-``LinearBattery()`` at ``input_for_level(u)``, which ``analytic.nonlinear_cdf``
-evaluates.
+Integrating dU/dX = eta(U) from an empty battery gives the paper's tanh law
+from a cumulative raw input X to a stored level U. Its inverse, the input that
+lifts an empty battery to u, is ``input_for_level``:
+
+    X(u) = b/2 * (log1p(u/(b - a)) - log1p(-u/(b + a))),
+
+the paper's b*(artanh((u - a)/b) + artanh(a/b)) with its two nearly equal
+terms folded into one, so nothing cancels near u = 0, where X(u) is
+u/eta(0) to first order. The continuous model applies the tanh law to the
+cumulative input, so its recharge time is that of ``LinearBattery()`` at
+``input_for_level(u)``, which ``analytic.nonlinear_cdf`` evaluates.
 
 Each battery's ``path`` is its charging rule alone: it steps the rows' levels
 through a [rows, k] block of packets, which must be >= 0, and writes the level
@@ -120,8 +125,9 @@ class NonLinearBattery(Spec):
     def __post_init__(self):
         if not 0 < self.umax < math.inf:
             raise ValueError(f"umax must be finite and > 0, got {self.umax}")
-        if not 1.0 < self.beta < math.inf:
-            raise ValueError(f"beta must be finite and > 1, got {self.beta}")
+        # b > a in floating point, or eta(0) = 0 and input_for_level divides by b - a = 0
+        if not self.a < self.b < math.inf:
+            raise ValueError(f"beta must be finite and > 1, with beta * umax/2 > umax/2 in floats, got {self.beta}")
 
     @property
     def a(self) -> float:
@@ -130,11 +136,6 @@ class NonLinearBattery(Spec):
     @property
     def b(self) -> float:
         return self.beta * 0.5 * self.umax
-
-    @property
-    def input_offset(self) -> float:
-        # C = b * artanh(1/beta); makes stored_from_input(0) = 0
-        return self.b * math.atanh(1.0 / self.beta)
 
     @property
     def capacity(self) -> float:
@@ -151,21 +152,20 @@ class NonLinearBattery(Spec):
         np.square(out, out=out)
         return np.subtract(1.0, out, out=out)
 
-    def stored_from_input(self, x_total: float) -> float:
-        if x_total < 0:
-            raise ValueError("cumulative input must be >= 0")
-        u = self.a + self.b * math.tanh((x_total - self.input_offset) / self.b)
-        return min(max(u, 0.0), self.umax)
-
     def input_for_level(self, u: float) -> float:
-        """Raw input total needed to reach stored level u (the shifted threshold), or ValueError if it is not > 0.
+        """Raw input total that lifts an empty battery to level u (the shifted threshold), in the log1p form.
 
-        A level u > 0 so small that u - a rounds to -a takes an input that
-        rounds to 0, which every formula of tau refuses.
+        ValueError for u outside (0, umax], and for a u so small that
+        u/(b - a) underflows to 0, whose input is then 0, which every formula
+        of tau refuses. Below about 1e-307 * max(1, b - a) the quotients are
+        subnormal and the input keeps few digits. Near umax, 1 - u/(b + a) is
+        as small as (b - a)/(b + a), so the rounding of u/(b + a) costs a
+        relative error of about 1e-16 * (b + a)/(b - a) there: about 1e-13
+        at beta = 1.0001, more as beta -> 1.
         """
         if not 0.0 < u <= self.umax:
             raise ValueError(f"level {u} outside (0, {self.umax}]")
-        x = self.input_offset + self.b * math.atanh((u - self.a) / self.b)
+        x = 0.5 * self.b * (math.log1p(u / (self.b - self.a)) - math.log1p(-u / (self.b + self.a)))
         if not x > 0.0:
             raise ValueError(f"level {u} takes a raw input of {x} in floating point, not > 0")
         return x

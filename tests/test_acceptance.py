@@ -160,20 +160,22 @@ def test_criterion_6_incomplete_gamma_identity(x):
 
 def test_criterion_7_battery_transform_suite():
     bat = NONLINEAR
-    xs = np.linspace(0.05, bat.input_for_level(0.95 * bat.umax), 80)
     h = 1e-6
     ode_err = max(
-        abs((bat.stored_from_input(x + h) - bat.stored_from_input(x - h)) / (2 * h)
-            / bat.efficiency(bat.stored_from_input(x)) - 1.0)
-        for x in xs
+        abs((bat.input_for_level(u + h) - bat.input_for_level(u - h)) / (2 * h) * bat.efficiency(u) - 1.0)
+        for u in np.linspace(0.05, 0.95 * bat.umax, 80)
     )
-    x_hi = bat.input_for_level(0.99 * min(bat.umax, bat.a + bat.b))
+
+    def stored_from_input(x):
+        # the paper's forward law U = a + b tanh((X - C)/b), C = b artanh(1/beta)
+        return bat.a + bat.b * math.tanh((x - bat.b * math.atanh(1.0 / bat.beta)) / bat.b)
+
     rt_err = max(
-        abs(bat.input_for_level(bat.stored_from_input(x)) - x)
-        for x in np.linspace(1e-3, x_hi, 200)
+        abs(stored_from_input(bat.input_for_level(u)) - u)
+        for u in np.linspace(1e-3, 0.99 * bat.umax, 200)
     )
     big = NonLinearBattery(umax=25.0, beta=1e6)
-    lim_err = max(abs(big.stored_from_input(x) - min(x, 25.0)) for x in np.linspace(0, 25, 500))
+    lim_err = max(abs(big.input_for_level(u) - u) for u in np.linspace(0, 25, 500)[1:])
     report(7, "ODE finite-difference rel err", ode_err, 1e-6, ode_err <= 1e-6)
     report(7, "round-trip abs err", rt_err, 1e-9, rt_err <= 1e-9)
     report(7, "beta=1e6 linear-limit deviation", lim_err, 1e-4, lim_err <= 1e-4)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,32 +45,20 @@ class TestEfficiency:
             NL.efficiency(np.array([0.0, 12.5, bad, 25.0]))
 
 
-class TestStoredFromInput:
-    def test_zero_input(self):
-        assert NL.stored_from_input(0.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_saturates_at_capacity(self):
-        assert NL.stored_from_input(1e6) == pytest.approx(25.0)
-
-    def test_offset_maps_to_half_capacity(self):
-        c = NL.input_offset
-        assert c == pytest.approx(13.75 * math.atanh(1.0 / 1.1))
-        assert c == pytest.approx(20.93, abs=0.01)
-        assert NL.stored_from_input(c) == pytest.approx(12.5)
-
-
 class TestInputForLevel:
     def test_linear_identity(self):
         assert LinearBattery(umax=25.0).input_for_level(20.0) == 20.0
 
     def test_shifted_threshold_value(self):
         up = NL.input_for_level(20.0)
-        assert up == pytest.approx(NL.input_offset + 13.75 * math.atanh(7.5 / 13.75))
+        assert up == pytest.approx(13.75 * math.atanh(1.0 / 1.1) + 13.75 * math.atanh(7.5 / 13.75))
         assert up == pytest.approx(29.34, abs=0.01)
-        assert NL.stored_from_input(up) == pytest.approx(20.0, abs=1e-9)
 
     def test_half_capacity_maps_to_offset(self):
-        assert NL.input_for_level(12.5) == pytest.approx(NL.input_offset)
+        # the offset C = b artanh(1/beta) of the paper's tanh law
+        c = 13.75 * math.atanh(1.0 / 1.1)
+        assert c == pytest.approx(20.93, abs=0.01)
+        assert NL.input_for_level(12.5) == pytest.approx(c)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -88,6 +77,18 @@ class TestInputForLevel:
         levels = np.linspace(0.1, 24.9, 100)
         vals = [NL.input_for_level(u) for u in levels]
         assert np.all(np.diff(vals) > 0)
+
+    @pytest.mark.parametrize("beta, rel", [(1.0001, 1e-12), *[(beta, 1e-13) for beta in (1.01, 1.1, 1.5, 2.0, 4.0, 1e6)]])
+    def test_matches_the_paper_law_in_high_precision(self, beta, rel):
+        # the paper's C + b artanh((u - a)/b) at 400 digits, which outlast its
+        # cancellation of about 300 digits at u = 5e-300
+        bat = NonLinearBattery(umax=25.0, beta=beta)
+        levels = [5e-300, 1e-100, 1e-14, 1e-6, *np.linspace(1e-3, 0.999999, 200) * bat.umax]
+        with mp.workdps(400):
+            a, b = mp.mpf(bat.a), mp.mpf(bat.b)
+            exact = [b * (mp.atanh(a / b) + mp.atanh((mp.mpf(u) - a) / b)) for u in levels]
+            wrong = [u for u, x in zip(levels, exact) if not abs(bat.input_for_level(u) / x - 1) <= rel]
+        assert wrong == []
 
 
 def plane(packets):
@@ -232,30 +233,21 @@ class TestPath:
 class TestTransformInvariants:
     @pytest.mark.parametrize("umax,beta", [(25.0, 1.1), (10.0, 1.5), (50.0, 2.0)])
     def test_ode_consistency_finite_difference(self, umax, beta):
-        # d/dX stored_from_input == efficiency(stored_from_input)
+        # d/du input_for_level == 1 / efficiency
         bat = NonLinearBattery(umax, beta)
-        xs = np.linspace(0.05, bat.input_for_level(0.95 * umax), 60)
         h = 1e-6
-        for x in xs:
-            deriv = (bat.stored_from_input(x + h) - bat.stored_from_input(x - h)) / (2 * h)
-            eta = bat.efficiency(bat.stored_from_input(x))
-            assert deriv == pytest.approx(eta, rel=1e-6)
-
-    @pytest.mark.parametrize("umax,beta", [(25.0, 1.1), (10.0, 1.5), (50.0, 2.0)])
-    def test_round_trip(self, umax, beta):
-        bat = NonLinearBattery(umax, beta)
-        x_hi = bat.input_for_level(0.99 * min(umax, bat.a + bat.b))
-        for x in np.linspace(1e-3, x_hi, 100):
-            assert bat.input_for_level(bat.stored_from_input(x)) == pytest.approx(x, abs=1e-9)
+        for u in np.linspace(0.05, 0.95 * umax, 60):
+            deriv = (bat.input_for_level(u + h) - bat.input_for_level(u - h)) / (2 * h)
+            assert deriv * bat.efficiency(u) == pytest.approx(1.0, rel=1e-6)
 
     def test_huge_beta_is_linear_limit(self):
         bat = NonLinearBattery(umax=25.0, beta=1e6)
-        for x in np.linspace(0.0, 25.0, 200):
-            assert abs(bat.stored_from_input(x) - min(x, 25.0)) < 1e-4
+        for u in np.linspace(0.0, 25.0, 200)[1:]:
+            assert abs(bat.input_for_level(u) - u) < 1e-4
 
     def test_step_update_converges_to_continuous_transform(self):
-        x_total = 15.0
-        target = NL.stored_from_input(x_total)
+        target = 15.0
+        x_total = NL.input_for_level(target)
         errors = []
         for n in (1, 10, 100, 1000):
             u = 0.0
@@ -274,6 +266,11 @@ def test_validation():
         NonLinearBattery(umax=0.0, beta=1.1)
     with pytest.raises(ValueError):
         LinearBattery(umax=-1.0)
+    # beta * umax/2 rounds to umax/2, so eta(0) = 0, or overflows to inf
+    with pytest.raises(ValueError, match="beta must be"):
+        NonLinearBattery(umax=1e-320, beta=1.00001)
+    with pytest.raises(ValueError, match="beta must be"):
+        NonLinearBattery(umax=25.0, beta=1e308)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])

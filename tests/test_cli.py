@@ -240,6 +240,11 @@ class TestParseConfig:
         arrivals="exponential rate=1", packets="exponential rate=1", battery="nonlinear umax=25 beta=2", u=5e-324,
         mode="equilibrium",
     )
+    # u' = input_for_level(u) was rounding noise, 1.07e-14 in place of u / eta(0) = 5.8e-300
+    @example(
+        arrivals="exponential rate=1", packets="exponential rate=1", battery="nonlinear umax=25 beta=1.1", u=1e-300,
+        mode="equilibrium",
+    )
     def test_every_config_is_refused_or_planned_within_the_bounds(self, arrivals, packets, battery, u, mode):
         # parsing plans every curve, and nothing is simulated
         text = f"arrivals = {arrivals}\npackets = {packets}\nbattery = {battery}\nu = {float_str(u)}\nmode = {mode}"
@@ -248,9 +253,14 @@ class TestParseConfig:
         except ConfigError:
             return
         for curve in _curves(parsed):
+            bat, u_prime = curve.config.battery, curve.config.input_threshold
+            if u >= 1e-300:  # below, u / (b - a) may be subnormal
+                # eta <= 1, and eta >= eta(0) on [0, u]; eta(0) = 1 - (a/b)^2 without its cancellation
+                eta0 = (bat.b - bat.a) * (bat.b + bat.a) / bat.b**2 if isinstance(bat, NonLinearBattery) else 1.0
+                assert u * (1 - 1e-12) <= u_prime <= u / eta0 * (1 + 1e-12)
             if curve.formula == "poisson_normal":
                 packet = curve.config.packet
-                terms = packet_sum_terms(curve.config.input_threshold, packet.mean, math.sqrt(packet.variance))
+                terms = packet_sum_terms(u_prime, packet.mean, math.sqrt(packet.variance))
                 assert terms <= _MAX_SERIES_TERMS
 
 
