@@ -32,8 +32,8 @@ analytic curve, of ``run`` and ``compare`` alike, is one call of its formula
 on the whole grid at the u' its plan's ``ExperimentConfig`` already holds, so
 a non-linear battery's curve is the continuous model's. The Poisson series
 have no truncation setting: they stop where the packet-sum CDF falls below
-1e-12. The engine's ``worker_pool`` plans from the packet estimates whether
-one process pool for all curves pays. ``workers`` is an upper bound. Exit
+1e-12. The engine's ``Streams`` plans from the packet estimates whether one
+process pool for all curves pays. ``workers`` is an upper bound. Exit
 codes: 0 ok, 1 validation error, 2 KS tolerance breach, 3 I/O error.
 ``argparse`` is loaded by ``main`` alone, so a library caller of
 ``parse_config`` and ``run_experiment`` does not import it.
@@ -64,7 +64,7 @@ from .analytic import (
 )
 from .battery import BatteryModel, parse_battery
 from .distributions import DistributionSpec, Exponential, float_str, parse_distribution
-from .engine import ExperimentConfig, run, summarize, worker_pool
+from .engine import ExperimentConfig, Streams, run, summarize
 from .renewal import ArrivalProcess, Mode
 from .stats import CdfCurve, dkw_band, ks_distance
 
@@ -322,7 +322,7 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
 
     Returns the manifest dict; manifest["breached"] is True when any curve's
     KS distance exceeds the configured tolerance. A refused config raises
-    before ``out_dir`` exists. One ``worker_pool`` serves every curve, each
+    before ``out_dir`` exists. One ``Streams`` serves every curve, each
     ``run`` call one curve, in curve order; the output is the same for any
     worker count.
     """
@@ -330,7 +330,7 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     breached = False
-    with worker_pool(parsed.workers, [curve.config for curve in curves]) as pool:
+    with Streams(parsed.workers, [curve.config for curve in curves]) as pool:
         for curve in curves:
             config = curve.config
             ana = CdfCurve(curve.grid, _analytic_cdf(curve, curve.formula))
@@ -411,8 +411,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = args.config.read_text()
-    except OSError as exc:
+        text = args.config.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
     try:

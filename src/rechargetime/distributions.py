@@ -217,6 +217,11 @@ class InverseGaussian(Spec):
         if not (0 < self.mean < math.inf and 0 < self.shape < math.inf):
             raise ValueError(f"inverse gaussian needs finite mean > 0 and shape > 0, got {self}")
         _check_moments(self)
+        # where numpy's wald draws the law: below shape/mean = 1e-12 its transform
+        # cancels (KS 0.008 at 1e-14, all zeros at 1e-30), and below mean = 1e-150
+        # the mean**2 / X it returns for half the draws leaves the normal floats
+        if not (self.shape / self.mean >= 1e-12 and self.mean >= 1e-150):
+            raise ValueError(f"inverse gaussian needs shape/mean >= 1e-12 and mean >= 1e-150 to be sampled, got {self}")
 
     @property
     def variance(self) -> float:

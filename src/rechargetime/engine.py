@@ -52,22 +52,22 @@ that level if the index is inside the path and the row began the block at or
 below the level.
 
 ``workers`` is an upper bound, and one stream plan serves the CLI and library
-callers alike: ``Streams`` groups a ``worker_pool``'s configs into streams
-once and decides there whether a pool pays, how many processes it gets and
-how each stream's chunks are split over them. ``worker_pool`` only opens the
-pool the plan asks for; ``run`` without one plans for its own config alone.
-The pool's modules (``concurrent.futures`` and ``multiprocessing``) load only
-when a plan opens one, so a run below the break-even never imports them.
+callers alike: ``Streams`` groups its configs into streams once and decides
+there whether a pool pays, how many processes it gets and how each stream's
+chunks are split over them. Used as a context manager, it opens the pool its
+plan asks for and shuts it on exit; ``run`` without one plans for its own
+config alone. The pool's modules (``concurrent.futures`` and
+``multiprocessing``) load only when a plan opens one, so a run below the
+break-even never imports them.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,8 +85,6 @@ __all__ = [
     "Streams",
     "SummaryStats",
     "UnreachableThresholdError",
-    "pool_size",
-    "worker_pool",
     "run",
     "summarize",
 ]
@@ -264,27 +262,28 @@ def _run_range(config: ExperimentConfig, levels: np.ndarray, start: int, stop: i
     return taus
 
 
-def pool_size(workers: int, replications: int) -> int:
-    """Processes worth starting: no more than the workers, the chunks or the CPUs."""
-    return max(1, min(workers, _n_chunks(replications), os.cpu_count() or 1))
-
-
 def _stream(config: ExperimentConfig) -> tuple:
     """What fixes a config's draws and level paths: all of it but the threshold."""
     return config.arrival, config.packet, config.battery, config.replications, config.seed
 
 
 class Streams:
-    """The stream plan of a ``worker_pool``'s configs, and the taus of its streams.
+    """The stream plan of ``configs``, the pool it asks for and the taus of its streams.
 
-    A stream is the configs that differ only in their threshold. The plan
-    gives ``processes`` = ``pool_size`` when the streams' top thresholds
-    expect ``_POOL_BREAK_EVEN`` packets in all, where a pool starts to pay,
-    and 1 otherwise; each stream's chunks are split over them. One rule
-    reads every config: a config whose taus are not held simulates its own
-    threshold together with every threshold of its stream not simulated
-    yet, in one pass, and holds the others' taus until their own ``run``
-    reads them, once.
+    A stream is the configs that differ only in their threshold. When the
+    streams' top thresholds expect ``_POOL_BREAK_EVEN`` packets in all, where
+    a pool starts to pay, the plan gives ``processes`` as many as the
+    workers, the largest run's chunks and the CPUs allow, and 1 otherwise;
+    each stream's chunks are split over them. One rule reads every config: a
+    config whose taus are not held simulates its own threshold together with
+    every threshold of its stream not simulated yet, in one pass, and holds
+    the others' taus until their own ``run`` reads them, once.
+
+    Open it with ``with Streams(workers, configs) as pool:`` and pass it to
+    the ``run`` of each config. Entering opens a ``ProcessPoolExecutor`` of
+    ``processes`` when that is above 1, and only then imports it; exiting
+    drops the pool and shuts it down, so a later run simulates in this
+    process.
     """
 
     def __init__(self, workers: int, configs: Sequence[ExperimentConfig]):
@@ -292,11 +291,23 @@ class Streams:
         for c in configs:
             groups.setdefault(_stream(c), []).append(c)
         top = sum(max(c.expected_packets for c in group) for group in groups.values())
-        size = pool_size(workers, max(c.replications for c in configs))
-        self.processes = size if top >= _POOL_BREAK_EVEN else 1
-        self.executor: Optional[ProcessPoolExecutor] = None  # the pool ``worker_pool`` opens, if any
+        chunks = _n_chunks(max(c.replications for c in configs))
+        self.processes = max(1, min(workers, chunks, os.cpu_count() or 1)) if top >= _POOL_BREAK_EVEN else 1
+        self.executor: Optional[ProcessPoolExecutor] = None  # the pool ``__enter__`` opens, if any
         self._pending = {key: {c.threshold for c in group} for key, group in groups.items()}  # not simulated yet
         self._held = {}  # (stream, threshold) -> taus simulated but not yet read
+
+    def __enter__(self) -> Streams:
+        if self.processes > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            self.executor = ProcessPoolExecutor(max_workers=self.processes)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        executor, self.executor = self.executor, None
+        if executor is not None:
+            executor.__exit__(*exc)
 
     def _simulate(self, config: ExperimentConfig, levels: np.ndarray) -> np.ndarray:
         """[levels, replications] passage times of ``config``'s stream, its chunks split over the processes."""
@@ -315,38 +326,16 @@ class Streams:
         return self._held.pop((key, config.threshold))
 
 
-@contextmanager
-def worker_pool(workers: int, configs: Sequence[ExperimentConfig]) -> Iterator[Streams]:
-    """The ``Streams`` of ``configs``, with the process pool its plan asks for, if any.
-
-    Open it once and pass it to the ``run`` of each config. Once the block
-    exits, the streams drop the shut pool and simulate in this process.
-    ``ProcessPoolExecutor`` is imported here, and only when the plan opens a
-    pool: a plan of one process loads none of the pool's modules.
-    """
-    streams = Streams(workers, configs)
-    pool = nullcontext()
-    if streams.processes > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=streams.processes)
-    with pool as streams.executor:
-        try:
-            yield streams
-        finally:
-            streams.executor = None
-
-
 def run(config: ExperimentConfig, workers: int = 1, pool: Optional[Streams] = None) -> PassageSamples:
     """Run all replications; output is identical for any worker count.
 
-    ``pool`` is an open ``worker_pool`` shared across runs; every config
-    reads its taus by the one rule of ``Streams.taus``, and the pool's plan,
-    not ``workers``, sets the processes. Without one, the run opens its
-    own for the call, planned for ``config`` alone.
+    ``pool`` is an open ``Streams`` shared across runs; every config reads
+    its taus by the one rule of ``Streams.taus``, and the pool's plan, not
+    ``workers``, sets the processes. Without one, the run opens its own for
+    the call, planned for ``config`` alone.
     """
     if pool is None:
-        with worker_pool(workers, [config]) as pool:
+        with Streams(workers, [config]) as pool:
             return run(config, pool=pool)
     return PassageSamples(taus=pool.taus(config))
 

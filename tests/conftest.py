@@ -15,11 +15,13 @@ class FakePool:
         self.max_workers = max_workers
         self.maps = 0
         self.tasks = []
+        self.exit_args = None  # what the pool was shut down with, once it is
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        self.exit_args = exc
         return False
 
     def map(self, fn, *iterables):
@@ -34,9 +36,9 @@ def fake_pools(monkeypatch):
     """Every pool the engine constructs, none of which starts a process.
 
     The machine appears to have 64 CPUs, so the pool size is set by the
-    workers and the chunks alone. ``worker_pool`` imports
-    ``ProcessPoolExecutor`` from ``concurrent.futures`` when it opens a pool,
-    so the fake is put there.
+    workers and the chunks alone. ``Streams`` imports ``ProcessPoolExecutor``
+    from ``concurrent.futures`` when it opens a pool, so the fake is put
+    there.
     """
     made = []
 

@@ -530,6 +530,14 @@ class TestMain:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 3
 
+    def test_config_that_is_not_utf8_is_io_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"u = 20\n\xff\xfe bad\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: cannot read config: ")
+        assert not out.exists()
+
     def test_invalid_config_is_validation_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("battery = nonlinear umax=25 beta=0.9\nu = 20")
@@ -604,12 +612,19 @@ class TestMain:
             ("packets = uniform lo=0 hi=5e-324", [], "packets"),
             # u > 0, but u' = input_for_level(u) rounds to 0, which renewal_mean_tau refused unnamed
             ("battery = nonlinear umax=25 beta=2\nu = 5e-324", [], "u"),
+            # numpy's wald draws every packet of this law as 0, so no row ever
+            # rises and the kernel steps 1e9 packets a row
+            (
+                "arrivals = gamma shape=2 scale=0.5\npackets = invgauss mean=1 shape=1e-30\nu = 20\nreplications = 256",
+                [],
+                "packets",
+            ),
         ],
         ids=[
             "threshold", "replications", "replication-override", "uniform-hi-inf", "nonlinear-umax-inf",
             "deterministic-inf", "exponential-rate-inf", "nonlinear-beta-inf", "exponential-rate-underflow",
             "grid-too-fine", "variance-of-tau-overflow", "normal-series-too-long", "packets-mean-underflow",
-            "uniform-mean-underflow", "nonlinear-input-underflow",
+            "uniform-mean-underflow", "nonlinear-input-underflow", "invgauss-draws-underflow",
         ],
     )
     def test_bad_run_config_fails_before_writing(self, tmp_path, capsys, lines, override, key):

@@ -174,6 +174,25 @@ def test_validation_rejects_bad_parameters():
         InverseGaussian(1.0, 0.0)
 
 
+# (mean, shape) just outside where numpy's wald draws the inverse Gaussian:
+# shape/mean below 1e-12 or mean below 1e-150. (1e-200, 1e-100) has
+# mean * shape = 1e-300, and half its draws come back 0
+@pytest.mark.parametrize(
+    "mean, shape", [(1.0, 9.9e-13), (1.0, 1e-30), (1e16, 1.0), (9.9e-151, 1.0), (1e-200, 1e-200), (1e-200, 1e-100)]
+)
+def test_invgauss_refuses_what_wald_cannot_sample(mean, shape):
+    with pytest.raises(ValueError, match="to be sampled"):
+        InverseGaussian(mean, shape)
+
+
+@pytest.mark.parametrize("mean, shape", [(1.0, 1e-12), (1e-150, 1e-150), (1e-150, 1e-162)])
+def test_invgauss_just_inside_its_bounds_samples_its_cdf(mean, shape):
+    law = InverseGaussian(mean, shape)
+    n = 200_000
+    draws = law.sample(np.random.default_rng(1), n)
+    assert stats.kstest(draws, law.cdf).statistic < dkw_band(n, 0.01)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize(
     "spec, field",

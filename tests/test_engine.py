@@ -14,10 +14,9 @@ from rechargetime.distributions import Deterministic, Exponential, Gamma, Invers
 from rechargetime.engine import (
     CHUNK,
     ExperimentConfig,
-    pool_size,
+    Streams,
     run,
     summarize,
-    worker_pool,
 )
 from rechargetime.renewal import ArrivalProcess, Mode
 
@@ -138,7 +137,7 @@ class TestKernelOracle:
             seed=9,
         )
         low = dataclasses.replace(c, threshold=lower)
-        with worker_pool(1, [c, low]) as streams:
+        with Streams(1, [c, low]) as streams:
             taus, low_taus = (run(x, pool=streams).taus for x in (c, low))
         assert taus.tobytes() == replay_chunk(c).tobytes()
         assert low_taus.tobytes() == replay_chunk(low).tobytes()
@@ -181,7 +180,7 @@ class TestKernelOracle:
             seed=9,
         )
         low = dataclasses.replace(c, threshold=lower)
-        with worker_pool(1, [c, low]) as streams:
+        with Streams(1, [c, low]) as streams:
             taus, low_taus = (run(x, pool=streams).taus for x in (c, low))
         assert taus.tobytes() == replay_chunk(c).tobytes()
         assert low_taus.tobytes() == replay_chunk(low).tobytes()
@@ -538,9 +537,9 @@ class TestWorkerPool:
         lo, hi = cfg(replications=600), cfg(replications=600, threshold=40.0, seed=1)
         assert (lo.expected_packets, hi.expected_packets) == (12_600, 24_600)
         monkeypatch.setattr(engine, "_POOL_BREAK_EVEN", 12_600 + 24_600)
-        with worker_pool(2, [lo, hi]) as streams:
+        with Streams(2, [lo, hi]) as streams:
             assert streams.executor is fake_pools[0]
-        with worker_pool(2, [hi]) as streams:
+        with Streams(2, [hi]) as streams:
             assert streams.executor is None
         run(hi, workers=2)
         assert len(fake_pools) == 1
@@ -550,25 +549,34 @@ class TestWorkerPool:
         # 24 600 packets of its top threshold, not 12 600 + 24 600
         lo, hi = cfg(replications=600), cfg(replications=600, threshold=40.0)
         monkeypatch.setattr(engine, "_POOL_BREAK_EVEN", 24_600 + 1)
-        with worker_pool(2, [lo, hi]) as streams:
+        with Streams(2, [lo, hi]) as streams:
             assert streams.executor is None
         monkeypatch.setattr(engine, "_POOL_BREAK_EVEN", 24_600)
-        with worker_pool(2, [lo, hi]) as streams:
+        with Streams(2, [lo, hi]) as streams:
             assert streams.executor is fake_pools[0]
 
     def test_the_pools_plan_sets_the_processes(self, fake_pools, pool_always_pays):
         # three chunks over the pool's two processes, whatever workers the run passes
         c = cfg(replications=3 * CHUNK)
-        with worker_pool(2, [c]) as streams:
+        with Streams(2, [c]) as streams:
             taus = run(c, workers=1, pool=streams).taus
         assert [(p.max_workers, p.tasks) for p in fake_pools] == [(2, [2])]
         np.testing.assert_array_equal(taus, run(c).taus)
 
-    def test_pool_size(self, monkeypatch):
+    def test_pool_size(self, monkeypatch, pool_always_pays):
         monkeypatch.setattr("os.cpu_count", lambda: 4)
-        assert pool_size(1, 10**6) == 1
-        assert pool_size(100_000, 10**6) == 4
-        assert pool_size(100_000, CHUNK + 1) == 2
+        assert Streams(1, [cfg(replications=10**6)]).processes == 1
+        assert Streams(100_000, [cfg(replications=10**6)]).processes == 4
+        assert Streams(100_000, [cfg(replications=CHUNK + 1)]).processes == 2
+
+    def test_a_block_that_raises_still_shuts_the_pool(self, fake_pools, pool_always_pays):
+        streams = Streams(2, [cfg(replications=2 * CHUNK)])
+        with pytest.raises(KeyError, match="in the block"):
+            with streams:
+                assert streams.executor is fake_pools[0]
+                raise KeyError("in the block")
+        assert streams.executor is None
+        assert fake_pools[0].exit_args[0] is KeyError
 
 
 # (battery, packet law, four ascending levels) of a stream: of Uniform(0, 1)
@@ -599,7 +607,7 @@ class TestSharedStreams:
     def test_each_threshold_equals_a_separate_run(self, case, n_levels, workers, fake_pools, pool_always_pays):
         # 600 replications: two full chunks and one cut to 88 of its 256 rows
         configs = stream_configs(case, n_levels)
-        with worker_pool(workers, configs) as streams:
+        with Streams(workers, configs) as streams:
             shared = [run(c, workers, streams).taus for c in configs]
         assert [p.maps for p in fake_pools] == ([1] if workers == 2 else [])
         for c, taus in zip(configs, shared):
@@ -608,7 +616,7 @@ class TestSharedStreams:
     def test_two_real_processes(self, monkeypatch, pool_always_pays):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         configs = stream_configs("per-packet", 4)
-        with worker_pool(2, configs) as streams:
+        with Streams(2, configs) as streams:
             assert isinstance(streams.executor, ProcessPoolExecutor)
             shared = [run(c, 2, streams).taus for c in configs]
         for c, taus in zip(configs, shared):
@@ -619,7 +627,7 @@ class TestSharedStreams:
         # (here a stream whose held taus were read) no longer schedules on it
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         c = cfg(replications=600)
-        with worker_pool(2, [c]) as streams:
+        with Streams(2, [c]) as streams:
             assert isinstance(streams.executor, ProcessPoolExecutor)
             pooled = run(c, pool=streams).taus
         assert streams.executor is None
@@ -636,7 +644,7 @@ class TestSharedStreams:
 
         monkeypatch.setattr(engine, "_run_range", recorded)
         lo, hi, outside = (cfg(threshold=u, replications=300) for u in (5.0, 10.0, 7.0))
-        with worker_pool(1, [lo, hi]) as streams:
+        with Streams(1, [lo, hi]) as streams:
             taus = [run(c, pool=streams).taus for c in (hi, lo, lo, outside)]
         # hi simulates the stream; lo reads its held taus, then runs alone;
         # a config outside the pool's configs runs alone
@@ -653,7 +661,7 @@ class TestSharedStreams:
 
         monkeypatch.setattr(engine, "_run_range", recorded)
         lo, hi, outside = (cfg(threshold=u, replications=300) for u in (5.0, 10.0, 7.0))
-        with worker_pool(1, [lo, hi]) as streams:
+        with Streams(1, [lo, hi]) as streams:
             taus = [run(c, pool=streams).taus for c in (outside, lo, hi)]
         # one pass for the outside threshold and the two the plan foresaw;
         # lo and hi then read their held taus
