@@ -411,7 +411,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = args.config.read_text(encoding="utf-8")
+        text = args.config.read_text(encoding="utf-8-sig")  # drops the byte-order mark Windows editors write
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3

@@ -159,7 +159,7 @@ class Exponential(Spec):
 
     def cdf(self, x):
         x = _as_array(x)
-        return np.where(x < 0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))[()]
+        return -np.expm1(-self.rate * np.maximum(x, 0.0))[()]
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ class Gamma(Spec):
         from scipy import special  # here, not at import: the CLI's formulas never read this CDF
 
         x = _as_array(x)
-        return np.where(x < 0, 0.0, special.gammainc(self.shape, np.maximum(x, 0.0) / self.scale))[()]
+        return special.gammainc(self.shape, np.maximum(x, 0.0) / self.scale)[()]
 
 
 @dataclass(frozen=True)
@@ -247,18 +247,23 @@ class InverseGaussian(Spec):
         ig = rng.wald(self.mean, self.shape, size=size)
         return ig + self.mean**2 / self.shape * rng.standard_normal(size) ** 2
 
-    def _phi_args(self, x):
-        s = np.sqrt(self.shape / x)
-        return s * (x / self.mean - 1.0), -s * (x / self.mean + 1.0)
-
     def cdf(self, x):
+        """Phi(a) + exp(-a^2/2) erfcx(c) / 2, s = sqrt(shape/x), a = s (x/mean - 1), c = s (x/mean + 1) / sqrt(2).
+
+        This is the textbook Phi(a) + exp(2 shape/mean) Phi(-s (x/mean + 1))
+        without its two cancelling exponents of size 2 shape/mean. Clipping x
+        to [1e-300, float max] reads 0 for x <= 0 and 1 at +inf. Above the
+        mean the sum runs as 1 - (Phi(-a) - tail), which stays in [0, 1] and
+        non-decreasing where Phi(a) rounds to 1.
+        """
         from scipy import special  # here, not at import: the CLI's formulas never read this CDF
 
-        x = _as_array(x)
-        pos = np.maximum(x, 1e-300)
-        a, b = self._phi_args(pos)
-        val = special.ndtr(a) + np.exp(2.0 * self.shape / self.mean + special.log_ndtr(b))
-        return np.where(x <= 0, 0.0, val)[()]
+        x = np.clip(_as_array(x), 1e-300, np.finfo(float).max)
+        s = math.sqrt(self.shape) / np.sqrt(x)  # sqrt(shape / x) would overflow or reach 0
+        with np.errstate(over="ignore"):  # x / mean and a^2 far above the mean: the terms read 1 and 0
+            a = s * (x / self.mean - 1.0)
+            tail = 0.5 * np.exp(-0.5 * a * a) * special.erfcx(s * (x / self.mean + 1.0) / math.sqrt(2.0))
+        return np.where(a > 0.0, 1.0 - (special.ndtr(-a) - tail), special.ndtr(a) + tail)[()]
 
 
 @dataclass(frozen=True)
@@ -337,7 +342,7 @@ class Deterministic(Spec):
 
     def cdf(self, x):
         x = _as_array(x)
-        return np.where(x >= self.value, 1.0, 0.0)[()]
+        return np.heaviside(x - self.value, 1.0)[()]
 
 
 DistributionSpec = Union[Exponential, Gamma, InverseGaussian, Uniform, Deterministic]

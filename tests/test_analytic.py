@@ -249,6 +249,12 @@ class TestPerPacketCdf:
         assert pmf[n - 1] == pytest.approx(1.0, abs=1e-12)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_near_deterministic_invgauss_packets_count_like_deterministic(self):
+        # IG(3, 1e12) has a standard deviation of 5e-6: its level grid reads
+        # the CDF far below 0 and at a huge shape/mean, and must not overflow
+        pmf = packet_count_pmf(20.0, InverseGaussian(3.0, 1e12), self.NL)
+        np.testing.assert_allclose(pmf, packet_count_pmf(20.0, Deterministic(3.0), self.NL), rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("packet", [Exponential(1.0), Gamma(1.0, 2.0)], ids=lambda p: p.config_str())
     def test_count_law_matches_packet_monte_carlo(self, packet):
         # vectorised replay of U <- min(U + eta(U) X, umax) with eta written out

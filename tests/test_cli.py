@@ -538,6 +538,14 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: cannot read config: ")
         assert not out.exists()
 
+    def test_config_with_byte_order_mark_runs(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + PANEL_A_LINEAR.lstrip().encode())
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"] == PANEL_A_LINEAR.lstrip()
+
     def test_invalid_config_is_validation_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("battery = nonlinear umax=25 beta=0.9\nu = 20")

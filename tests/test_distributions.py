@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,58 @@ def test_special_function_cdf_accuracy(spec):
                 -s * (x / spec.mean + 1)
             )
         assert abs(spec.cdf(x) - float(ref)) < 1e-10
+
+
+# the constructor's edges for the inverse Gaussian: shape/mean from 1e-12 up
+# past float max, means from 1e-150 up to where the third moment overflows
+WHOLE_LINE_LAWS = [
+    Exponential(0.25),
+    Gamma(0.5, 2.0),
+    InverseGaussian(1.0, 2.0),
+    Uniform(0.5, 2.0),
+    Deterministic(3.0),
+    InverseGaussian(1.0, 1e-12),
+    InverseGaussian(1e-150, 1e-162),
+    InverseGaussian(1e-150, 1e308),
+    InverseGaussian(1.0, 1e20),
+    InverseGaussian(5e102, 1e308),
+]
+
+
+@pytest.mark.parametrize("spec", WHOLE_LINE_LAWS, ids=lambda s: s.config_str())
+def test_cdf_on_the_whole_line(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        edges = spec.cdf(np.array([-math.inf, -1.0, 0.0, 5e-324, math.inf, math.nan]))
+        assert [spec.cdf(x) for x in (-math.inf, -1.0, 0.0)] == [0.0, 0.0, 0.0]
+        assert spec.cdf(math.inf) == 1.0 and math.isnan(spec.cdf(math.nan))
+        vals = spec.cdf(spec.mean * np.geomspace(1e-10, 1e10, 2001))
+    np.testing.assert_array_equal(edges[[0, 1, 2, 4]], [0.0, 0.0, 0.0, 1.0])
+    assert 0.0 <= edges[3] <= 1.0 and math.isnan(edges[5])
+    assert np.all(np.diff(vals) >= 0.0)
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+def test_invgauss_cdf_matches_mpmath_at_every_shape_over_mean():
+    # oracle: the textbook Phi(a) + exp(2 shape/mean) Phi(-s (x/mean + 1)) at
+    # 60 digits, its second term as exp(2 shape/mean + log(erfc(c) / 2))
+    import mpmath as mp
+
+    @mp.workdps(60)
+    def oracle(mean, shape, x):
+        mean, shape, x = mp.mpf(mean), mp.mpf(shape), mp.mpf(x)
+        s = mp.sqrt(shape / x)
+        a, c = s * (x / mean - 1), s * (x / mean + 1) / mp.sqrt(2)
+        return float(mp.ncdf(a) + mp.exp(2 * shape / mean + mp.log(mp.erfc(c) / 2)))
+
+    for mean in (1.0, 3.7):
+        for ratio in np.geomspace(1e-12, 1e30, 43):
+            law = InverseGaussian(mean, ratio * mean)
+            x = mean * np.geomspace(1e-6, 1e3, 37)
+            ref = np.array([oracle(mean, law.shape, xi) for xi in x])
+            np.testing.assert_allclose(law.cdf(x), ref, rtol=0, atol=1e-14)
+    assert InverseGaussian(1.0, 1e20).cdf(1.0 + 1e-15) == pytest.approx(0.5000044291689990, abs=1e-15)
+    assert InverseGaussian(1.0, 1e290).cdf(1.0) == 0.5
 
 
 def test_deterministic_sampling_is_point_mass():
