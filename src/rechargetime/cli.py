@@ -33,10 +33,16 @@ on the whole grid at the u' its plan's ``ExperimentConfig`` already holds, so
 a non-linear battery's curve is the continuous model's. The Poisson series
 have no truncation setting: they stop where the packet-sum CDF falls below
 1e-12. The engine's ``Streams`` plans from the packet estimates whether one
-process pool for all curves pays. ``workers`` is an upper bound. Exit
-codes: 0 ok, 1 validation error, 2 KS tolerance breach, 3 I/O error.
-``argparse`` is loaded by ``main`` alone, so a library caller of
-``parse_config`` and ``run_experiment`` does not import it.
+process pool for all curves pays. ``workers`` is an upper bound.
+
+``main`` has one parser, whose first positional is the command, and one
+``try`` around parsing the arguments, reading and parsing the config, the
+``--seed`` and ``--replications`` overrides and the run. Its handlers are
+the one map of failures to exit codes: 0 ok (``--help`` too); 1 a command
+line that argparse refuses, or a refused config; 2 a KS tolerance breach;
+3 an I/O error, a config that is not UTF-8 among them. ``argparse`` is
+loaded by ``main`` alone, so a library caller of ``parse_config`` and
+``run_experiment`` does not import it.
 """
 
 from __future__ import annotations
@@ -221,21 +227,22 @@ def _curves(parsed: ParsedConfig) -> List[_Curve]:
     """Check ``parsed`` and plan each (threshold, arrival, packet) curve, in curve order.
 
     This is the one check of a config. It refuses, in this order: a
-    ``ks_tolerance`` outside (0, 1]; ``workers`` below 1; a forced
-    ``formula`` that is not a row of ``_FORMULAS`` or does not fit every
-    arrival and packet law; a grid that is not a non-empty, finite,
-    non-negative and strictly increasing 1-D array. Then, curve by curve: a
-    CSV name an earlier curve writes; what ``ExperimentConfig`` refuses (the
-    replications, the seed, the threshold against the battery's capacity and
-    the expected packets, in that order), under the key at fault; an
-    asymptotic mean or variance of tau at u' that is not a finite float,
-    which the manifest could not hold as JSON; without a grid a mean that
-    is not positive, since the default grid of 201 points ends at 3 times it;
-    and a ``poisson_normal`` curve whose series has more than
+    ``ks_tolerance`` outside (0, 1]; ``workers`` below 1; a ``formula`` that
+    is neither ``auto`` nor a row of ``_FORMULAS``; a grid that is not a
+    non-empty, finite, non-negative and strictly increasing 1-D array. Then,
+    curve by curve: a forced formula that does not fit the curve's arrival
+    and packet laws; a CSV name an earlier curve writes; what
+    ``ExperimentConfig`` refuses (replications and then a seed that are not
+    integers or are out of range, the threshold against the battery's
+    capacity and the expected packets, in that order), under the key at
+    fault; an asymptotic mean or variance of tau at u' that is not a finite
+    float, which the manifest could not hold as JSON; without a grid a mean
+    that is not positive, since the default grid of 201 points ends at 3
+    times it; and a ``poisson_normal`` curve whose series has more than
     ``_MAX_SERIES_TERMS`` terms.
     Each refusal is a ConfigError that starts with its key or the curve's CSV
-    name. Under ``auto`` a curve takes the first row of ``_FORMULAS`` that
-    fits its laws.
+    name. One lookup per curve picks its formula: under ``auto`` the first
+    row of ``_FORMULAS`` that fits its laws, else the forced row if it fits.
     """
     tol = parsed.ks_tolerance
     if tol is not None and not 0.0 < tol <= 1.0:
@@ -245,9 +252,6 @@ def _curves(parsed: ParsedConfig) -> List[_Curve]:
     formula = parsed.formula
     if formula != "auto" and formula not in _FORMULAS:
         raise ConfigError(f"formula: must be one of {sorted(['auto', *_FORMULAS])}, got {formula!r}")
-    pairs = itertools.product(parsed.arrivals, parsed.packets)
-    if formula != "auto" and not all(_FORMULAS[formula].fits(*laws) for laws in pairs):
-        raise ConfigError(f"formula: {formula} {_FORMULAS[formula].needs}")
     grid = None if parsed.grid is None else np.asarray(parsed.grid, dtype=float)
     if grid is not None and not (
         grid.ndim == 1 and grid.size and np.all(np.isfinite(grid)) and grid[0] >= 0 and np.all(np.diff(grid) > 0)
@@ -256,6 +260,10 @@ def _curves(parsed: ParsedConfig) -> List[_Curve]:
     slugs = {law: _slug(law) for law in {*parsed.arrivals, *parsed.packets}}
     curves = {}
     for u, arrival, packet in itertools.product(parsed.thresholds, parsed.arrivals, parsed.packets):
+        # auto's first row that fits the laws, or the forced row if it fits them
+        picked = next((n for n, f in _FORMULAS.items() if formula in ("auto", n) and f.fits(arrival, packet)), None)
+        if picked is None:
+            raise ConfigError(f"formula: {formula} {_FORMULAS[formula].needs}")
         name = f"curve_u{float_str(u)}__{slugs[arrival]}__{slugs[packet]}.csv"
         if name in curves:
             raise ConfigError(f"{name}: two curves would write this file; list each threshold and law once")
@@ -268,8 +276,8 @@ def _curves(parsed: ParsedConfig) -> List[_Curve]:
                 replications=parsed.replications,
                 seed=parsed.seed,
             )
-        except ValueError as exc:
-            key = "replications" if parsed.replications < 1 else "seed" if parsed.seed < 0 else "u"
+        except ValueError as exc:  # each refusal of replications or seed starts with the field's name
+            key = next((k for k in ("replications", "seed") if str(exc).startswith(k)), "u")
             raise ConfigError(f"{key}: {exc}") from None
         u_prime = config.input_threshold
         try:
@@ -283,7 +291,6 @@ def _curves(parsed: ParsedConfig) -> List[_Curve]:
                 f"{name}: the default grid ends at 3 times the asymptotic mean of tau, {mean:.6g}, "
                 "which is not positive; set a grid"
             )
-        picked = formula if formula != "auto" else next(n for n, f in _FORMULAS.items() if f.fits(arrival, packet))
         if picked == "poisson_normal":
             terms = packet_sum_terms(u_prime, packet.mean, math.sqrt(packet.variance))
             if terms > _MAX_SERIES_TERMS:
@@ -329,7 +336,6 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
     curves = _curves(parsed)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    breached = False
     with Streams(parsed.workers, [curve.config for curve in curves]) as pool:
         for curve in curves:
             config = curve.config
@@ -339,8 +345,6 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
             band = dkw_band(parsed.replications, 0.01)
             _write_csv(out_dir / curve.name, ana.grid, emp.values, ana.values)
             tol = parsed.ks_tolerance
-            curve_breach = tol is not None and ks > tol
-            breached = breached or curve_breach
             rows.append(
                 {
                     "path": curve.name,
@@ -351,7 +355,7 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
                     "formula": curve.formula,
                     "ks_distance": ks,
                     "dkw_band_99": band,
-                    "breach": curve_breach,
+                    "breach": tol is not None and ks > tol,
                     "mc_mean": summary.mean,
                     "mc_variance": summary.variance,
                     "analytic_mean": curve.mean,
@@ -363,7 +367,7 @@ def run_experiment(parsed: ParsedConfig, out_dir: Path) -> dict:
         "seed": parsed.seed,
         "config": parsed.raw_text,
         "ks_tolerance": parsed.ks_tolerance,
-        "breached": breached,
+        "breached": any(row["breach"] for row in rows),
         "curves": rows,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
@@ -401,22 +405,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="rechargetime",
         description="Recharge-time Monte-Carlo and analytic-curve experiment driver",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in ("run", "compare"):
-        p = sub.add_parser(cmd)
-        p.add_argument("config", type=Path)
-        p.add_argument("--out", type=Path, default=Path("out"))
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--replications", type=int, default=None, help="override config replications")
-    args = parser.parse_args(argv)
-
+    parser.add_argument("command", choices=("run", "compare"))
+    parser.add_argument("config", type=Path)
+    parser.add_argument("--out", type=Path, default=Path("out"))
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--replications", type=int, default=None, help="override config replications")
     try:
-        text = args.config.read_text(encoding="utf-8-sig")  # drops the byte-order mark Windows editors write
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 3
-    try:
-        parsed = parse_config(text)
+        args = parser.parse_args(argv)
+        # utf-8-sig drops the byte-order mark Windows editors write
+        parsed = parse_config(args.config.read_text(encoding="utf-8-sig"))
         if args.seed is not None:
             parsed.seed = args.seed
         if args.replications is not None:
@@ -427,7 +424,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"u = {row['u']:g}: max |normal - exact| = {row['max_abs_gap']:.6g}")
             return 0
         manifest = run_experiment(parsed, args.out)
-    except (ConfigError, ValueError) as exc:
+    except SystemExit as exc:  # argparse exits 2 after its usage error and 0 after --help
+        return 1 if exc.code else 0
+    except UnicodeDecodeError as exc:  # a ValueError, so before it
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:  # a ConfigError is one
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

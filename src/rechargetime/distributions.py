@@ -159,7 +159,8 @@ class Exponential(Spec):
 
     def cdf(self, x):
         x = _as_array(x)
-        return -np.expm1(-self.rate * np.maximum(x, 0.0))[()]
+        with np.errstate(over="ignore"):  # rate x overflows to inf only where the CDF reads 1
+            return -np.expm1(-self.rate * np.maximum(x, 0.0))[()]
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,8 @@ class Gamma(Spec):
         from scipy import special  # here, not at import: the CLI's formulas never read this CDF
 
         x = _as_array(x)
-        return special.gammainc(self.shape, np.maximum(x, 0.0) / self.scale)[()]
+        with np.errstate(over="ignore"):  # x / scale overflows to inf only where the CDF reads 1
+            return special.gammainc(self.shape, np.maximum(x, 0.0) / self.scale)[()]
 
 
 @dataclass(frozen=True)
@@ -303,8 +305,8 @@ class Uniform(Spec):
         return (self.lo**2 + (self.hi**2 - self.lo**2) * rng.random(size)) ** 0.5
 
     def cdf(self, x):
-        x = _as_array(x)
-        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)[()]
+        x = np.clip(_as_array(x), self.lo, self.hi)  # before the division, which would overflow far outside
+        return ((x - self.lo) / (self.hi - self.lo))[()]
 
 
 @dataclass(frozen=True)

@@ -112,10 +112,12 @@ class UnreachableThresholdError(RuntimeError):
 class ExperimentConfig:
     """One run: its laws, battery, threshold, replications and seed.
 
-    Construction refuses, in this order, replications < 1, a seed < 0, a
+    Construction refuses, in this order, replications that are not an
+    integer or are below 1, a seed that is not an integer or is below 0, a
     threshold outside (0, capacity) and more than ``_PACKET_BUDGET``
     expected packets over the rows its chunks draw, each with a ValueError
-    before anything runs.
+    before anything runs. numpy integers are integers here; a float of
+    integral value such as 1e3 is not.
     """
 
     arrival: ArrivalProcess
@@ -126,10 +128,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for field, least in (("replications", 1), ("seed", 0)):
+            value = getattr(self, field)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{field} must be >= {least}, got {value}")
         cap = self.battery.capacity
         # the level is capped at capacity, so it can never exceed u = capacity
         if not 0.0 < self.threshold < cap:
@@ -341,9 +345,8 @@ def run(config: ExperimentConfig, workers: int = 1, pool: Optional[Streams] = No
 
 
 def summarize(samples: PassageSamples, time_grid) -> Tuple[SummaryStats, CdfCurve]:
-    """Point estimates plus the empirical CDF on the grid."""
+    """Point estimates plus the empirical CDF; ``ecdf`` refuses an empty sample, before ``np.mean`` warns."""
     taus = samples.taus
-    if taus.size == 0:
-        raise ValueError("no samples")
+    curve = ecdf(taus, time_grid)
     var = float(np.var(taus, ddof=1)) if taus.size > 1 else 0.0
-    return SummaryStats(mean=float(np.mean(taus)), variance=var), ecdf(taus, time_grid)
+    return SummaryStats(mean=float(np.mean(taus)), variance=var), curve

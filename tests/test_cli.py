@@ -353,6 +353,8 @@ class TestRunExperiment:
         grids = ([-1.0, 0.0, 1.0], [5.0, 1.0], [0.0, np.inf], [])
         changes = [
             ({"replications": 0}, r"replications: replications must be >= 1, got 0$"),
+            ({"replications": 1e3}, "replications: "),
+            ({"seed": 1.5}, "seed: "),
             ({"thresholds": [20.0, 20.0]}, r"curve_u20__exponential_rate_1__exponential_rate_1\.csv: "),
             ({"workers": 0}, "workers: "),
             ({"ks_tolerance": -1.0}, "ks_tolerance: "),
@@ -397,7 +399,9 @@ class TestRunExperiment:
             ({"grid": np.array([1.0, 0.0])}, "grid"),
             ({"thresholds": [20.0, 20.0]}, "curve_u20__exponential_rate_1__exponential_rate_1.csv"),
             ({"replications": 0}, "replications"),
+            ({"replications": 1e3}, "replications"),
             ({"seed": -1}, "seed"),
+            ({"seed": 1.5}, "seed"),
             ({"thresholds": [-1.0]}, "u"),
             ({"replications": 10**9}, "u"),
             (
@@ -527,6 +531,24 @@ class TestMain:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert "KS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "args",
+        [[], ["run"], ["bogus", "CFG"], ["run", "CFG", "--bogus"], ["run", "CFG", "--replications", "abc"]],
+        ids=["nothing", "no-config", "bad-command", "bad-flag", "bad-int"],
+    )
+    def test_usage_error_is_validation_error(self, tmp_path, monkeypatch, capsys, args):
+        # argparse's own code is 2, the KS-breach code; a typo must not read as a breach
+        monkeypatch.chdir(tmp_path)  # where the default --out would be written
+        Path("CFG").write_text(PANEL_A_LINEAR)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "usage: rechargetime" in err and "Traceback" not in err
+        assert not Path("out").exists()
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: rechargetime" in capsys.readouterr().out
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 3
 
@@ -574,8 +596,13 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "lines",
-        ["formula = poisson_exact", "formula = poisson_normal\narrivals = gamma shape=2 scale=0.5"],
-        ids=["exact", "normal"],
+        [
+            "formula = poisson_exact",
+            "formula = poisson_normal\narrivals = gamma shape=2 scale=0.5",
+            # the first curve fits, so only the second curve's own pick refuses
+            "formula = poisson_normal\narrivals = exponential rate=1; gamma shape=2 scale=0.5",
+        ],
+        ids=["exact", "normal", "normal-second-curve"],
     )
     def test_formula_outside_its_laws_fails_before_writing(self, tmp_path, capsys, lines):
         # the panel's packets are deterministic

@@ -118,6 +118,10 @@ WHOLE_LINE_LAWS = [
     InverseGaussian(1e-150, 1e308),
     InverseGaussian(1.0, 1e20),
     InverseGaussian(5e102, 1e308),
+    # rate x, x / scale and x / (hi - lo) overflow at large finite x
+    Exponential(2.0),
+    Gamma(3.0, 0.7),
+    Uniform(0.0, 1e-300),
 ]
 
 
@@ -129,6 +133,8 @@ def test_cdf_on_the_whole_line(spec):
         assert [spec.cdf(x) for x in (-math.inf, -1.0, 0.0)] == [0.0, 0.0, 0.0]
         assert spec.cdf(math.inf) == 1.0 and math.isnan(spec.cdf(math.nan))
         vals = spec.cdf(spec.mean * np.geomspace(1e-10, 1e10, 2001))
+        far = [-np.finfo(float).max, -1e300, 1e300, np.finfo(float).max]
+        assert spec.cdf(np.array(far)).tolist() == [spec.cdf(x) for x in far] == [0.0, 0.0, 1.0, 1.0]
     np.testing.assert_array_equal(edges[[0, 1, 2, 4]], [0.0, 0.0, 0.0, 1.0])
     assert 0.0 <= edges[3] <= 1.0 and math.isnan(edges[5])
     assert np.all(np.diff(vals) >= 0.0)

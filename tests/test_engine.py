@@ -714,6 +714,12 @@ class TestSummarize:
         stats, _ = summarize(s, [1.0, 2.0])
         assert abs(stats.variance - 41.0) / 41.0 < 0.10
 
+    def test_empty_sample_refused(self):
+        from rechargetime.engine import PassageSamples
+
+        with pytest.raises(ValueError):
+            summarize(PassageSamples(taus=[]), [1.0, 2.0])
+
 
 class TestValidation:
     def test_threshold_above_capacity(self):
@@ -733,6 +739,14 @@ class TestValidation:
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
             cfg(seed=-1)
+
+    def test_counts_must_be_integers(self):
+        # a float count would build and then fail inside numpy, after --out exists
+        with pytest.raises(ValueError, match=r"^replications must be an integer, got 1000\.0$"):
+            cfg(replications=1e3)
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            cfg(seed=1.5)
+        assert cfg(replications=np.int64(300), seed=np.uint32(7)).replications == 300
 
     def test_past_the_packet_budget(self):
         # 4e7 packets a replication, 8e10 in all: refused before anything runs
