@@ -18,10 +18,14 @@ epochs alike: Phi((x - mean) / sd), with its own step x >= mean where the sd
 is 0, so packets or arrivals of zero variance take the general path. F_n does
 not depend on t and falls with n, so one cut serves every t: a series stops
 before its first term below 1e-12, which bounds the dropped mass by 1e-12.
-Each series is sized once, to a length that holds its cut. General
-inter-arrival laws use renewal-theoretic asymptotics plus a CLT approximation
-(large threshold), which read their moments from the arrival process and the
-packet law.
+Each series is sized once, to a length that holds its cut. This module owns
+the one bound on the sizes it builds, ``_MAX_TERMS`` = 1e7: a normal series
+of more terms (``packet_sum_terms``) or a level-grid kernel of more entries
+(``packet_count_pmf``) is refused with a ValueError before it is allocated,
+and the CLI asks ``packet_sum_terms`` rather than bound the series itself.
+General inter-arrival laws use renewal-theoretic asymptotics plus a CLT
+approximation (large threshold), which read their moments from the arrival
+process and the packet law.
 
 Every CDF accepts a scalar t (float result) or an array of t >= 0; a NaN t
 is refused like a negative one. One blocked mixture serves them all: each
@@ -86,6 +90,17 @@ _NORMAL_CUT_Z = -7.1
 # stays within about 1e-3 of a ten times finer grid.
 _LEVEL_STEP = 0.02
 _MAX_PACKETS = 10_000
+# Terms a normal series (``packet_sum_terms``) and entries a level-grid kernel
+# (``packet_count_pmf``) may hold; this module spends them, so it refuses past
+# the bound before it allocates anything of that size. A series term costs
+# about 80 bytes and 0.13 us while the series is built, so 0.8 GB and 1.3 s at
+# the bound (Python 3.11, numpy 2.4). The bound holds every series that the
+# engine's packet budget lets a law of coefficient of variation 1 or less ask
+# for, at most 3.9e6 terms; a coefficient of variation of 446 or more passes it
+# at any threshold. The kernel is (ceil(u / _LEVEL_STEP) + 1)^2 entries, so
+# thresholds above about 63.2 are refused; at u = 63, 9.93e6 entries took
+# 0.25 GB and 1.5 s.
+_MAX_TERMS = 10**7
 # Cells of the mixture's one [block, terms] buffer (256 KB), for both epoch
 # laws. A block has as many grid points as fit, 123 at the 265 terms of
 # u = 150, so memory does not grow with the number of terms times a block.
@@ -197,7 +212,8 @@ def _packet_sum_cdf(u: float, Xbar: float, sigmaX: float | None) -> np.ndarray:
     ``packet_sum_terms`` n that hold its cut. F does not increase, and ends
     before its first term below 1e-12 (IndexError if the size missed it).
     ValueError for a non-finite or non-positive Xbar, or a non-finite or
-    negative sigmaX.
+    negative sigmaX, and from ``packet_sum_terms`` for a normal series past
+    _MAX_TERMS, in either case before the series is allocated.
     """
     if u <= 0:
         raise ValueError("threshold must be > 0")
@@ -221,12 +237,20 @@ def packet_sum_terms(u: float, Xbar: float, sigmaX: float | None) -> int:
     about (7.1 sigmaX / Xbar)^2 terms once sigmaX is large; at sigmaX = 0
     that is the step n Xbar <= u over ceil(y) + 2 terms, which hold its
     first zero even where (floor(y) + 1) Xbar rounds to u.
+
+    The normal law is bounded: more than _MAX_TERMS terms is a ValueError
+    that names the count and the bound, found by arithmetic alone. The
+    Erlang law is not; its terms grow with u / Xbar only, which the engine's
+    packet budget keeps below 7.8e6 on the CLI's curves.
     """
     y = u / Xbar
     if sigmaX is None:
         return 2 * math.ceil(y) + 65
     b = -_NORMAL_CUT_Z * sigmaX  # sqrt(n) at the cut solves Xbar s^2 - b s - u = 0
-    return math.ceil(((b + math.sqrt(b * b + 4.0 * Xbar * u)) / (2.0 * Xbar)) ** 2) + 2
+    s = (b + math.sqrt(b * b + 4.0 * Xbar * u)) / (2.0 * Xbar)
+    if not s * s <= _MAX_TERMS - 2:  # an inf s * s fails it too, which math.ceil would not take
+        raise ValueError(f"the normal Poisson series needs {s * s + 2:.4g} terms, more than the bound {_MAX_TERMS:.0e}")
+    return math.ceil(s * s) + 2
 
 
 def _mixture(t, weights: np.ndarray, fill, window=None) -> np.ndarray:
@@ -390,12 +414,17 @@ def packet_count_pmf(u: float, packet: DistributionSpec, battery: BatteryModel) 
     K_ij = F_X((e_{j+1} - y_i)/eta(y_i)) - F_X((e_j - y_i)/eta(y_i)) and
     absorbs it with 1 - F_X((u - y_i)/eta(y_i)); the cap umax > u never acts
     below the threshold. Iteration stops once less than 1e-12 of the mass is
-    still below u. The kernel is dense, (u / _LEVEL_STEP + 1)^2 floats:
-    8 MB at u = 20. The result is cached and read-only.
+    still below u. The kernel is dense, (ceil(u / _LEVEL_STEP) + 1)^2
+    floats: 8 MB at u = 20. A ValueError refuses a threshold outside
+    (0, capacity) and a kernel of more than _MAX_TERMS entries (u above about
+    63.2), before anything of kernel size is allocated. The result is cached
+    and read-only.
     """
     if not 0.0 < u < battery.capacity:
         raise ValueError(f"threshold {u} outside (0, {battery.capacity})")
     n_cells = int(np.ceil(u / _LEVEL_STEP))
+    if (n_cells + 1) ** 2 > _MAX_TERMS:
+        raise ValueError(f"level grid of u = {u:g}: {(n_cells + 1) ** 2:.4g} kernel entries, over {_MAX_TERMS:.0e}")
     edges = np.linspace(0.0, u, n_cells + 1)
     levels = np.concatenate(([0.0], 0.5 * (edges[:-1] + edges[1:])))
     eta = battery.efficiency(levels)

@@ -78,13 +78,6 @@ __all__ = ["ConfigError", "ParsedConfig", "parse_config", "run_experiment", "com
 
 # Points a configured grid may hold; each curve writes one CSV row per point.
 _MAX_GRID_POINTS = 10**6
-# Terms a poisson_normal curve's series may hold (``packet_sum_terms``), about
-# (7.1 sigma_X / Xbar)^2 once the packets' spread sets it. A term costs about
-# 80 bytes and 0.13 us while the series is built, so 0.8 GB and 1.3 s at the
-# bound (Python 3.11, numpy 2.4). It holds every series that the packet budget
-# lets a law of coefficient of variation 1 or less ask for, at most 3.9e6
-# terms; a coefficient of variation of 446 or more passes it at any threshold.
-_MAX_SERIES_TERMS = 10**7
 
 
 class ConfigError(ValueError):
@@ -238,8 +231,9 @@ def _curves(parsed: ParsedConfig) -> List[_Curve]:
     fault; an asymptotic mean or variance of tau at u' that is not a finite
     float, which the manifest could not hold as JSON; without a grid a mean
     that is not positive, since the default grid of 201 points ends at 3
-    times it; and a ``poisson_normal`` curve whose series has more than
-    ``_MAX_SERIES_TERMS`` terms.
+    times it; and a ``poisson_normal`` curve whose series ``packet_sum_terms``
+    refuses, as longer than the bound ``analytic`` keeps; this module does no
+    size arithmetic of its own for any formula.
     Each refusal is a ConfigError that starts with its key or the curve's CSV
     name. One lookup per curve picks its formula: under ``auto`` the first
     row of ``_FORMULAS`` that fits its laws, else the forced row if it fits.
@@ -292,12 +286,10 @@ def _curves(parsed: ParsedConfig) -> List[_Curve]:
                 "which is not positive; set a grid"
             )
         if picked == "poisson_normal":
-            terms = packet_sum_terms(u_prime, packet.mean, math.sqrt(packet.variance))
-            if terms > _MAX_SERIES_TERMS:
-                raise ConfigError(
-                    f"{name}: poisson_normal needs {terms:.2g} series terms for packets {packet.config_str()}, "
-                    f"more than the bound of {_MAX_SERIES_TERMS:.0e}"
-                )
+            try:
+                packet_sum_terms(u_prime, packet.mean, math.sqrt(packet.variance))
+            except ValueError as exc:  # a series longer than analytic's bound
+                raise ConfigError(f"{name}: {exc}") from None
         curve_grid = np.linspace(0.0, 3.0 * mean, 201) if grid is None else grid
         curves[name] = _Curve(config, name, picked, curve_grid, mean, variance)
     return list(curves.values())

@@ -89,7 +89,6 @@ __all__ = [
     "summarize",
 ]
 
-_MAX_PACKETS = 10**9
 # Expected packets, summed over the runs that share a pool, below which they
 # run in this process. Timed on 2 vCPUs, a pool of two broke even near 2e6
 # packets under the linear rule and near 5e5 under the per-packet rule; 1e6
@@ -101,6 +100,9 @@ _MAX_PACKETS = 10**9
 _POOL_BREAK_EVEN = 10**6
 # Expected packets that one config may draw, counted over the whole chunks of
 # ``CHUNK`` rows the kernel steps, however few of their rows the run keeps.
+# It is also the kernel's limit per row: no row may draw more packets than its
+# whole run may expect, so a row still below the top after this many raises
+# ``UnreachableThresholdError``.
 _PACKET_BUDGET = 10**9
 
 
@@ -239,7 +241,7 @@ def _run_range(config: ExperimentConfig, levels: np.ndarray, start: int, stop: i
         gaps, packets = buffers[:2, :rows]
         # the third plane read as [64, rows]: the path, then the gaps' sums
         plane = buffers[2, :rows].reshape(_BLOCK, rows)
-        for _ in range(0, _MAX_PACKETS, _BLOCK):
+        for _ in range(0, _PACKET_BUDGET, _BLOCK):
             for c, rng in enumerate(rngs):
                 if level[c * CHUNK : (c + 1) * CHUNK].min() <= top:
                     arr.interarrival.sample(rng, out=buffers[0, c * CHUNK : (c + 1) * CHUNK])
@@ -262,7 +264,7 @@ def _run_range(config: ExperimentConfig, levels: np.ndarray, start: int, stop: i
                 break
             t += gaps.sum(axis=1)
         else:
-            raise UnreachableThresholdError(f"no crossing after {_MAX_PACKETS} packets for config: {config!r}")
+            raise UnreachableThresholdError(f"no crossing after {_PACKET_BUDGET} packets for config: {config!r}")
     return taus
 
 
@@ -277,11 +279,12 @@ class Streams:
     A stream is the configs that differ only in their threshold. When the
     streams' top thresholds expect ``_POOL_BREAK_EVEN`` packets in all, where
     a pool starts to pay, the plan gives ``processes`` as many as the
-    workers, the largest run's chunks and the CPUs allow, and 1 otherwise;
-    each stream's chunks are split over them. One rule reads every config: a
-    config whose taus are not held simulates its own threshold together with
-    every threshold of its stream not simulated yet, in one pass, and holds
-    the others' taus until their own ``run`` reads them, once.
+    workers, the largest run's chunks and the CPUs allow, and 1 otherwise,
+    as for a plan of no configs; each stream's chunks are split over them.
+    One rule reads every config: a config whose taus are not held simulates
+    its own threshold together with every threshold of its stream not
+    simulated yet, in one pass, and holds the others' taus until their own
+    ``run`` reads them, once.
 
     Open it with ``with Streams(workers, configs) as pool:`` and pass it to
     the ``run`` of each config. Entering opens a ``ProcessPoolExecutor`` of
@@ -295,7 +298,7 @@ class Streams:
         for c in configs:
             groups.setdefault(_stream(c), []).append(c)
         top = sum(max(c.expected_packets for c in group) for group in groups.values())
-        chunks = _n_chunks(max(c.replications for c in configs))
+        chunks = _n_chunks(max((c.replications for c in configs), default=0))
         self.processes = max(1, min(workers, chunks, os.cpu_count() or 1)) if top >= _POOL_BREAK_EVEN else 1
         self.executor: Optional[ProcessPoolExecutor] = None  # the pool ``__enter__`` opens, if any
         self._pending = {key: {c.threshold for c in group} for key, group in groups.items()}  # not simulated yet

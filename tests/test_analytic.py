@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -20,6 +23,7 @@ from rechargetime.analytic import (
     _tail_sums,
     nonlinear_cdf,
     packet_count_pmf,
+    packet_sum_terms,
     per_packet_cdf,
     poisson_cdf_exp_exact,
     poisson_cdf_normal,
@@ -369,6 +373,70 @@ class TestPerPacketCdf:
         # a packet shorter than half a grid cell never leaves the first cell
         with pytest.raises(ValueError, match="too fine"):
             packet_count_pmf(1.0, Deterministic(0.005), LinearBattery())
+
+    def test_kernel_past_the_bound_rejected(self):
+        # u = 64: 3201^2 = 1.02e7 kernel entries, one step past 10^7; the
+        # kernel was built and the count law returned
+        with pytest.raises(ValueError, match=r"level grid of u = 64: 1\.025e\+07 kernel entries, over 1e\+07"):
+            packet_count_pmf(64.0, Gamma(1.0, 2.0), NonLinearBattery(100.0, 1.1))
+
+
+# Each size refusal of this module, run in a child process whose address
+# space is capped at 3 GiB, so that a tree whose refusal comes after the
+# allocation fails with MemoryError and does not take the machine's memory:
+# the normal series of 2.0e8 terms (1.5 GiB for n alone, then a Python float
+# a term), and level-grid kernels of 1.02e7 and 2.0e9 entries (15.1 GiB a
+# dense matrix). Prints each call's outcome and its peak traced bytes.
+SIZE_REFUSALS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+import tracemalloc
+from rechargetime.analytic import packet_count_pmf, poisson_cdf_normal
+from rechargetime.battery import NonLinearBattery
+from rechargetime.distributions import Gamma
+calls = (
+    lambda: poisson_cdf_normal(20.0, 1.0, 1.0, 1.0, 2000.0),
+    lambda: packet_count_pmf(64.0, Gamma(1.0, 2.0), NonLinearBattery(100.0, 1.1)),
+    lambda: packet_count_pmf(900.0, Gamma(1.0, 2.0), NonLinearBattery(1000.0, 1.1)),
+)
+tracemalloc.start()
+for call in calls:
+    tracemalloc.reset_peak()
+    try:
+        call()
+        outcome = "returned"
+    except Exception as exc:
+        outcome = type(exc).__name__
+    print(outcome, tracemalloc.get_traced_memory()[1])
+"""
+
+
+class TestSizeBounds:
+    """The normal series and the level-grid kernel are refused past _MAX_TERMS, before they are allocated."""
+
+    def test_normal_series_bound_at_the_sd_that_crosses_it(self):
+        # u = 20, Xbar = 1: about (7.1 sigma)^2 terms, by arithmetic alone
+        assert packet_sum_terms(20.0, 1.0, 445.0) == 9_982_483
+        with pytest.raises(ValueError, match=r"1\.003e\+07 terms, more than the bound 1e\+07"):
+            packet_sum_terms(20.0, 1.0, 446.0)
+
+    def test_normal_series_past_the_float_range_rejected(self):
+        # (7.1 sigma / Xbar)^2 overflows to inf, which math.ceil raised OverflowError on
+        with pytest.raises(ValueError, match=r"inf terms"):
+            packet_sum_terms(20.0, 1e-10, 1e150)
+
+    def test_erlang_series_stays_unbounded(self):
+        assert packet_sum_terms(1e8, 1.0, None) == 2 * 10**8 + 65
+
+    def test_refusals_allocate_nothing_under_a_3_gib_address_space(self):
+        pytest.importorskip("resource")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        out = subprocess.run(
+            [sys.executable, "-c", SIZE_REFUSALS], capture_output=True, text=True, check=True, env=env, timeout=120
+        ).stdout
+        outcomes = [line.split() for line in out.splitlines()]
+        assert [outcome for outcome, _ in outcomes] == ["ValueError"] * 3
+        assert all(int(peak) < 1 << 20 for _, peak in outcomes)
 
 
 class TestPacketSumGuards:

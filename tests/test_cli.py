@@ -13,11 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rechargetime import engine
-from rechargetime.analytic import packet_sum_terms
+from rechargetime.analytic import _MAX_TERMS, packet_sum_terms
 from rechargetime.battery import LinearBattery, NonLinearBattery
 from rechargetime.cli import (
     _KEYS,
-    _MAX_SERIES_TERMS,
     ConfigError,
     _curves,
     compare_formulas,
@@ -261,7 +260,7 @@ class TestParseConfig:
             if curve.formula == "poisson_normal":
                 packet = curve.config.packet
                 terms = packet_sum_terms(u_prime, packet.mean, math.sqrt(packet.variance))
-                assert terms <= _MAX_SERIES_TERMS
+                assert terms <= _MAX_TERMS
 
 
 class TestRunExperiment:

@@ -634,6 +634,16 @@ class TestSharedStreams:
         np.testing.assert_array_equal(run(c, pool=streams).taus, pooled)
         np.testing.assert_array_equal(pooled, run(c).taus)
 
+    def test_an_empty_plan_opens_no_pool(self, fake_pools, pool_always_pays):
+        # a library caller that filters its configs down to none; max() over
+        # no replications raised before
+        c = cfg(replications=300)
+        with Streams(2, []) as pool:
+            assert pool.processes == 1 and pool.executor is None
+            taus = run(c, pool=pool).taus
+        assert fake_pools == []
+        np.testing.assert_array_equal(taus, run(c).taus)
+
     def test_held_taus_are_read_once(self, monkeypatch):
         levels_run = []
         inner = engine._run_range
@@ -761,8 +771,9 @@ class TestValidation:
         cfg(packet=Exponential(1.95e5), replications=1)
 
     def test_packet_limit_names_the_config(self, monkeypatch):
-        # 2001 packets of 0.01 to pass u = 20, past a limit of two blocks
-        monkeypatch.setattr(engine, "_MAX_PACKETS", 128)
+        # 2001 packets of 0.01 to pass u = 20, past a limit of two blocks; the
+        # budget is lowered after the config is built, which it would refuse
         c = cfg(packet=Deterministic(0.01), replications=10)
+        monkeypatch.setattr(engine, "_PACKET_BUDGET", 128)
         with pytest.raises(engine.UnreachableThresholdError, match=r"128 packets .*ExperimentConfig\(.*threshold=20\.0"):
             run(c)
